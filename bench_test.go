@@ -305,10 +305,9 @@ func BenchmarkMinimizeExactConditional(b *testing.B) {
 // workload size, worker count and engine configuration on the Bench C
 // exact-conditional shape. The nocache/workers=1 rows replay the seed
 // algorithm (every closure re-derived per candidate×source) and are
-// the baseline the engine speedup is measured against; the nospec row
-// ablates the speculative candidate batches; the vcache row runs
-// against a pre-warmed cross-run verdict cache, so each op replays the
-// recorded removal sequence instead of re-deciding candidates
+// the baseline the engine speedup is measured against; the vcache row
+// runs against a pre-warmed cross-run verdict cache, so each op replays
+// the recorded removal sequence instead of re-deciding candidates
 // (vcachehits/op counts the hits). Every configuration produces the
 // identical minimal set. scripts/bench.sh parses this sweep into
 // BENCH_minimize.json. The n=4096 stretch rows only run when
@@ -344,7 +343,6 @@ func BenchmarkMinimizeParallel(b *testing.B) {
 				core.MinimizeOptions{Parallelism: workers}})
 		}
 		configs = append(configs,
-			config{"nospec/workers=8", core.MinimizeOptions{Parallelism: 8, NoSpeculation: true}},
 			config{"vcache/workers=1", core.MinimizeOptions{Parallelism: 1, VerdictCache: core.NewVerdictCache(0)}})
 		for _, cfg := range configs {
 			b.Run(fmt.Sprintf("activities=%d/%s", n, cfg.name), func(b *testing.B) {

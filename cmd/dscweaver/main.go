@@ -23,8 +23,6 @@
 //	-validate-parallel N
 //	               soundness exploration worker count (0/1 = sequential)
 //	-parallel N    minimization worker count (0 = GOMAXPROCS)
-//	-no-speculation
-//	               disable speculative candidate batches (ablation)
 //	-run           execute the minimal set with no-op activities and
 //	               print the trace
 //	-decentral N   partition the minimal set across at most N hosts
@@ -70,7 +68,6 @@ func main() {
 	decentralize := flag.Int("decentral", 0, "partition the minimal set across at most N hosts and print the placement (0 = off, -1 = natural placement, no cap); with -run, execute one engine per partition and report measured vs predicted message counts")
 	explain := flag.String("explain", "", "explain why constraints were removed: 'all' or a substring of the constraint")
 	parallel := flag.Int("parallel", 0, "minimization worker count (0 = GOMAXPROCS, 1 = sequential); the minimal set is identical for every value")
-	noSpeculation := flag.Bool("no-speculation", false, "disable speculative candidate batches in the parallel minimizer (ablation; the minimal set is identical)")
 	metricsOut := flag.String("metrics", "", "write Prometheus-style metrics for the whole run to this file (\"-\" = stdout)")
 	eventsOut := flag.String("events", "", "write the JSONL lifecycle event log (minimizer + engine) to this file (\"-\" = stdout)")
 	verbose := flag.Bool("v", false, "print every pipeline stage")
@@ -115,7 +112,6 @@ func main() {
 	res, err := weave.Run(ctx, weave.Input{Source: string(src)}, weave.Options{
 		Frontend:             fe,
 		Parallelism:          *parallel,
-		NoSpeculation:        *noSpeculation,
 		Validate:             *validate,
 		MaxStates:            *maxStates,
 		ValidateReductionOff: *noReduction,

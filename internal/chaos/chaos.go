@@ -114,9 +114,25 @@ func (in *Injector) Stats() Stats {
 // key, attempt). Distinct domains decorrelate the fault draw from the
 // latency draw for the same operation.
 func (in *Injector) draw(domain, key string, attempt int) float64 {
+	return unitDraw(in.cfg.Seed, domain, key, attempt)
+}
+
+// unitDraw is every injector's determinism rule: a uniform [0, 1)
+// float that is a pure function of its inputs. FNV-1a stirs a trailing
+// byte into the low bits only, and the [0, 1) scaling keeps the high
+// 53 — without a finalizer every attempt on one key would draw the
+// same value. One splitmix64 round pushes the attempt counter through
+// the whole word.
+func unitDraw(seed int64, domain, key string, attempt int) float64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d", in.cfg.Seed, domain, key, attempt)
-	return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
+	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d", seed, domain, key, attempt)
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11) / float64(uint64(1)<<53)
 }
 
 // next claims the attempt index for one more operation on key.
@@ -232,12 +248,10 @@ func (in *Injector) StageHook() func(ctx context.Context, stage string) error {
 
 // MinimizeHook returns a core.MinimizeOptions.CandidateHook injecting
 // latency and faults into the minimizer's candidate engine, keyed per
-// constraint — every evaluation attempt of one candidate (sequential,
-// speculative, or a re-evaluation after an invalidation) advances that
-// key's attempt index. Latency spikes land inside speculation windows
-// and skew which worker claims which candidate; fault draws abort the
-// run. Latency-only configs must leave the minimal set bit-identical,
-// which is what the chaos property tests pin.
+// constraint — every evaluation of one candidate advances that key's
+// attempt index. Latency spikes skew the timing of each check; fault
+// draws abort the run. Latency-only configs must leave the minimal set
+// bit-identical, which is what the chaos property tests pin.
 func (in *Injector) MinimizeHook() core.CandidateHook {
 	return func(ctx context.Context, c core.Constraint) error {
 		return in.inject(ctx, "minimize/"+c.String())

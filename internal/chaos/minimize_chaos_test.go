@@ -1,7 +1,7 @@
-// Chaos property suite for the minimizer's candidate/speculation pool:
-// seeded latency injected per candidate evaluation attempt skews which
-// worker claims which candidate and where speculation windows land, yet
-// the canonical commit order must keep the minimal set bit-identical;
+// Chaos property suite for the minimizer's candidate engine: seeded
+// latency injected per candidate evaluation skews the timing of every
+// check and of the fallback scan's worker pool, yet the canonical
+// candidate order must keep the minimal set bit-identical;
 // seeded faults and cancellations must abort the run cleanly — typed
 // error, no goroutine leaks, removals a prefix of the deterministic
 // sequence. Replay a failing seed with -chaos.seed=N (see chaos_test.go).
@@ -20,9 +20,9 @@ import (
 	"dscweaver/internal/workload"
 )
 
-// chaosMinimizeWorkload is sized so every seed gets a few speculation
-// windows at workers=8 (dozens of candidates) while keeping the
-// 12-seed × configs sweep fast under -race.
+// chaosMinimizeWorkload is sized so every seed gets dozens of
+// candidates while keeping the 12-seed × configs sweep fast under
+// -race.
 func chaosMinimizeWorkload(t *testing.T, seed int64) *core.ConstraintSet {
 	t.Helper()
 	sc, err := workload.Layered(8, 4, 0.3, seed).WithShortcuts(8).WithDecisions(2).Constraints()
@@ -49,7 +49,6 @@ func TestChaosMinimizeCandidateLatencyBitIdentical(t *testing.T) {
 		}{
 			{"workers=2", core.MinimizeOptions{Parallelism: 2}},
 			{"workers=8", core.MinimizeOptions{Parallelism: 8}},
-			{"workers=8/nospec", core.MinimizeOptions{Parallelism: 8, NoSpeculation: true}},
 		} {
 			inj := chaos.New(chaos.Config{Seed: seed, LatencyP: 0.5, MaxLatency: 2 * time.Millisecond})
 			opts := cfg.opts

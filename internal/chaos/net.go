@@ -26,7 +26,6 @@ package chaos
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -156,22 +155,11 @@ func (n *Net) resolve(from, to string) (LinkFault, bool) {
 	return LinkFault{}, false
 }
 
-// netDraw is the injector's determinism rule for the network layer: a
-// uniform [0, 1) float that is a pure function of its inputs.
+// netDraw is unitDraw for the network layer, keyed by link. The
+// network domains are prefixed so they never share a stream with the
+// injector's.
 func netDraw(seed int64, domain string, l Link, attempt int) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00net.%s\x00%s\x00%d", seed, domain, l, attempt)
-	x := h.Sum64()
-	// FNV-1a stirs a trailing byte into the low bits only, and the
-	// [0, 1) scaling keeps the high 53 — without a finalizer every
-	// attempt on a link would draw the same value. One splitmix64
-	// round pushes the attempt counter through the whole word.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(uint64(1)<<53)
+	return unitDraw(seed, "net."+domain, l.String(), attempt)
 }
 
 // verdict is one send's fate, decided under the link lock so budget

@@ -193,7 +193,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 			continue
 		}
 		res.EquivalenceChecks++
-		removable, _, err := pg.edgeRedundantN(context.Background(), u, v, resolveWorkers(a.opts.Parallelism))
+		removable, _, _, err := pg.checkFrontier(context.Background(), u, v, resolveWorkers(a.opts.Parallelism))
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +305,7 @@ func (a *Adapter) Remove(dep Dependency) (*ChangeResult, error) {
 		}
 		u, v := pg.pointID(c.From), pg.pointID(c.To)
 		res.EquivalenceChecks++
-		removable, _, err := pg.edgeRedundantN(context.Background(), u, v, resolveWorkers(a.opts.Parallelism))
+		removable, _, _, err := pg.checkFrontier(context.Background(), u, v, resolveWorkers(a.opts.Parallelism))
 		if err != nil {
 			return nil, err
 		}

@@ -25,13 +25,21 @@ type pointGraph struct {
 	conIndex map[[2]int]int
 	guards   map[Node]cond.Expr
 	topo     []int
-	// strict disables guard-context equivalence in edgeRedundant (the
+	// pos is each point's index in topo.
+	pos []int
+	// strict disables guard-context equivalence in checkFrontier (the
 	// MinimizeOptions.StrictAnnotations ablation).
 	strict bool
+	// pairAnn, pairMask and pairStack are pairWithout's reused scratch:
+	// the window sweep's annotations, the anc(v) mask by topo position,
+	// and the DFS stack. Only one candidate check runs at a time.
+	pairAnn   []cond.Expr
+	pairMask  graph.Bitset
+	pairStack []int
 	// cache and cacheTo memoize baseline single-source forward and
 	// single-target backward closures across the minimizer's candidate
 	// loop; memo caches semantic-equivalence verdicts. All are shared
-	// by the edgeRedundantN worker pool.
+	// by checkFrontier's fallback worker pool.
 	cache   *closureCache
 	cacheTo *closureCache
 	memo    *equalMemo
@@ -120,6 +128,11 @@ func buildPointGraph(sc *ConstraintSet) (*pointGraph, error) {
 		return nil, fmt.Errorf("closure: synchronization constraints are cyclic (conflict dependency): %w", err)
 	}
 	pg.topo = order
+	pg.pos = make([]int, len(order))
+	for i, p := range order {
+		pg.pos[p] = i
+	}
+	pg.pairMask = graph.NewBitset(len(order))
 
 	if err := pg.deriveGuards(); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ import (
 // records the generation at which source s was last invalidated, and an
 // entry is valid iff it was computed at or after that point. Stamping
 // (rather than plain deletion) also makes stores safe against the
-// worker pool of edgeRedundantN: a worker that began its sweep before an
+// worker pool of checkFrontier: a worker that began its sweep before an
 // invalidation cannot install a stale closure afterwards, because its
 // compute-time generation predates the source's staleAt.
 type closureCache struct {
@@ -184,7 +184,7 @@ func (pg *pointGraph) removeConstraintEdge(u, v int) {
 // and the same (closure annotation, guard) expression pairs recur
 // across candidates and sources; the memo answers repeats in a map
 // lookup. Keys are order-normalized so Equal(a,b) and Equal(b,a) share
-// an entry. Safe for concurrent use by the edgeRedundantN worker pool.
+// an entry. Safe for concurrent use by checkFrontier's worker pool.
 type equalMemo struct {
 	mu       sync.Mutex
 	verdicts map[string]bool

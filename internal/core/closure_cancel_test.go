@@ -102,7 +102,7 @@ func TestEdgeRedundantSequentialCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	ok, _, err := pg.edgeRedundantN(ctx, u, v, 1)
+	ok, _, _, err := pg.checkFrontier(ctx, u, v, 1)
 	if err == nil || ok {
 		t.Fatalf("cancelled sequential check returned ok=%v err=%v, want context error", ok, err)
 	}

@@ -51,13 +51,13 @@ type MinimizeResult struct {
 	// PairComparisons counts the annotated-closure pair comparisons
 	// evaluated across all checks — the maintenance-cost metric of the
 	// optimizer benches. The tally depends on the engine configuration:
-	// with Parallelism > 1 workers cancel early on the first
-	// inequivalent pair and how far the others got is
+	// with Parallelism > 1 the fallback scan's workers cancel early on
+	// the first inequivalent pair and how far the others got is
 	// scheduling-dependent, the closure cache changes where the
-	// structural fast paths hit, and the quick-keep prefilter settles
-	// most kept candidates at a single comparison. The verdicts
-	// themselves — and hence Minimal, Removed and EquivalenceChecks —
-	// are identical for every configuration.
+	// structural fast paths hit, and the local pair test settles most
+	// candidates at a single comparison. The verdicts themselves — and
+	// hence Minimal, Removed and EquivalenceChecks — are identical for
+	// every configuration.
 	PairComparisons int
 	// Workers is the maximum worker-pool fan-out the run actually
 	// exercised — not the configured size: a 3-point process checked
@@ -65,13 +65,9 @@ type MinimizeResult struct {
 	// item to claim. 1 when every check ran inline (and on a verdict
 	// cache hit, which runs no checks at all).
 	Workers int
-	// Respeculated counts candidates whose speculative verdict was
-	// invalidated by an earlier removal committing in the same batch
-	// (affected-pair interference) and had to be re-evaluated against
-	// the updated graph. Zero in sequential and NoSpeculation runs. The
-	// tally is scheduling-independent (invalidation is decided by the
-	// deterministic commit order), but depends on batch geometry and
-	// hence on Parallelism.
+	// Respeculated is always 0: candidates are decided one at a time,
+	// so no verdict is ever re-evaluated. The field remains for readers
+	// that still report it.
 	Respeculated int
 	// VerdictCacheHit reports that the whole run was served by
 	// replaying a recorded removal sequence from
@@ -142,20 +138,13 @@ type MinimizeOptions struct {
 	// Guards overrides the execution-guard context (nil derives from
 	// the set's control-origin constraints).
 	Guards map[Node]cond.Expr
-	// Parallelism sets the worker-pool size of the candidate engine: 0
-	// means GOMAXPROCS, 1 runs inline with no goroutines, larger values
-	// are taken literally. With more than one worker, candidates are
-	// evaluated speculatively in parallel batches and their verdicts
-	// committed strictly in canonical order (see minimize_spec.go), so
-	// the removal order — and therefore the resulting minimal set — is
-	// bit-identical across worker counts.
+	// Parallelism sets the worker-pool size of the fallback frontier
+	// scan: 0 means GOMAXPROCS, 1 runs inline with no goroutines,
+	// larger values are taken literally. Candidates are always decided
+	// one at a time in canonical order, so the removal order — and
+	// therefore the resulting minimal set — is bit-identical across
+	// worker counts.
 	Parallelism int
-	// NoSpeculation disables the speculative candidate engine: with
-	// Parallelism > 1 the candidate loop then stays sequential and only
-	// the per-candidate closure sweeps fan out (the PR-1 engine).
-	// Results are identical; it exists as the scaling baseline and
-	// ablation for the optimizer benches.
-	NoSpeculation bool
 	// VerdictCache, when non-nil, consults (and on a miss, fills) a
 	// cross-run content-addressed cache of removal sequences keyed on
 	// the constraint set, guards, domains and comparison mode. On a hit
@@ -164,9 +153,8 @@ type MinimizeOptions struct {
 	// server shares one instance across requests.
 	VerdictCache *VerdictCache
 	// CandidateHook, when non-nil, runs before every candidate
-	// evaluation attempt — sequential, speculative, and re-evaluations
-	// after an invalidation alike. A returned error aborts the run with
-	// that error. The chaos suite injects latency and faults here.
+	// evaluation. A returned error aborts the run with that error. The
+	// chaos suite injects latency and faults here.
 	CandidateHook CandidateHook
 	// NoCache disables the per-source closure cache and the
 	// equivalence memo, restoring the naive re-derivation of every
@@ -203,15 +191,14 @@ func MinimizeWithGuards(sc *ConstraintSet, guards map[Node]cond.Expr) (*Minimize
 }
 
 // MinimizeOpt is Minimize with full options and cooperative
-// cancellation: ctx is checked before every committed verdict and
-// inside every closure-sweep worker pool, so a canceled run aborts
-// within one per-source sweep and a speculative verdict computed from
-// a partial scan can never land as a committed removal. On
-// cancellation the returned error is a *CancelError carrying the
-// partial progress (the removals applied so far are a prefix of the
-// uncancelled run's deterministic removal sequence). An uncancelled
-// run is bit-identical to Minimize for every engine configuration. A
-// nil ctx behaves as context.Background().
+// cancellation: ctx is checked before every candidate and inside every
+// closure sweep, so a canceled run aborts within one per-source sweep
+// and a verdict computed from a partial scan can never land as a
+// committed removal. On cancellation the returned error is a
+// *CancelError carrying the partial progress (the removals applied so
+// far are a prefix of the uncancelled run's deterministic removal
+// sequence). An uncancelled run is bit-identical to Minimize for every
+// engine configuration. A nil ctx behaves as context.Background().
 func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (*MinimizeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -235,7 +222,6 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	pg.cache.disabled = opts.NoCache
 	pg.cacheTo.disabled = opts.NoCache
 	pg.memo.disabled = opts.NoCache
-	workers := resolveWorkers(opts.Parallelism)
 	res := &MinimizeResult{Guards: pg.guards, Workers: 1}
 	emit := func(ev obs.Event) {
 		if opts.Events != nil {
@@ -258,12 +244,10 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 
 	// Collect the candidates up front in canonical (insertion) order.
 	// The paper's algorithm is order-dependent in general (minimal sets
-	// are not unique); insertion order makes runs deterministic. Edge
-	// resolution at collection time matches the sequential loop's
-	// per-iteration one: points are fixed for the run and no two
-	// constraints share an edge, so no candidate's edge can disappear
-	// before its turn.
-	var cands []specCandidate
+	// are not unique); insertion order makes runs deterministic. Points
+	// are fixed for the run and no two constraints share an edge, so no
+	// candidate's edge can disappear before its turn.
+	var cands []candidate
 	for i, c := range sc.Constraints() {
 		if c.Rel != HappenBefore {
 			continue
@@ -273,7 +257,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		if u < 0 || v < 0 || !pg.g.HasEdge(u, v) {
 			continue // folded away during desugaring
 		}
-		cands = append(cands, specCandidate{idx: i, c: c, u: u, v: v})
+		cands = append(cands, candidate{idx: i, c: c, u: u, v: v})
 	}
 
 	var vcKey [32]byte
@@ -302,32 +286,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	}
 
 	if !replayed {
-		var removedIdx []int
-		commit := func(cand specCandidate, removable bool, pairs int, checkBegan time.Time) {
-			res.EquivalenceChecks++
-			res.PairComparisons += pairs
-			verdict := obs.EvCandidateKept
-			if removable {
-				pg.removeConstraintEdge(cand.u, cand.v)
-				res.Removed = append(res.Removed, cand.c)
-				removedIdx = append(removedIdx, cand.idx)
-				verdict = obs.EvCandidateRemoved
-			}
-			emit(obs.Event{Kind: verdict, Detail: cand.c.String(),
-				Value: float64(pairs), DurNS: int64(time.Since(checkBegan))})
-		}
-
-		var err error
-		if workers > 1 && !opts.NoSpeculation {
-			var effective, respeculated int
-			effective, respeculated, err = pg.runSpeculative(ctx, cands, workers, opts.CandidateHook, commit)
-			if effective > res.Workers {
-				res.Workers = effective
-			}
-			res.Respeculated = respeculated
-		} else {
-			err = pg.runSequential(ctx, cands, workers, opts.CandidateHook, commit, res)
-		}
+		removedIdx, err := pg.runSequential(ctx, cands, resolveWorkers(opts.Parallelism), opts.CandidateHook, opts.Events != nil, emit, res)
 		if err != nil {
 			if ErrCanceled(err) {
 				return nil, cancelErr(err)
@@ -352,7 +311,6 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		r.Counter("minimize_closure_cache_hits_total").Add(int64(res.ClosureCacheHits))
 		r.Counter("minimize_closure_cache_misses_total").Add(int64(res.ClosureCacheMisses))
 		r.Counter("minimize_memo_hits_total").Add(int64(res.CondMemoHits))
-		r.Counter("minimize_respeculated_total").Add(int64(res.Respeculated))
 		r.Gauge("minimize_workers").Set(int64(res.Workers))
 		r.Histogram("minimize_run_seconds", obs.DurationBuckets).ObserveDuration(time.Since(began))
 	}
@@ -374,32 +332,57 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	return res, nil
 }
 
-// runSequential is the candidate engine with the loop itself kept
-// sequential: one candidate at a time, with only the per-candidate
-// closure sweeps fanned out over workers (the pre-speculation engine,
-// retained as the NoSpeculation ablation and the workers=1 fast path).
-// commit runs once per decided candidate in canonical order.
-func (pg *pointGraph) runSequential(ctx context.Context, cands []specCandidate, workers int, hook CandidateHook, commit func(cand specCandidate, removable bool, pairs int, began time.Time), res *MinimizeResult) error {
+// candidate is one HappenBefore constraint in the canonical
+// (insertion) candidate order, with its edge resolved up front.
+type candidate struct {
+	idx  int // position in sc.Constraints(), the verdict-cache value
+	c    Constraint
+	u, v int
+}
+
+// runSequential is the candidate engine: one candidate at a time in
+// canonical order, each decided by checkFrontier (whose rare fallback
+// scan fans out over workers) and committed before the next is tested.
+// It applies every removal to the graph, tallies res, emits one verdict
+// event per candidate when events is set, and returns the removed
+// candidates' indices for the verdict cache.
+func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, workers int, hook CandidateHook, events bool, emit func(obs.Event), res *MinimizeResult) ([]int, error) {
+	var removedIdx []int
 	for _, cand := range cands {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if hook != nil {
 			if err := hook(ctx, cand.c); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		began := time.Now()
-		removable, pairs, used, err := pg.checkFrontier(ctx, pg.frontierOf(cand.u, cand.v), workers)
+		var began time.Time
+		if events {
+			began = time.Now()
+		}
+		removable, pairs, used, err := pg.checkFrontier(ctx, cand.u, cand.v, workers)
 		if used > res.Workers {
 			res.Workers = used
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		commit(cand, removable, pairs, began)
+		res.EquivalenceChecks++
+		res.PairComparisons += pairs
+		verdict := obs.EvCandidateKept
+		if removable {
+			pg.removeConstraintEdge(cand.u, cand.v)
+			res.Removed = append(res.Removed, cand.c)
+			removedIdx = append(removedIdx, cand.idx)
+			verdict = obs.EvCandidateRemoved
+		}
+		if events {
+			emit(obs.Event{Kind: verdict, Detail: cand.c.String(),
+				Value: float64(pairs), DurNS: int64(time.Since(began))})
+		}
 	}
-	return nil
+	return removedIdx, nil
 }
 
 // replayRemovals applies a verdict-cache removal sequence to the fresh
@@ -408,13 +391,13 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []specCandidate, 
 // reports false on any mismatch (a hash collision or a cross-version
 // entry), in which case the caller falls back to the full run against
 // an unmodified graph.
-func (pg *pointGraph) replayRemovals(cands []specCandidate, removedIdx []int, res *MinimizeResult) bool {
-	byIdx := make(map[int]specCandidate, len(cands))
+func (pg *pointGraph) replayRemovals(cands []candidate, removedIdx []int, res *MinimizeResult) bool {
+	byIdx := make(map[int]candidate, len(cands))
 	for _, cand := range cands {
 		byIdx[cand.idx] = cand
 	}
 	seen := make(map[int]bool, len(removedIdx))
-	picked := make([]specCandidate, 0, len(removedIdx))
+	picked := make([]candidate, 0, len(removedIdx))
 	for _, idx := range removedIdx {
 		cand, ok := byIdx[idx]
 		if !ok || seen[idx] || !pg.g.HasEdge(cand.u, cand.v) {
@@ -428,16 +411,6 @@ func (pg *pointGraph) replayRemovals(cands []specCandidate, removedIdx []int, re
 		res.Removed = append(res.Removed, cand.c)
 	}
 	return true
-}
-
-// edgeRedundant tests whether removing edge u→v leaves the set
-// transitive-equivalent to the current one. Only closures from points
-// that reach u (including u) toward points reachable from v (including
-// v) can change. It returns the number of pair comparisons made. This
-// is the inline single-worker form of edgeRedundantN (see
-// minimize_parallel.go).
-func (pg *pointGraph) edgeRedundant(u, v int) (bool, int, error) {
-	return pg.edgeRedundantN(context.Background(), u, v, 1)
 }
 
 // ancestorsOf returns all points that reach x by a nonempty path.

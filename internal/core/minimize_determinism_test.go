@@ -1,9 +1,9 @@
-// Determinism property tests for the speculative candidate engine: the
-// minimal set, the removal order and the equivalence-check count must
-// be bit-identical across every engine configuration — worker count,
-// speculation on/off, closure cache on/off, verdict cache cold/warm —
-// and the Workers field must report the fan-out a run actually used,
-// not the configured pool size.
+// Determinism property tests for the candidate engine: the minimal
+// set, the removal order and the equivalence-check count must be
+// bit-identical across every engine configuration — worker count,
+// closure cache on/off, verdict cache cold/warm — and the Workers field
+// must report the fan-out a run actually used, not the configured pool
+// size.
 package core_test
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // TestMinimizeDeterminismMatrix sweeps the full engine matrix on the
 // layered conditional workload. The n=512 sweep covers workers ∈
-// {1, 2, 8} × speculation on/off × verdict cache off/shared; the
+// {1, 2, 8} × verdict cache off/shared; the
 // closure-cache-off axis runs on the n=64 sweep only, because the
 // naive engine re-derives every closure per candidate and takes
 // minutes at n=512 (it is the baseline this engine exists to beat —
@@ -40,47 +40,44 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 			vc := core.NewVerdictCache(0)
 			vcRuns := 0
 			for _, workers := range []int{1, 2, 8} {
-				for _, spec := range []bool{true, false} {
-					for _, cache := range []*core.VerdictCache{nil, vc} {
-						opts := core.MinimizeOptions{
-							Parallelism:   workers,
-							NoSpeculation: !spec,
-							VerdictCache:  cache,
-						}
-						name := fmt.Sprintf("workers=%d/spec=%v/vcache=%v", workers, spec, cache != nil)
-						res, err := core.MinimizeOpt(context.Background(), sc, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if res.VerdictCacheHit {
-							// A replay runs no equivalence checks, so compare
-							// the outcome, not the work counters.
-							if res.Minimal.String() != ref.Minimal.String() || removedString(res) != removedString(ref) {
-								t.Errorf("%s: replayed result differs from sequential run", name)
-							}
-							if res.EquivalenceChecks != 0 {
-								t.Errorf("%s: replayed run reports %d equivalence checks, want 0", name, res.EquivalenceChecks)
-							}
-						} else {
-							requireIdentical(t, name, ref, res)
-						}
-						if cache != nil {
-							vcRuns++
-							if wantHit := vcRuns > 1; res.VerdictCacheHit != wantHit {
-								t.Errorf("%s: VerdictCacheHit = %v, want %v", name, res.VerdictCacheHit, wantHit)
-							}
-						}
+				for _, cache := range []*core.VerdictCache{nil, vc} {
+					opts := core.MinimizeOptions{Parallelism: workers, VerdictCache: cache}
+					name := fmt.Sprintf("workers=%d/vcache=%v", workers, cache != nil)
+					res, err := core.MinimizeOpt(context.Background(), sc, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					if n <= 64 {
-						// Closure-cache-off axis (the naive Def. 6 engine).
-						opts := core.MinimizeOptions{Parallelism: workers, NoSpeculation: !spec, NoCache: true}
-						name := fmt.Sprintf("workers=%d/spec=%v/nocache", workers, spec)
-						res, err := core.MinimizeOpt(context.Background(), sc, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+					if res.VerdictCacheHit {
+						// A replay runs no equivalence checks, so compare
+						// the outcome, not the work counters.
+						if res.Minimal.String() != ref.Minimal.String() || removedString(res) != removedString(ref) {
+							t.Errorf("%s: replayed result differs from sequential run", name)
 						}
+						if res.EquivalenceChecks != 0 {
+							t.Errorf("%s: replayed run reports %d equivalence checks, want 0", name, res.EquivalenceChecks)
+						}
+					} else {
 						requireIdentical(t, name, ref, res)
 					}
+					if res.Respeculated != 0 {
+						t.Errorf("%s: Respeculated = %d, want 0", name, res.Respeculated)
+					}
+					if cache != nil {
+						vcRuns++
+						if wantHit := vcRuns > 1; res.VerdictCacheHit != wantHit {
+							t.Errorf("%s: VerdictCacheHit = %v, want %v", name, res.VerdictCacheHit, wantHit)
+						}
+					}
+				}
+				if n <= 64 {
+					// Closure-cache-off axis (the naive Def. 6 engine).
+					opts := core.MinimizeOptions{Parallelism: workers, NoCache: true}
+					name := fmt.Sprintf("workers=%d/nocache", workers)
+					res, err := core.MinimizeOpt(context.Background(), sc, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					requireIdentical(t, name, ref, res)
 				}
 			}
 			if hits, misses := vc.Hits(), vc.Misses(); hits != int64(vcRuns-1) || misses != 1 {

@@ -24,11 +24,11 @@ func resolveWorkers(parallelism int) int {
 // u→v: the only closure pairs its removal can perturb run from srcSet
 // (points that reach u, plus u) to tgtSet (points reachable from v,
 // plus v) — any path that routes through the edge starts in srcSet and
-// ends in tgtSet. The bitsets double as the speculative-commit
-// interference test (see interferes) and as membership filters for the
-// equivalence sweeps; the slices preserve a deterministic iteration
-// order with u (resp. v) first, so the pair (u, v) — the pair most
-// likely to refute a kept candidate — is compared before any other.
+// ends in tgtSet. Only the middle-case fallback scan of checkFrontier
+// needs it. The bitsets seed the fallback's sweep cones; the slices
+// preserve a deterministic iteration order with u (resp. v) first, so
+// the pair (u, v) — the pair most likely to refute a kept candidate —
+// is compared before any other.
 type candFrontier struct {
 	u, v    int
 	sources []int // u first, then its ancestors in reverse-DFS order
@@ -76,42 +76,77 @@ func (pg *pointGraph) frontierOf(u, v int) *candFrontier {
 	return fr
 }
 
-// interferes reports whether a committed removal with frontier other
-// can change this candidate's verdict. A removal of e₁ = (u₁, v₁)
-// structurally changes only closures from srcSet₁ to tgtSet₁ (every
-// path through e₁ starts in the former and ends in the latter), and
-// this candidate's verdict reads only closure values from its own
-// srcSet at its own tgtSet — so the verdict is invariant unless both
-// source sets and both target sets intersect. Frontiers taken on an
-// older graph are supersets of the current ones (removals only shrink
-// reachability), so testing snapshot frontiers is conservative: it can
-// force a redundant re-evaluation, never miss a real dependency.
-func (fr *candFrontier) interferes(other *candFrontier) bool {
-	return fr.srcSet.Intersects(other.srcSet) && fr.tgtSet.Intersects(other.tgtSet)
-}
-
-// pairMask returns the cone a skip sweep from u needs to decide the
-// single pair (u, v): the ancestors of v plus v itself. The set is
-// predecessor-closed (a predecessor of an ancestor of v is an ancestor
-// of v), which annotatedFromInto requires for the restricted sweep to
-// stay structurally identical at v; intersected with the sweep's own
-// reach from u it confines the walk to the between-cone
-// desc(u) ∩ anc(v).
-func (pg *pointGraph) pairMask(v int) graph.Bitset {
-	mask := graph.NewBitset(len(pg.points))
-	mask.Set(v)
-	stack := []int{v}
+// pairWithout returns without(u, v): the annotation at v of the skip
+// sweep from u with the candidate edge u→v excluded, the one value the
+// local pair test reads. It sweeps only the topo window
+// [pos(u), pos(v)] and only the points of anc(v) ∪ {v} inside it, into
+// the point graph's reused scratch slice and bitset, so a candidate
+// costs no allocation proportional to the graph.
+//
+// The result is structurally identical to annotatedFrom(u, &skip)[v]:
+// nothing before pos(u) is reachable from u, nothing after pos(v)
+// reaches v, and a point outside anc(v) contributes to no annotation
+// inside it. Every relaxation that reaches v therefore runs here too,
+// between the same points, in the same topo order, with the same
+// Simplify sequence. The ancestor DFS is pruned below pos(u) without
+// loss: every point on a path from an ancestor a to v lies between
+// pos(a) and pos(v) in topo order.
+//
+// A non-nil cancel is polled like annotatedFromInto's; a fired sweep
+// returns a partial value the caller must discard.
+func (pg *pointGraph) pairWithout(u, v int, cancel *atomic.Bool) cond.Expr {
+	lo, hi := pg.pos[u], pg.pos[v]
+	// anc(v) ∪ {v} within the window, marked by topo position. Bits
+	// outside the window are never read, so only its words are reset.
+	mask := pg.pairMask
+	clear(mask[lo/64 : hi/64+1])
+	mask.Set(hi)
+	stack := append(pg.pairStack[:0], v)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, p := range pg.g.Pred(x) {
-			if !mask.Has(p) {
-				mask.Set(p)
+			if q := pg.pos[p]; q >= lo && !mask.Has(q) {
+				mask.Set(q)
 				stack = append(stack, p)
 			}
 		}
 	}
-	return mask
+	pg.pairStack = stack
+
+	n := hi - lo + 1
+	if cap(pg.pairAnn) < n {
+		pg.pairAnn = make([]cond.Expr, n)
+	}
+	ann := pg.pairAnn[:n] // indexed by topo position minus lo
+	for i := range ann {
+		ann[i] = cond.False()
+	}
+	ann[0] = cond.True()
+	expanded := 0
+	for i := range ann {
+		if !mask.Has(lo+i) || ann[i].IsFalse() {
+			continue
+		}
+		expanded++
+		if cancel != nil && expanded%sweepCheckInterval == 0 && cancel.Load() {
+			return cond.False() // partial — caller re-checks cancel before use
+		}
+		x := pg.topo[lo+i]
+		for _, w := range pg.g.Succ(x) {
+			q := pg.pos[w]
+			if q > hi || !mask.Has(q) || (x == u && w == v) {
+				continue
+			}
+			e := [2]int{x, w}
+			step := cond.And(ann[i], pg.conds[e])
+			if step.IsFalse() {
+				continue
+			}
+			ann[q-lo] = cond.Simplify(cond.Or(ann[q-lo], step), pg.doms)
+		}
+	}
+	return ann[n-1]
 }
 
 // forwardMask returns the cone a forward skip sweep may visit: the
@@ -154,7 +189,7 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 	return mask
 }
 
-// checkFrontier decides one candidate removal — Definition 6's
+// checkFrontier decides one candidate removal u→v — Definition 6's
 // transitive-equivalence test over the candidate's affected-pair
 // frontier — and returns (removable, pairComparisons, workersUsed,
 // error). The removal verdict is a conjunction over all (source,
@@ -167,7 +202,7 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 // vary.
 //
 // The engine decides nearly every candidate from the single pair
-// (u, v) — one skip sweep from u confined to the between-cone — via the
+// (u, v) — one windowed skip sweep from u (see pairWithout) — via the
 // transitivity of the annotated closure (gated off under NoCache, which
 // stays the paper-faithful naive baseline). In a DAG a path uses the
 // edge at most once, so for every frontier pair
@@ -190,14 +225,16 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 //     other pairs' contexts. In the strict ablation guard context is
 //     True, the first two cases are exhaustive and no fallback exists.
 //
-// The quick-keep special case (no alternate u⇒v path) falls out for
-// free: without(u,v) is False, so a non-vacuous edge refutes at cost of
-// a near-empty sweep. Fallback skip sweeps are confined to the nodes
-// that can lie on a path into the target cone
-// (forwardMask/backwardMask); annotations at the compared pairs are
-// structurally identical to an unrestricted sweep's, so verdicts and
-// per-scan tallies are unchanged while the sweep skips the untouched
-// subgraph.
+// The frontier is built lazily, only once the pair test has failed to
+// decide: two DFS walks and two bitsets per candidate would otherwise
+// dominate the loop. The quick-keep special case (no alternate u⇒v
+// path) falls out for free: without(u,v) is False, so a non-vacuous
+// edge refutes at the cost of a near-empty sweep. Fallback skip sweeps
+// are confined to the nodes that can lie on a path into the target
+// cone (forwardMask/backwardMask); annotations at the compared pairs
+// are structurally identical to an unrestricted sweep's, so verdicts
+// and per-scan tallies are unchanged while the sweep skips the
+// untouched subgraph.
 //
 // The closure pair for (s, t) can be derived by sweeping forward from
 // s or backward from t over the reverse graph — the same disjunction
@@ -210,8 +247,12 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 // context.AfterFunc, so workers pay no per-item ctx lookup). A
 // context-aborted check returns ctx.Err() — never a verdict computed
 // from an incomplete scan.
-func (pg *pointGraph) checkFrontier(ctx context.Context, fr *candFrontier, workers int) (bool, int, int, error) {
-	skip := [2]int{fr.u, fr.v}
+//
+// The pair test uses the point graph's scratch buffers, so calls must
+// not overlap; the candidate loop and the Adapter call it one
+// candidate at a time.
+func (pg *pointGraph) checkFrontier(ctx context.Context, u, v, workers int) (bool, int, int, error) {
+	skip := [2]int{u, v}
 
 	// An already-aborted context never yields a verdict — not even the
 	// local pair test's.
@@ -220,22 +261,22 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, fr *candFrontier, worke
 	}
 
 	if !pg.cache.disabled {
-		// Local pair test: one skip sweep from u restricted to anc(v)∪{v},
-		// read at v. The cached baseline closure is deliberately not used
-		// here: prior guard-mode removals preserve closures only in guard
-		// context, while the absolute test needs the current graph's exact
-		// full(u,v) — which is just without(u,v) ∨ cond(u,v).
+		// Local pair test, read at v. The cached baseline closure is
+		// deliberately not used here: prior guard-mode removals preserve
+		// closures only in guard context, while the absolute test needs
+		// the current graph's exact full(u,v) — which is just
+		// without(u,v) ∨ cond(u,v).
 		var cancelFlag atomic.Bool
 		stop := context.AfterFunc(ctx, func() { cancelFlag.Store(true) })
-		without := pg.annotatedFromInto(nil, fr.u, &skip, &cancelFlag, pg.pairMask(fr.v))
+		without := pg.pairWithout(u, v, &cancelFlag)
 		stop()
 		if err := ctx.Err(); err != nil {
 			// The sweep may have aborted mid-scan; its result is not a
 			// closure and must not yield a verdict.
 			return false, 0, 1, err
 		}
-		full := cond.Or(without[fr.v], pg.conds[skip])
-		eqAbs, err := pg.equalCond(full, without[fr.v])
+		full := cond.Or(without, pg.conds[skip])
+		eqAbs, err := pg.equalCond(full, without)
 		if err != nil {
 			return false, 1, 1, err
 		}
@@ -245,8 +286,8 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, fr *candFrontier, worke
 		if pg.strict {
 			return false, 1, 1, nil
 		}
-		g := cond.And(pg.guardOf(pg.points[fr.u].Node), pg.guardOf(pg.points[fr.v].Node))
-		eqCtx, err := pg.equalCond(cond.And(full, g), cond.And(without[fr.v], g))
+		g := cond.And(pg.guardOf(pg.points[u].Node), pg.guardOf(pg.points[v].Node))
+		eqCtx, err := pg.equalCond(cond.And(full, g), cond.And(without, g))
 		if err != nil {
 			return false, 1, 1, err
 		}
@@ -257,6 +298,7 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, fr *candFrontier, worke
 		// frontier scan below.
 	}
 
+	fr := pg.frontierOf(u, v)
 	backward := !pg.strict && !pg.cache.disabled && len(fr.targets) < len(fr.sources)
 	var within graph.Bitset
 	if !pg.cache.disabled {
@@ -362,14 +404,6 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, fr *candFrontier, worke
 		return false, int(pairs.Load()), workers, firstErr
 	}
 	return !inequiv.Load(), int(pairs.Load()), workers, nil
-}
-
-// edgeRedundantN is the frontier-oblivious entry point retained for the
-// Adapter's incremental checks: compute the candidate's frontier on the
-// current graph, then run the full equivalence check over it.
-func (pg *pointGraph) edgeRedundantN(ctx context.Context, u, v, workers int) (bool, int, error) {
-	removable, pairs, _, err := pg.checkFrontier(ctx, pg.frontierOf(u, v), workers)
-	return removable, pairs, err
 }
 
 // sourceEquivalent checks one source's contribution to a candidate

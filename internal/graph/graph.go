@@ -333,23 +333,6 @@ func (b Bitset) UnionWith(other Bitset) {
 	}
 }
 
-// Intersects reports whether b and other share any set bit. The
-// minimizer's speculative-commit protocol uses it as the affected-pair
-// interference test: two candidate frontiers interfere only when both
-// their source sets and their target sets intersect.
-func (b Bitset) Intersects(other Bitset) bool {
-	n := len(b)
-	if len(other) < n {
-		n = len(other)
-	}
-	for i := 0; i < n; i++ {
-		if b[i]&other[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0

@@ -359,37 +359,6 @@ func TestBitsetOps(t *testing.T) {
 	}
 }
 
-func TestBitsetIntersects(t *testing.T) {
-	a := NewBitset(200)
-	b := NewBitset(200)
-	if a.Intersects(b) {
-		t.Error("two empty bitsets intersect")
-	}
-	a.Set(3)
-	a.Set(130)
-	b.Set(131)
-	if a.Intersects(b) {
-		t.Error("disjoint bitsets intersect")
-	}
-	if !a.Intersects(a) {
-		t.Error("nonempty bitset does not intersect itself")
-	}
-	b.Set(130)
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("shared bit 130 not detected (word 2)")
-	}
-	// Different lengths: only the common prefix of words is compared.
-	short := NewBitset(64)
-	short.Set(3)
-	if !a.Intersects(short) || !short.Intersects(a) {
-		t.Error("shared bit 3 not detected across lengths")
-	}
-	short.Clear(3)
-	if a.Intersects(short) || short.Intersects(a) {
-		t.Error("length mismatch fabricated an intersection")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	g := chain(4)
 	c := g.Clone()

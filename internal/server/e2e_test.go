@@ -248,6 +248,10 @@ func TestServerEndToEnd(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "typo": true}, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", code)
 	}
+	// The speculative minimizer and its request knob are gone.
+	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "no_speculation": true}, nil); code != http.StatusBadRequest {
+		t.Errorf("removed no_speculation field: %d, want 400", code)
+	}
 	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "lang": "xml"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad lang: %d, want 400", code)
 	}

@@ -34,12 +34,10 @@ type WeaveRequest struct {
 	// this request (0 = server default, capped at 256).
 	Parallelism int `json:"parallelism,omitempty"`
 	// NoCache runs the paper-faithful naive minimizer engine (every
-	// closure re-derived per candidate) and NoSpeculation disables the
-	// speculative candidate batches — diagnostic ablations; the minimal
-	// set is identical either way. NoCache also bypasses the server's
-	// cross-run verdict cache for this request.
-	NoCache       bool `json:"no_cache,omitempty"`
-	NoSpeculation bool `json:"no_speculation,omitempty"`
+	// closure re-derived per candidate) — a diagnostic ablation; the
+	// minimal set is identical either way. NoCache also bypasses the
+	// server's cross-run verdict cache for this request.
+	NoCache bool `json:"no_cache,omitempty"`
 	// MaxStates bounds the soundness exploration for this request
 	// (0 = the petri default, 1<<20).
 	MaxStates int `json:"max_states,omitempty"`
@@ -145,13 +143,12 @@ func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) 
 		parallelism = s.cfg.WeaveParallelism
 	}
 	opts := weave.Options{
-		Frontend:      fe,
-		Parallelism:   parallelism,
-		NoCache:       q.NoCache,
-		NoSpeculation: q.NoSpeculation,
-		VerdictCache:  s.vcache,
-		Metrics:       s.reg,
-		Events:        sink,
+		Frontend:     fe,
+		Parallelism:  parallelism,
+		NoCache:      q.NoCache,
+		VerdictCache: s.vcache,
+		Metrics:      s.reg,
+		Events:       sink,
 	}
 	if q.NoCache {
 		// A no-cache request asks for the naive engine end to end; replaying

@@ -75,12 +75,11 @@ type Options struct {
 	// minimizer (nil derives guards from the constraint set, the
 	// normal case).
 	Guards map[core.Node]cond.Expr
-	// Parallelism / NoCache / NoSpeculation / StrictAnnotations tune
-	// the minimizer engine exactly as core.MinimizeOptions does; none
-	// of them change the minimal set.
+	// Parallelism / NoCache tune the minimizer engine exactly as
+	// core.MinimizeOptions does; neither changes the minimal set.
+	// StrictAnnotations selects the strict-comparison ablation.
 	Parallelism       int
 	NoCache           bool
-	NoSpeculation     bool
 	StrictAnnotations bool
 
 	// VerdictCache, when non-nil, lets repeated runs over the same
@@ -373,7 +372,6 @@ func (p *Pipeline) minimize(ctx context.Context, res *Result) error {
 		Guards:            p.opts.Guards,
 		Parallelism:       p.opts.Parallelism,
 		NoCache:           p.opts.NoCache,
-		NoSpeculation:     p.opts.NoSpeculation,
 		VerdictCache:      p.opts.VerdictCache,
 		StrictAnnotations: p.opts.StrictAnnotations,
 		Metrics:           p.opts.Metrics,

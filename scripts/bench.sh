@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the minimizer benchmark sweep and writes BENCH_minimize.json:
 # one record per BenchmarkMinimizeParallel row with the workload size,
-# worker count, engine configuration (closure cache, speculation,
-# verdict cache), ns/op, annotated-closure pair comparisons,
-# closure-cache hits and the cross-run verdict-cache hit rate. Also runs the scheduler
+# worker count, engine configuration (closure cache, verdict cache),
+# ns/op, annotated-closure pair comparisons, closure-cache hits and
+# the cross-run verdict-cache hit rate. Also runs the scheduler
 # observability-overhead and no-fault retry-overhead benchmarks and
 # writes BENCH_schedule.json with the obs=off/obs=on and
 # retry=off/retry=on ns/op pairs and their overhead percentages. Finally
@@ -46,13 +46,12 @@ awk '
 /^BenchmarkMinimizeParallel\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    n = 0; workers = 0; cache = "true"; spec = "true"; vcache = "false"
+    n = 0; workers = 0; cache = "true"; vcache = "false"
     split(name, parts, "/")
     for (i in parts) {
         if (parts[i] ~ /^activities=/) { split(parts[i], kv, "="); n = kv[2] }
         if (parts[i] ~ /^workers=/)    { split(parts[i], kv, "="); workers = kv[2] }
         if (parts[i] == "nocache")     { cache = "false" }
-        if (parts[i] == "nospec")      { spec = "false" }
         if (parts[i] == "vcache")      { vcache = "true" }
     }
     ns = 0; pairs = 0; hits = 0; vrate = 0
@@ -63,8 +62,8 @@ awk '
         if ($(i+1) == "vcachehits/op") vrate = $i
     }
     if (ns == 0) next
-    rec = sprintf("  {\"name\": \"%s\", \"activities\": %d, \"workers\": %d, \"cache\": %s, \"speculation\": %s, \"verdict_cache\": %s, \"ns_per_op\": %.0f, \"pair_comparisons\": %.0f, \"cache_hits\": %.0f, \"verdict_cache_hit_rate\": %.2f}",
-                  name, n, workers, cache, spec, vcache, ns, pairs, hits, vrate)
+    rec = sprintf("  {\"name\": \"%s\", \"activities\": %d, \"workers\": %d, \"cache\": %s, \"verdict_cache\": %s, \"ns_per_op\": %.0f, \"pair_comparisons\": %.0f, \"cache_hits\": %.0f, \"verdict_cache_hit_rate\": %.2f}",
+                  name, n, workers, cache, vcache, ns, pairs, hits, vrate)
     recs[++count] = rec
 }
 END {
