@@ -188,7 +188,6 @@ func BenchmarkSoundness(b *testing.B) {
 	}
 	run("purchasing/auto", res.Minimal, guards, petri.ExploreOptions{}, "reduced")
 	run("purchasing/full", res.Minimal, guards, petri.ExploreOptions{ReductionOff: true}, "full")
-	run("purchasing/parallel", res.Minimal, guards, petri.ExploreOptions{Parallel: 4}, "parallel+reduced")
 
 	wide, wideGuards := soundnessWorkload(b, 3, 8, 0.3, 11)
 	run("wide8/fastpath", wide, wideGuards, petri.ExploreOptions{}, "fastpath")

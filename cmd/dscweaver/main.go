@@ -8,7 +8,9 @@
 // The pipeline itself is internal/weave — the same stages the server
 // and the other tools run — executed under a signal context, so an
 // interrupt (Ctrl-C) aborts the minimizer or the Petri exploration
-// mid-flight instead of waiting the run out.
+// mid-flight instead of waiting the run out. Validation picks its own
+// sequential kernel (the structural fast path, else a stubborn-reduced
+// or full exploration) and prints which one decided the verdict.
 //
 // Usage:
 //
@@ -19,9 +21,6 @@
 //	-bpel FILE     write the generated BPEL document to FILE
 //	-validate      run Petri-net soundness checking (default true)
 //	-max-states N  soundness exploration budget (0 = default, 1<<20)
-//	-no-reduction  validate on the full state graph (diagnostic)
-//	-validate-parallel N
-//	               soundness exploration worker count (0/1 = sequential)
 //	-parallel N    minimization worker count (0 = GOMAXPROCS)
 //	-run           execute the minimal set with no-op activities and
 //	               print the trace
@@ -60,8 +59,6 @@ func main() {
 	structured := flag.Bool("structured", false, "fold unconditional chains into <sequence> constructs in the BPEL output")
 	validate := flag.Bool("validate", true, "run Petri-net soundness validation")
 	maxStates := flag.Int("max-states", 0, "soundness exploration budget in states (0 = default, 1<<20)")
-	noReduction := flag.Bool("no-reduction", false, "validate on the full state graph instead of the reduced one (diagnostic; verdicts are identical)")
-	validateParallel := flag.Int("validate-parallel", 0, "soundness exploration worker count (0 or 1 = sequential)")
 	run := flag.Bool("run", false, "execute the minimal set with no-op activities")
 	traceOut := flag.String("trace", "", "with -run, write the execution trace as JSON to this file")
 	dotOut := flag.String("dot", "", "write the minimal constraint graph as Graphviz to this file")
@@ -110,16 +107,14 @@ func main() {
 		fail(err)
 	}
 	res, err := weave.Run(ctx, weave.Input{Source: string(src)}, weave.Options{
-		Frontend:             fe,
-		Parallelism:          *parallel,
-		Validate:             *validate,
-		MaxStates:            *maxStates,
-		ValidateReductionOff: *noReduction,
-		ValidateParallel:     *validateParallel,
-		BPEL:                 *bpelOut != "",
-		StructuredBPEL:       *structured,
-		Metrics:              reg,
-		Events:               sink,
+		Frontend:       fe,
+		Parallelism:    *parallel,
+		Validate:       *validate,
+		MaxStates:      *maxStates,
+		BPEL:           *bpelOut != "",
+		StructuredBPEL: *structured,
+		Metrics:        reg,
+		Events:         sink,
 	})
 	if err != nil {
 		fail(err)

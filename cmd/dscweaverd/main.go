@@ -28,8 +28,6 @@
 //	-store-fsync     fsync the store on every run finish
 //	-events FILE     rotating JSONL event log path
 //	-parallel N      default minimizer worker count per weave
-//	-validate-parallel N
-//	                 default soundness-exploration worker count per weave
 //	-concurrency N   weave worker pool size (default GOMAXPROCS)
 //	-queue-wait D    max wait for a pool slot before shedding (default 2s)
 //	-verdict-cache N cross-run minimize verdict cache entries
@@ -69,7 +67,6 @@ func main() {
 	storeFsync := flag.Bool("store-fsync", false, "fsync the run store on every run finish")
 	events := flag.String("events", "", "rotating JSONL event log path")
 	parallel := flag.Int("parallel", 0, "default minimizer worker count per weave (0 = GOMAXPROCS)")
-	validateParallel := flag.Int("validate-parallel", 0, "default soundness-exploration worker count per weave (0 or 1 = sequential)")
 	concurrency := flag.Int("concurrency", 0, "weave worker pool size (0 = GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", 0, "max wait for a pool slot before shedding with 429 (0 = 2s default)")
 	verdictCache := flag.Int("verdict-cache", 0, "cross-run minimize verdict cache size in entries (0 = 256 default, negative disables)")
@@ -105,9 +102,6 @@ func main() {
 	}
 	if *parallel != 0 {
 		cfg.WeaveParallelism = *parallel
-	}
-	if *validateParallel != 0 {
-		cfg.ValidateParallel = *validateParallel
 	}
 	if *concurrency != 0 {
 		cfg.WeaveConcurrency = *concurrency

@@ -232,12 +232,12 @@ func TestChaosMinimizeBitIdentical(t *testing.T) {
 }
 
 // TestChaosValidateParallelCancel: a seeded cancellation landing
-// mid-exploration must abort the parallel soundness frontier cleanly —
-// the run either completes with the correct verdict or fails with
-// context.Canceled, and no worker goroutine survives either way. The
-// net is wide and decision-free and the reduction and fast path are
-// forced off, so the full graph takes long enough that nearly every
-// seed's cancel fires while the frontier workers are live.
+// mid-exploration must abort the soundness kernel cleanly — the run
+// either completes with the correct verdict or fails with
+// context.Canceled, and no goroutine survives either way. The net is
+// wide and decision-free and the reduction and fast path are forced
+// off, so the full graph takes long enough that nearly every seed's
+// cancel fires while the exploration is running.
 func TestChaosValidateParallelCancel(t *testing.T) {
 	w := workload.Layered(3, 8, 0.3, 11)
 	sc, err := w.Constraints()
@@ -267,7 +267,6 @@ func TestChaosValidateParallelCancel(t *testing.T) {
 			ctx = cctx
 		}
 		rep, err := petri.ValidateOpt(ctx, asc, guards, petri.ExploreOptions{
-			Parallel:     4,
 			NoFastPath:   true,
 			ReductionOff: true,
 		})
@@ -277,7 +276,7 @@ func TestChaosValidateParallelCancel(t *testing.T) {
 				t.Errorf("seed %d: wide layered workload reported unsound: %+v", seed, rep)
 			}
 		case errors.Is(err, context.Canceled):
-			// Aborted mid-frontier; leak.Check verifies the workers died.
+			// Aborted mid-exploration; leak.Check verifies nothing outlived it.
 		default:
 			t.Fatalf("seed %d: unexpected error: %v", seed, err)
 		}

@@ -81,9 +81,6 @@ type ExploreOptions struct {
 	// NoFastPath disables the polynomial structural fast path in
 	// CheckSoundness.
 	NoFastPath bool
-	// Parallel sets the worker count for parallel frontier
-	// exploration in CheckSoundness; values ≤ 1 run sequentially.
-	Parallel int
 	// Metrics receives kernel counters (states explored, reduction
 	// skips, fast-path hits); nil is fine.
 	Metrics *obs.Registry
@@ -131,6 +128,17 @@ func packedFinal(c *compiled, opts ExploreOptions) (func([]byte) bool, []int32) 
 // cut means.
 func (n *Net) Explore(ctx context.Context, opts ExploreOptions) (*StateSpace, error) {
 	opts.setDefaults()
+	ss, err := n.explore(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	countStates(opts.Metrics, ss.States)
+	return ss, nil
+}
+
+// explore picks Explore's kernel: packed, or the reference kernel when
+// the net does not compile or a token count overflows a packed slot.
+func (n *Net) explore(ctx context.Context, opts ExploreOptions) (*StateSpace, error) {
 	c, err := compile(n)
 	if err != nil {
 		return n.exploreRef(ctx, opts)
@@ -140,14 +148,10 @@ func (n *Net) Explore(ctx context.Context, opts ExploreOptions) (*StateSpace, er
 		isFinal, _ = packedFinal(c, opts)
 	}
 	ss, err := c.exploreStats(ctx, opts, isFinal)
-	if err != nil {
-		if isOverflow(err) {
-			return n.exploreRef(ctx, opts)
-		}
-		return nil, err
+	if isOverflow(err) {
+		return n.exploreRef(ctx, opts)
 	}
-	countStates(opts.Metrics, ss.States)
-	return ss, nil
+	return ss, err
 }
 
 // SoundnessReport is the validation verdict the weaver pipeline
@@ -167,8 +171,7 @@ type SoundnessReport struct {
 	// kernels report the reduced graph's size.
 	StateSpace *StateSpace
 	// Method names the kernel that produced the verdict: "fastpath",
-	// "full", "reduced", "parallel", "parallel+reduced" or
-	// "reference" (the unpacked fallback).
+	// "full", "reduced" or "reference" (the unpacked fallback).
 	Method string
 	// Classification summarizes the structural analysis of the net
 	// (e.g. "progressive conflict-free wildcard-safe uncolored"), or
@@ -190,11 +193,11 @@ type SoundnessReport struct {
 // The verdict is produced by the cheapest kernel whose preconditions
 // hold, in order: the polynomial structural fast path (progressive +
 // conflict-free + uncolored nets with monotone FinalPlaces), then an
-// explicit exploration — stubborn-set reduced when the net qualifies
-// (ReductionOff forces the full graph), parallel when opts.Parallel >
-// 1 — and finally the unpacked reference kernel when a marking leaves
-// the packed token range. Every path returns the same Sound,
-// NoCompletion and Deadlocks; Method records which one ran.
+// explicit sequential exploration — stubborn-set reduced when the net
+// qualifies (ReductionOff forces the full graph) — and finally the
+// unpacked reference kernel when a marking leaves the packed token
+// range. Every path returns the same Sound, NoCompletion and
+// Deadlocks; Method records which one ran.
 //
 // ctx is checked every ctxCheckEvery explored states alongside
 // MaxStates; a canceled check returns ctx.Err() rather than a verdict
@@ -230,32 +233,18 @@ func (n *Net) CheckSoundness(ctx context.Context, opts ExploreOptions) (*Soundne
 	if !opts.ReductionOff && !reduce {
 		countSkippedReduction(opts.Metrics)
 	}
-	var (
-		g      *sgraph
-		method string
-		gerr   error
-	)
-	if opts.Parallel > 1 {
-		g, gerr = c.exploreParallel(ctx, opts.Parallel, opts.MaxStates, isFinal, reduce)
-		method = "parallel"
-		if reduce {
-			method = "parallel+reduced"
-		}
-	} else {
-		g, gerr = c.exploreGraph(ctx, opts.MaxStates, isFinal, reduce)
-		method = "full"
-		if reduce {
-			method = "reduced"
-		}
-	}
-	if gerr != nil {
-		if isOverflow(gerr) {
+	g, err := c.exploreGraph(ctx, opts.MaxStates, isFinal, reduce)
+	if err != nil {
+		if isOverflow(err) {
 			return n.soundnessViaRef(ctx, opts)
 		}
-		return nil, gerr
+		return nil, err
 	}
 	rep := n.soundnessFromGraph(c, g)
-	rep.Method = method
+	rep.Method = "full"
+	if reduce {
+		rep.Method = "reduced"
+	}
 	rep.Classification = class
 	recordVerdict(opts.Metrics, rep)
 	return rep, nil
@@ -274,7 +263,7 @@ func (n *Net) soundnessViaRef(ctx context.Context, opts ExploreOptions) (*Soundn
 // soundnessFromGraph assembles the verdict from an explored successor
 // graph: backward reachability from the final markings, then the two
 // soundness conditions. Deadlock diagnostics are decoded and sorted,
-// so reports are identical across kernels and worker schedules.
+// so reports are identical across kernels.
 func (n *Net) soundnessFromGraph(c *compiled, g *sgraph) *SoundnessReport {
 	cnt := make([]int32, g.n+1)
 	for _, to := range g.edgeTo {
@@ -323,7 +312,7 @@ func (n *Net) soundnessFromGraph(c *compiled, g *sgraph) *SoundnessReport {
 		}
 		if g.dead[i] && !g.final[i] {
 			rep.Sound = false
-			rep.Deadlocks = append(rep.Deadlocks, n.describeMarking(c.decode(g.state(int32(i)))))
+			rep.Deadlocks = append(rep.Deadlocks, n.describeMarking(c.decode(g.st.state(int32(i)))))
 		}
 		if !canComplete[i] {
 			rep.Sound = false

@@ -1,10 +1,11 @@
 // Differential property suite: every optimized kernel — packed full,
-// stubborn-reduced, parallel (×4 workers), parallel+reduced and the
-// structural fast path — must return exactly the verdict of the
-// unpacked reference kernel (Sound, NoCompletion and the sorted
-// deadlock diagnostics) on the example corpus and on randomized
-// constraint-set nets. Run with -race: the parallel configurations
-// exercise the sharded visited set concurrently.
+// stubborn-reduced and the structural fast path — must return exactly
+// the verdict of the unpacked reference kernel (Sound, NoCompletion
+// and the sorted deadlock diagnostics) on the example corpus and on
+// randomized constraint-set nets. Every kernel is sequential and the
+// suite runs on one goroutine, so -race has nothing to find here; CI
+// runs it under -race only because the package's cancellation tests
+// cancel from a second goroutine.
 package petri
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"dscweaver/internal/cond"
 	"dscweaver/internal/core"
+	"dscweaver/internal/obs"
 	"dscweaver/internal/purchasing"
 	"dscweaver/internal/workload"
 )
@@ -49,8 +51,6 @@ func diffKernels(t *testing.T, name string, n *Net, fp []PlaceID) string {
 	}{
 		{"full", ExploreOptions{FinalPlaces: fp, NoFastPath: true, ReductionOff: true}},
 		{"reduced", ExploreOptions{FinalPlaces: fp, NoFastPath: true}},
-		{"parallel", ExploreOptions{FinalPlaces: fp, NoFastPath: true, ReductionOff: true, Parallel: 4}},
-		{"parallel+reduced", ExploreOptions{FinalPlaces: fp, NoFastPath: true, Parallel: 4}},
 		{"auto", ExploreOptions{FinalPlaces: fp}},
 	}
 	autoMethod := ""
@@ -345,7 +345,7 @@ func TestDifferentialTruncation(t *testing.T) {
 
 // TestPackedOverflowFallsBack drives a generator net past the packed
 // 255-token slot range: Explore must transparently deliver the
-// reference kernel's result.
+// reference kernel's result and count the states it explored.
 func TestPackedOverflowFallsBack(t *testing.T) {
 	build := func() *Net {
 		n := New()
@@ -359,9 +359,14 @@ func TestPackedOverflowFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
 	got, err := build().Explore(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := reg.Counter("petri_states_explored_total").Value(); c != int64(got.States) {
+		t.Errorf("petri_states_explored_total = %d, want States = %d", c, got.States)
 	}
 	if got.States != ref.States || got.Truncated != ref.Truncated || got.Bounded != ref.Bounded ||
 		got.MaxTokens != ref.MaxTokens {

@@ -24,9 +24,9 @@ import (
 	"sort"
 )
 
-// maxPackedStates bounds packed explorations so dense int32 state ids
-// fit the sharded id layout of the parallel frontier (6 shard bits +
-// 26 local bits).
+// maxPackedStates caps MaxStates for every kernel. State ids are dense
+// int32 indexes into one arena, so the cap keeps ids, edge lists and
+// the per-state flag slices well inside their int32 and memory range.
 const maxPackedStates = 1 << 26
 
 // overflowError reports a packed token count exceeding the uint8 slot
@@ -489,15 +489,15 @@ func (st *stateTable) grow() {
 // --- soundness graph -----------------------------------------------------
 
 // sgraph is the successor graph a soundness exploration produces:
-// dense node ids, a flat edge list, per-node final/dead flags and an
-// accessor for the packed state (diagnostics).
+// dense node ids, a flat edge list, per-node final/dead flags and the
+// visited table holding each node's packed state (diagnostics).
 type sgraph struct {
 	n         int
 	edgeFrom  []int32
 	edgeTo    []int32
 	final     []bool
 	dead      []bool
-	state     func(int32) []byte
+	st        *stateTable
 	truncated bool
 }
 
@@ -548,7 +548,7 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, isFinal func
 		}
 	}
 	g.n = st.count()
-	g.state = st.state
+	g.st = st
 	return g, nil
 }
 

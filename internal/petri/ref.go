@@ -6,8 +6,8 @@
 //     a token count above 255 in one slot — so verdicts never depend
 //     on the packed range;
 //   - ground truth for the differential suite: every optimized path
-//     (packed full, stubborn-reduced, parallel, structural fast path)
-//     is tested for verdict equality against this code.
+//     (packed full, stubborn-reduced, structural fast path) is tested
+//     for verdict equality against this code.
 //
 // It is deliberately simple and allocation-heavy; do not optimize it.
 

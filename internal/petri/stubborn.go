@@ -144,7 +144,7 @@ func (sc *stubbornCtx) closure(s []byte, seed int32) (int, bool) {
 // scapegoat returns the producers of the first unsatisfied demand of
 // disabled transition t at s, in the canonical demand order (exact
 // slots, colored reads, wildcard reads, wildcard demands) so closures
-// are deterministic across runs and workers.
+// are deterministic across runs.
 func (c *compiled) scapegoat(s []byte, t int32) ([]int32, bool) {
 	tr := &c.trans[t]
 	if tr.never {
@@ -174,8 +174,7 @@ func (c *compiled) scapegoat(s []byte, t int32) ([]int32, bool) {
 }
 
 // ensureDisablers builds the symmetric static conflict relation used
-// for enabled closure members. Call once before exploration (the
-// parallel workers read it concurrently).
+// for enabled closure members. Call once before exploration.
 func (c *compiled) ensureDisablers() {
 	if c.disablers != nil {
 		return

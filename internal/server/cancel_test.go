@@ -26,11 +26,11 @@ import (
 // (the expensive condition-annotated closure), and transitively
 // redundant cooperation shortcuts for the minimizer to chew through.
 // The shape mirrors workload.Layered(...).WithShortcuts(...).With-
-// Decisions(2). The tests submit it via slowWeaveRequest, which pins
-// the paper-naive engine (no_cache): ~256 activities take seconds
-// there, and the tests cancel long before completion. (The default
-// engine's local pair test finishes the same fixture in milliseconds,
-// far too fast to observe a running weave.)
+// Decisions(2). The tests submit it via slowWeaveRequest to a server
+// pinned to the paper-naive engine (UseNaiveMinimizer): ~256
+// activities take seconds there, and the tests cancel long before
+// completion. (The default engine's local pair test finishes the same
+// fixture in milliseconds, far too fast to observe a running weave.)
 func slowSource(layers, width int) string {
 	var b strings.Builder
 	name := func(l, i int) string { return fmt.Sprintf("a_%d_%d", l, i) }
@@ -127,11 +127,11 @@ func slowSource(layers, width int) string {
 	return b.String()
 }
 
-// slowWeaveRequest wraps slowSource in a request that runs the naive
-// minimizer engine, restoring the multi-second minimize these tests
+// slowWeaveRequest wraps slowSource in a request; on a server under
+// UseNaiveMinimizer it runs the multi-second minimize these tests
 // cancel into.
 func slowWeaveRequest() server.WeaveRequest {
-	return server.WeaveRequest{Source: slowSource(64, 4), NoCache: true}
+	return server.WeaveRequest{Source: slowSource(64, 4)}
 }
 
 // waitForRunningWeave polls the run store until a weave run is live,
@@ -173,6 +173,7 @@ func TestWeaveClientDisconnectFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	server.UseNaiveMinimizer(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Shutdown()
@@ -231,6 +232,7 @@ func TestShutdownAbortsStuckWeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	server.UseNaiveMinimizer(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

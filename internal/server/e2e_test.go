@@ -248,9 +248,13 @@ func TestServerEndToEnd(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "typo": true}, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", code)
 	}
-	// The speculative minimizer and its request knob are gone.
-	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "no_speculation": true}, nil); code != http.StatusBadRequest {
-		t.Errorf("removed no_speculation field: %d, want 400", code)
+	// Removed engine knobs are unknown fields now: the speculative
+	// minimizer, the parallel soundness explorer, the full-graph escape
+	// hatch and the naive minimizer are no longer selectable per request.
+	for field, val := range map[string]any{"no_speculation": true, "validate_parallel": 2, "no_reduction": true, "no_cache": true} {
+		if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, field: val}, nil); code != http.StatusBadRequest {
+			t.Errorf("removed %s field: %d, want 400", field, code)
+		}
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "lang": "xml"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad lang: %d, want 400", code)

@@ -63,6 +63,7 @@ func TestAdmitShedsWith429RetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	server.UseNaiveMinimizer(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Shutdown()
@@ -112,6 +113,7 @@ func TestReadyzSaturatedAndDraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	server.UseNaiveMinimizer(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -252,11 +254,23 @@ func TestLoadConfigHardeningKnobs(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsRemovedKeys: validate_parallel went with the
+// parallel soundness explorer, so a config file that still sets it
+// fails to load instead of being silently ignored.
+func TestLoadConfigRejectsRemovedKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(`{"validate_parallel": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.LoadConfig(path); err == nil || !strings.Contains(err.Error(), "validate_parallel") {
+		t.Errorf("LoadConfig with validate_parallel: err = %v, want an unknown-field error naming it", err)
+	}
+}
+
 // TestWeaveVerdictCacheAcrossRequests: the server shares one verdict
 // cache across requests — the second weave of the same source replays
 // the recorded removal sequence (identical response, verdict_cache_hit
-// set, the obs counters moving), and a no_cache request bypasses the
-// shared cache entirely.
+// set, the obs counters moving).
 func TestWeaveVerdictCacheAcrossRequests(t *testing.T) {
 	s, err := server.New(server.Config{})
 	if err != nil {
@@ -292,21 +306,6 @@ func TestWeaveVerdictCacheAcrossRequests(t *testing.T) {
 	}
 	if got := s.Registry().Counter("minimize_verdict_cache_misses_total").Value(); got != 1 {
 		t.Errorf("minimize_verdict_cache_misses_total = %d, want 1", got)
-	}
-
-	// no_cache opts out of the shared cache: no hit, no counter movement.
-	var naive server.WeaveResponse
-	if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src, NoCache: true}, &naive); code != http.StatusOK {
-		t.Fatalf("no_cache weave: %d %s", code, raw)
-	}
-	if naive.VerdictCacheHit {
-		t.Error("no_cache weave reported verdict_cache_hit")
-	}
-	if naive.MinimalConstraints != cold.MinimalConstraints || naive.Removed != cold.Removed {
-		t.Errorf("no_cache weave outcome differs: %+v vs %+v", naive, cold)
-	}
-	if got := s.Registry().Counter("minimize_verdict_cache_hits_total").Value(); got != 1 {
-		t.Errorf("after no_cache weave, hits counter = %d, want still 1", got)
 	}
 }
 

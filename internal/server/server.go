@@ -62,11 +62,6 @@ type Config struct {
 	// 0 takes the core default (256 entries); negative disables the
 	// cache.
 	VerdictCacheSize int
-	// ValidateParallel is the default worker count for the validate
-	// stage's parallel frontier exploration (0 or 1 = sequential,
-	// which is right for most nets: the packed kernel clears them in
-	// well under a millisecond).
-	ValidateParallel int
 	// QueueWait bounds how long an admitted request may sit waiting for
 	// a weave pool slot before the server sheds it with 429 +
 	// Retry-After (default 2s; always capped by the request timeout).
@@ -181,7 +176,6 @@ type fileConfig struct {
 	WeaveParallelism int                  `json:"weave_parallelism"`
 	WeaveConcurrency int                  `json:"weave_concurrency"`
 	VerdictCacheSize int                  `json:"verdict_cache_size"`
-	ValidateParallel int                  `json:"validate_parallel"`
 	QueueWait        string               `json:"queue_wait"`
 	ReadTimeout      string               `json:"read_timeout"`
 	WriteTimeout     string               `json:"write_timeout"`
@@ -220,7 +214,6 @@ func LoadConfig(path string) (Config, error) {
 		WeaveParallelism:  fc.WeaveParallelism,
 		WeaveConcurrency:  fc.WeaveConcurrency,
 		VerdictCacheSize:  fc.VerdictCacheSize,
-		ValidateParallel:  fc.ValidateParallel,
 		MaxHeaderBytes:    fc.MaxHeaderBytes,
 		RunHistory:        fc.RunHistory,
 		StoreDir:          fc.StoreDir,
@@ -266,6 +259,10 @@ type Server struct {
 	store  *store.Store       // nil unless StoreDir configured
 	rot    *obs.RotatingJSONL // nil unless EventsPath configured
 	vcache *core.VerdictCache // shared cross-run minimize verdict cache (nil when disabled)
+	// naiveMinimize runs every weave on the paper-naive minimizer with
+	// no verdict cache. Only tests set it (export_test.go), to get a
+	// weave slow enough to cancel into.
+	naiveMinimize bool
 
 	weaveSem chan struct{}  // bounded weave worker pool
 	wg       sync.WaitGroup // in-flight weave/simulate requests

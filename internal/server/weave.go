@@ -33,20 +33,9 @@ type WeaveRequest struct {
 	// Parallelism overrides the server's minimizer worker count for
 	// this request (0 = server default, capped at 256).
 	Parallelism int `json:"parallelism,omitempty"`
-	// NoCache runs the paper-faithful naive minimizer engine (every
-	// closure re-derived per candidate) — a diagnostic ablation; the
-	// minimal set is identical either way. NoCache also bypasses the
-	// server's cross-run verdict cache for this request.
-	NoCache bool `json:"no_cache,omitempty"`
 	// MaxStates bounds the soundness exploration for this request
 	// (0 = the petri default, 1<<20).
 	MaxStates int `json:"max_states,omitempty"`
-	// NoReduction forces the validate stage onto the full state graph
-	// (diagnostic escape hatch; verdicts are identical either way).
-	NoReduction bool `json:"no_reduction,omitempty"`
-	// ValidateParallel overrides the server's validate-stage worker
-	// count for this request (0 = server default, capped at 256).
-	ValidateParallel int `json:"validate_parallel,omitempty"`
 }
 
 func (q *WeaveRequest) validate() error {
@@ -58,9 +47,6 @@ func (q *WeaveRequest) validate() error {
 	}
 	if q.Parallelism < 0 || q.Parallelism > maxParallelism {
 		return fmt.Errorf("parallelism %d out of range [0, %d]", q.Parallelism, maxParallelism)
-	}
-	if q.ValidateParallel < 0 || q.ValidateParallel > maxParallelism {
-		return fmt.Errorf("validate_parallel %d out of range [0, %d]", q.ValidateParallel, maxParallelism)
 	}
 	if q.MaxStates < 0 {
 		return fmt.Errorf("max_states %d must be ≥ 0", q.MaxStates)
@@ -121,8 +107,8 @@ type WeaveResponse struct {
 	// set was NOT certified sound (Sound is false) but no conflict was
 	// exhibited either — the exploration simply ran out of budget.
 	// ValidateMethod names the kernel that produced the verdict
-	// (fastpath, reduced, full, parallel, parallel+reduced or
-	// reference), so /metrics rates have per-response ground truth.
+	// (fastpath, reduced, full or reference), so /metrics rates have
+	// per-response ground truth.
 	Sound          *bool    `json:"sound,omitempty"`
 	States         int      `json:"states,omitempty"`
 	Truncated      bool     `json:"truncated,omitempty"`
@@ -145,14 +131,14 @@ func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) 
 	opts := weave.Options{
 		Frontend:     fe,
 		Parallelism:  parallelism,
-		NoCache:      q.NoCache,
 		VerdictCache: s.vcache,
 		Metrics:      s.reg,
 		Events:       sink,
 	}
-	if q.NoCache {
-		// A no-cache request asks for the naive engine end to end; replaying
-		// a recorded verdict sequence would defeat the ablation.
+	if s.naiveMinimize {
+		// The naive engine end to end: replaying a recorded verdict
+		// sequence would skip the minimizer entirely.
+		opts.NoCache = true
 		opts.VerdictCache = nil
 	}
 	if withOutputs {
@@ -160,11 +146,6 @@ func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) 
 		opts.BPEL = q.BPEL
 		opts.StructuredBPEL = q.Structured
 		opts.MaxStates = q.MaxStates
-		opts.ValidateReductionOff = q.NoReduction
-		opts.ValidateParallel = q.ValidateParallel
-		if opts.ValidateParallel == 0 {
-			opts.ValidateParallel = s.cfg.ValidateParallel
-		}
 	}
 	return opts
 }

@@ -93,14 +93,6 @@ type Options struct {
 	// its exploration (0 = the petri default, 1<<20).
 	Validate  bool
 	MaxStates int
-	// ValidateReductionOff forces the validate stage onto the full
-	// (unreduced) state graph instead of stubborn-set partial-order
-	// reduction — an escape hatch for debugging verdicts; it never
-	// changes them.
-	ValidateReductionOff bool
-	// ValidateParallel sets the validate stage's frontier-exploration
-	// worker count (≤ 1 = sequential).
-	ValidateParallel int
 
 	// Decentral enables the place stage: partition the process across
 	// per-service hosts (decentral.Place) for both the unoptimized and
@@ -396,12 +388,7 @@ func (p *Pipeline) place(ctx context.Context, res *Result) error {
 
 func (p *Pipeline) validate(ctx context.Context, res *Result) error {
 	rep, err := petri.ValidateOpt(ctx, res.Minimize.Minimal, res.Guards,
-		petri.ExploreOptions{
-			MaxStates:    p.opts.MaxStates,
-			ReductionOff: p.opts.ValidateReductionOff,
-			Parallel:     p.opts.ValidateParallel,
-			Metrics:      p.opts.Metrics,
-		})
+		petri.ExploreOptions{MaxStates: p.opts.MaxStates, Metrics: p.opts.Metrics})
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,9 @@
 # GOMAXPROCS, the weave pipeline stage benchmark into
 # BENCH_weave.json with the per-stage ns/op breakdown, and the
 # soundness-kernel comparison into BENCH_soundness.json with one record
-# per kernel/net pair.
+# per kernel/net pair. Each soundness record is stamped with the host
+# that produced it: nproc, the benchmark's GOMAXPROCS, the Go version
+# and the commit (suffixed -dirty when the tree has local changes).
 #
 # Last, unless DSCW_SKIP_LOAD=1, it runs the dscbench load test against
 # a live dscweaverd (scripts/load.sh) and writes BENCH_load.json with
@@ -186,9 +188,15 @@ soundness_benchtime="${SOUNDNESS_BENCHTIME:-10x}"
 
 go test -run '^$' -bench 'BenchmarkSoundness' -benchtime "$soundness_benchtime" -timeout 0 . | tee "$soundness_raw"
 
-awk '
+commit="$(git rev-parse HEAD)"
+git diff --quiet HEAD -- || commit="$commit-dirty"
+
+awk -v nproc="$(nproc)" -v gover="$(go env GOVERSION)" -v commit="$commit" '
 /^BenchmarkSoundness\// {
     name = $1
+    # go test suffixes the name with -GOMAXPROCS unless it is 1.
+    gomaxprocs = 1
+    if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
     split(name, parts, "/")
     net = parts[2]; kernel = parts[3]
@@ -199,8 +207,8 @@ awk '
         if ($(i+1) == "allocs/op") allocs = $i
     }
     if (ns == 0) next
-    recs[++count] = sprintf("  {\"name\": \"%s\", \"net\": \"%s\", \"kernel\": \"%s\", \"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f}",
-                            name, net, kernel, ns, bytes, allocs)
+    recs[++count] = sprintf("  {\"name\": \"%s\", \"net\": \"%s\", \"kernel\": \"%s\", \"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f, \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\"}",
+                            name, net, kernel, ns, bytes, allocs, nproc, gomaxprocs, gover, commit)
 }
 END {
     if (count == 0) { print "missing soundness benchmark rows" > "/dev/stderr"; exit 1 }
