@@ -295,6 +295,58 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPipelineRouteContract pins the strict decoding all four pipeline
+// routes share: an unknown field or trailing data answers 400 and an
+// oversized body 413, before admission, so no run is tracked.
+func TestPipelineRouteContract(t *testing.T) {
+	s, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown()
+
+	src, err := json.Marshal(purchasingSource(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := `"source": ` + string(src)
+	join := fields + `, "run_id": "contract", "hosts": ["coord"], "partition": {"recPO_oi": "coord"}`
+	huge := `{"source": "` + strings.Repeat("x", 2<<20) + `"}`
+	for _, rt := range []struct{ route, fields string }{
+		{"weave", fields},
+		{"simulate", fields},
+		{"enact", fields},
+		{"enact/join", join},
+	} {
+		for _, tc := range []struct {
+			name, body string
+			code       int
+			want       string
+		}{
+			{"unknown-field", "{" + rt.fields + `, "typo": true}`, http.StatusBadRequest, "unknown field"},
+			{"trailing-data", "{" + rt.fields + "} {}", http.StatusBadRequest, "trailing data"},
+			{"oversized", huge, http.StatusRequestEntityTooLarge, "too large"},
+		} {
+			t.Run(strings.ReplaceAll(rt.route, "/", "_")+"/"+tc.name, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+"/v1/"+rt.route, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != tc.code || !strings.Contains(string(raw), tc.want) {
+					t.Errorf("%d %s, want %d naming %q", resp.StatusCode, raw, tc.code, tc.want)
+				}
+			})
+		}
+	}
+	if runs := listRuns(t, ts.URL); len(runs) != 0 {
+		t.Errorf("rejected bodies tracked runs: %+v", runs)
+	}
+}
+
 // TestServerHealthz covers the trivial liveness contract.
 func TestServerHealthz(t *testing.T) {
 	s, err := server.New(server.Config{})

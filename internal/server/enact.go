@@ -28,8 +28,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -68,31 +66,39 @@ type EnactRequest struct {
 	SelfURL string `json:"self_url,omitempty"`
 }
 
-func decodeEnactRequest(body io.Reader) (*EnactRequest, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var q EnactRequest
-	if err := dec.Decode(&q); err != nil {
-		return nil, fmt.Errorf("decode request: %w", err)
-	}
-	if err := checkTrailing(dec); err != nil {
-		return nil, err
-	}
+func (q *EnactRequest) validate() error {
 	if err := q.SimulateRequest.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if q.Nodes < 0 {
-		return nil, fmt.Errorf("nodes %d must be >= 0", q.Nodes)
+		return fmt.Errorf("nodes %d must be >= 0", q.Nodes)
 	}
 	if len(q.Peers) > maxEnactPeers {
-		return nil, fmt.Errorf("%d peers exceeds the cap of %d", len(q.Peers), maxEnactPeers)
+		return fmt.Errorf("%d peers exceeds the cap of %d", len(q.Peers), maxEnactPeers)
 	}
+	// Membership errors must fail here: past admission a scheme-less
+	// URL retries as a transient fault until the fabric budget runs out,
+	// and a repeated member collides with its own live enactment.
+	if q.SelfURL != "" && !isBaseURL(q.SelfURL) {
+		return fmt.Errorf("self_url %q is not an http(s) base URL", q.SelfURL)
+	}
+	seen := map[string]bool{}
 	for _, p := range q.Peers {
-		if !strings.HasPrefix(p, "http://") && !strings.HasPrefix(p, "https://") {
-			return nil, fmt.Errorf("peer %q is not an http(s) base URL", p)
+		switch {
+		case !isBaseURL(p):
+			return fmt.Errorf("peer %q is not an http(s) base URL", p)
+		case p == q.SelfURL:
+			return fmt.Errorf("peer %q is self_url: the coordinator is a member already", p)
+		case seen[p]:
+			return fmt.Errorf("peer %q is listed twice", p)
 		}
+		seen[p] = true
 	}
-	return &q, nil
+	return nil
+}
+
+func isBaseURL(u string) bool {
+	return strings.HasPrefix(u, "http://") || strings.HasPrefix(u, "https://")
 }
 
 // EnactJoinRequest is what the coordinator ships each peer: the same
@@ -112,29 +118,19 @@ type EnactJoinRequest struct {
 	Owners map[string]string `json:"owners"`
 }
 
-func decodeEnactJoinRequest(body io.Reader) (*EnactJoinRequest, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var q EnactJoinRequest
-	if err := dec.Decode(&q); err != nil {
-		return nil, fmt.Errorf("decode request: %w", err)
-	}
-	if err := checkTrailing(dec); err != nil {
-		return nil, err
-	}
+func (q *EnactJoinRequest) validate() error {
 	if err := q.SimulateRequest.validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if q.RunID == "" {
-		return nil, fmt.Errorf("missing run_id")
+	switch {
+	case q.RunID == "":
+		return errors.New("missing run_id")
+	case len(q.Hosts) == 0:
+		return errors.New("empty host subset")
+	case len(q.Partition) == 0:
+		return errors.New("empty partition")
 	}
-	if len(q.Hosts) == 0 {
-		return nil, fmt.Errorf("empty host subset")
-	}
-	if len(q.Partition) == 0 {
-		return nil, fmt.Errorf("empty partition")
-	}
-	return &q, nil
+	return nil
 }
 
 // EnactJoinResponse carries one peer's contribution back to the
@@ -222,35 +218,11 @@ func (s *Server) sweepEnactDone(now time.Time) {
 	s.enactMu.Unlock()
 }
 
-// fabricAuthorized checks the shared-secret bearer token on the
-// inter-node surface. With no token configured everything passes (the
-// reproduction's localhost scope); with one, the comparison is
-// constant-time over SHA-256 digests so neither length nor content
-// leaks through timing. A rejection answers 401, which the sender's
-// retry loop classifies permanent — a bad secret fails the run at the
-// first frame instead of retry-storming the peer.
-func (s *Server) fabricAuthorized(r *http.Request) bool {
-	if s.cfg.FabricToken == "" {
-		return true
-	}
-	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if !ok {
-		return false
-	}
-	want := sha256.Sum256([]byte(s.cfg.FabricToken))
-	have := sha256.Sum256([]byte(got))
-	return subtle.ConstantTimeCompare(want[:], have[:]) == 1
-}
-
 // handleTransportInvoke is the shared frame endpoint for every live
 // enactment on this server. An unknown run answers 404 — the sender's
 // transient classification — so frames racing a peer's registration
 // retry through the warm-up window instead of failing the run.
 func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
-	if !s.fabricAuthorized(r) {
-		writeError(w, http.StatusUnauthorized, errors.New("fabric: missing or wrong bearer token"))
-		return
-	}
 	var f services.Frame
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(&f); err != nil {
@@ -332,17 +304,38 @@ func (f *httpFabric) Send(host string, n enact.Note) error {
 	return err
 }
 
-// Close is a no-op: the handler owns the transport (it outlives the
-// fabric — peers may retransmit frames until the run unregisters).
+// Close is a no-op: openFabric's closer owns the transport (it
+// outlives the fabric — peers may retransmit frames until the run
+// unregisters).
 func (f *httpFabric) Close() {}
 
-// fabricClient builds the HTTP client for one enactment transport,
-// threading the configured chaos wrap (nil = the default client).
-func (s *Server) fabricClient(node string) *http.Client {
-	if s.cfg.FabricWrap == nil {
-		return nil
+// openFabric opens this process's HTTP fabric for one enactment: a
+// transport registered under runID, so POST /v1/transport/invoke
+// routes the run's frames to it. The caller defers closeFabric, which
+// retires the run (leaving a tombstone) and closes the transport.
+func (s *Server) openFabric(runID, node string, routes map[string]string, timeout time.Duration, sink obs.Sink) (fabric *httpFabric, closeFabric func(), err error) {
+	var client *http.Client // nil = the default client
+	if s.cfg.FabricWrap != nil {
+		client = &http.Client{Transport: s.cfg.FabricWrap(node, http.DefaultTransport)}
 	}
-	return &http.Client{Transport: s.cfg.FabricWrap(node, http.DefaultTransport)}
+	t := services.NewHTTPTransport(services.HTTPConfig{
+		Run:     runID,
+		Node:    node,
+		Routes:  routes,
+		Client:  client,
+		Token:   s.cfg.FabricToken,
+		Retry:   fabricRetry(timeout),
+		Metrics: s.reg,
+		Events:  sink,
+	})
+	if err := s.registerEnactTransport(runID, t); err != nil {
+		t.Close()
+		return nil, nil, err
+	}
+	return &httpFabric{t: t}, func() {
+		s.dropEnactTransport(runID)
+		t.Close()
+	}, nil
 }
 
 // decodeNote rebuilds a Note from the transport's decoded-JSON
@@ -362,12 +355,16 @@ func decodeNote(v any) (enact.Note, error) {
 	return n, nil
 }
 
-// serviceOwners maps each service to the host owning its first
-// interaction activity — where its simulated bus instance lives. All
+// ownedBy restricts a node's bus to the services its hosts own: each
+// service lives on the host owning its first interaction activity. All
 // of a service's interaction activities are pinned to one host, so
 // under pinned placement this is simply that host; exotic plans that
 // split a service's activities fail loudly at invoke time.
-func serviceOwners(proc *core.Process, part decentral.Partition) map[string]string {
+func ownedBy(proc *core.Process, part decentral.Partition, hosts []string) func(service string) bool {
+	mine := map[string]bool{}
+	for _, h := range hosts {
+		mine[h] = true
+	}
 	owners := map[string]string{}
 	for _, a := range proc.Activities() {
 		if (a.Kind == core.KindInvoke || a.Kind == core.KindReceive) && a.Service != "" {
@@ -376,11 +373,11 @@ func serviceOwners(proc *core.Process, part decentral.Partition) map[string]stri
 			}
 		}
 	}
-	return owners
+	return func(service string) bool { return mine[owners[service]] }
 }
 
-// enactNode bundles what one process needs to run its partition
-// subset: executors over a bus hosting the services it owns.
+// enactNode bundles what one process needs to run a process or its
+// partition subset: executors over a bus hosting the services it owns.
 type enactNode struct {
 	bus     *services.Bus
 	binding *schedule.Binding
@@ -388,17 +385,9 @@ type enactNode struct {
 	inputs  map[string]any
 }
 
-func (s *Server) buildEnactNode(q *SimulateRequest, out *weave.Result, plan *decentral.Plan, myHosts []string, sink obs.Sink) (*enactNode, error) {
-	proc := out.Parsed.Proc
-	mine := map[string]bool{}
-	for _, h := range myHosts {
-		mine[h] = true
-	}
-	owners := serviceOwners(proc, plan.Partition)
-	only := func(name string) bool { return mine[owners[name]] }
-	if len(myHosts) == 0 {
-		only = func(string) bool { return false }
-	}
+// buildEnactNode builds the node for simulate (only == nil: every
+// declared service) and for each enactment process (only = ownedBy).
+func (s *Server) buildEnactNode(q *SimulateRequest, proc *core.Process, only func(string) bool, sink obs.Sink) (*enactNode, error) {
 	latency := time.Duration(q.LatencyUS) * time.Microsecond
 	bus, err := simulatedBus(proc, q.Branches, latency, q.Services, q.Breaker, s.reg, sink, only)
 	if err != nil {
@@ -422,11 +411,19 @@ func (n *enactNode) close() {
 	n.binding.Close()
 }
 
-func enactTimeout(q *SimulateRequest) time.Duration {
-	if q.TimeoutMS > 0 {
-		return time.Duration(q.TimeoutMS) * time.Millisecond
+// enactOptions is the configuration the three enact.Run calls share;
+// the multi-process paths add their Hosts and Fabric.
+func (s *Server) enactOptions(q *SimulateRequest, out *weave.Result, plan *decentral.Plan, node *enactNode, sink obs.Sink) enact.Options {
+	return enact.Options{
+		Plan:    plan,
+		Set:     out.Minimize.Minimal,
+		Guards:  out.Guards,
+		Execs:   node.execs,
+		Inputs:  node.inputs,
+		Timeout: q.timeout(),
+		Metrics: s.reg,
+		Events:  sink,
 	}
-	return 10 * time.Second
 }
 
 // planEnactment weaves the request and computes the normalized
@@ -448,36 +445,6 @@ func (s *Server) planEnactment(ctx context.Context, q *SimulateRequest, nodes in
 		return nil, nil, err
 	}
 	return out, plan, nil
-}
-
-func (s *Server) handleEnact(w http.ResponseWriter, r *http.Request) {
-	q, err := decodeEnactRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.admitError(w, err)
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.weaveContext(r.Context())
-	defer cancel()
-	rn := s.runs.New("enact")
-	resp, err := s.runEnactment(ctx, q, rn, s.sinkFor(rn), r)
-	if err != nil {
-		rn.finish(err)
-		writeError(w, weaveStatus(err), err)
-		return
-	}
-	if resp.Error != "" {
-		rn.finish(errors.New(resp.Error))
-	} else {
-		rn.finish(nil)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // runEnactment coordinates one enactment end to end.
@@ -516,22 +483,14 @@ func (s *Server) runEnactment(ctx context.Context, q *EnactRequest, rn *run, sin
 // enactLocal runs every partition inside this process over the
 // in-process note fabric.
 func (s *Server) enactLocal(ctx context.Context, q *EnactRequest, out *weave.Result, plan *decentral.Plan, sink obs.Sink, resp *EnactResponse) error {
-	node, err := s.buildEnactNode(&q.SimulateRequest, out, plan, plan.Hosts, sink)
+	proc := out.Parsed.Proc
+	node, err := s.buildEnactNode(&q.SimulateRequest, proc, ownedBy(proc, plan.Partition, plan.Hosts), sink)
 	if err != nil {
 		return err
 	}
 	defer node.close()
 
-	eout, runErr := enact.Run(ctx, enact.Options{
-		Plan:    plan,
-		Set:     out.Minimize.Minimal,
-		Guards:  out.Guards,
-		Execs:   node.execs,
-		Inputs:  node.inputs,
-		Timeout: enactTimeout(&q.SimulateRequest),
-		Metrics: s.reg,
-		Events:  sink,
-	})
+	eout, runErr := enact.Run(ctx, s.enactOptions(&q.SimulateRequest, out, plan, node, sink))
 	if eout != nil {
 		resp.EdgeMessages = eout.Stats.EdgeMessages
 		resp.OutcomeMessages = eout.Stats.OutcomeMessages
@@ -573,25 +532,14 @@ func (s *Server) enactCoordinated(ctx context.Context, q *EnactRequest, out *wea
 			routes["node:"+h] = url
 		}
 	}
-	transport := services.NewHTTPTransport(services.HTTPConfig{
-		Run:     runID,
-		Node:    "coord:" + myHosts[0],
-		Routes:  routes,
-		Client:  s.fabricClient("coord:" + myHosts[0]),
-		Token:   s.cfg.FabricToken,
-		Retry:   fabricRetry(enactTimeout(&q.SimulateRequest)),
-		Metrics: s.reg,
-		Events:  sink,
-	})
-	if err := s.registerEnactTransport(runID, transport); err != nil {
+	fabric, closeFabric, err := s.openFabric(runID, "coord:"+myHosts[0], routes, q.timeout(), sink)
+	if err != nil {
 		return err
 	}
-	defer func() {
-		s.dropEnactTransport(runID)
-		transport.Close()
-	}()
+	defer closeFabric()
 
-	node, err := s.buildEnactNode(&q.SimulateRequest, out, plan, myHosts, sink)
+	proc := out.Parsed.Proc
+	node, err := s.buildEnactNode(&q.SimulateRequest, proc, ownedBy(proc, plan.Partition, myHosts), sink)
 	if err != nil {
 		return err
 	}
@@ -630,18 +578,9 @@ func (s *Server) enactCoordinated(ctx context.Context, q *EnactRequest, out *wea
 		}(i, q.Peers[i], hosts)
 	}
 
-	eout, runErr := enact.Run(runCtx, enact.Options{
-		Plan:    plan,
-		Set:     out.Minimize.Minimal,
-		Guards:  out.Guards,
-		Execs:   node.execs,
-		Inputs:  node.inputs,
-		Timeout: enactTimeout(&q.SimulateRequest),
-		Metrics: s.reg,
-		Events:  sink,
-		Hosts:   myHosts,
-		Fabric:  &httpFabric{t: transport},
-	})
+	opts := s.enactOptions(&q.SimulateRequest, out, plan, node, sink)
+	opts.Hosts, opts.Fabric = myHosts, fabric
+	eout, runErr := enact.Run(runCtx, opts)
 	wg.Wait()
 
 	notes := []enact.Note{}
@@ -671,7 +610,7 @@ func (s *Server) enactCoordinated(ctx context.Context, q *EnactRequest, out *wea
 		return errors.Join(errs...)
 	}
 
-	merged, err := enact.Merge(out.Parsed.Proc, eout.Began, time.Now(), notes)
+	merged, err := enact.Merge(proc, eout.Began, time.Now(), notes)
 	if err != nil {
 		return err
 	}
@@ -681,17 +620,7 @@ func (s *Server) enactCoordinated(ctx context.Context, q *EnactRequest, out *wea
 // finishEnactResponse validates the merged trace against the global
 // pre-minimization set and fills the execution fields.
 func finishEnactResponse(resp *EnactResponse, out *weave.Result, tr *schedule.Trace) error {
-	resp.MaxParallel = tr.MaxParallel
-	resp.MakespanNS = int64(tr.Makespan())
-	for _, id := range tr.Executed() {
-		resp.Executed = append(resp.Executed, string(id))
-	}
-	for _, id := range tr.SkippedActivities() {
-		resp.Skipped = append(resp.Skipped, string(id))
-	}
-	if data, err := tr.MarshalJSON(); err == nil {
-		resp.Trace = data
-	}
+	resp.Executed, resp.Skipped, resp.MaxParallel, resp.MakespanNS, resp.Trace = renderTrace(tr)
 	if err := tr.Validate(out.Translated, out.Guards); err != nil {
 		return fmt.Errorf("trace validation: %w", err)
 	}
@@ -740,55 +669,24 @@ func (s *Server) postEnactJoin(ctx context.Context, baseURL string, q *EnactJoin
 	return &jr, nil
 }
 
-// handleEnactJoin executes one shipped partition slice. The peer
+// runEnactJoin executes one shipped partition slice. The peer
 // re-weaves the same request (deterministic — same minimal set, same
 // guards) and runs exactly the coordinator's partition over the HTTP
 // fabric. Errors answer non-200; the coordinator folds them into its
 // in-band Error.
-func (s *Server) handleEnactJoin(w http.ResponseWriter, r *http.Request) {
-	if !s.fabricAuthorized(r) {
-		writeError(w, http.StatusUnauthorized, errors.New("fabric: missing or wrong bearer token"))
-		return
-	}
-	q, err := decodeEnactJoinRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.admitError(w, err)
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.weaveContext(r.Context())
-	defer cancel()
-	rn := s.runs.New("enact_join")
-	resp, err := s.runEnactJoin(ctx, q, rn, s.sinkFor(rn))
-	if err != nil {
-		rn.finish(err)
-		writeError(w, weaveStatus(err), err)
-		return
-	}
-	rn.finish(nil)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) runEnactJoin(ctx context.Context, q *EnactJoinRequest, rn *run, sink obs.Sink) (*EnactJoinResponse, error) {
+func (s *Server) runEnactJoin(ctx context.Context, q *EnactJoinRequest, rn *run, sink obs.Sink, _ *http.Request) (*EnactJoinResponse, error) {
 	out, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
 	if err != nil {
 		return nil, err
 	}
 	proc := out.Parsed.Proc
 	rn.setProcess(proc.Name)
-	minimal := out.Minimize.Minimal
 
 	part := decentral.Partition{}
 	for id, h := range q.Partition {
 		part[core.ActivityID(id)] = h
 	}
-	plan, err := decentral.PlanFor(minimal, part)
+	plan, err := decentral.PlanFor(out.Minimize.Minimal, part)
 	if err != nil {
 		return nil, err
 	}
@@ -808,43 +706,21 @@ func (s *Server) runEnactJoin(ctx context.Context, q *EnactJoinRequest, rn *run,
 		}
 		routes["node:"+h] = url
 	}
-	transport := services.NewHTTPTransport(services.HTTPConfig{
-		Run:     q.RunID,
-		Node:    "join:" + q.Hosts[0],
-		Routes:  routes,
-		Client:  s.fabricClient("join:" + q.Hosts[0]),
-		Token:   s.cfg.FabricToken,
-		Retry:   fabricRetry(enactTimeout(&q.SimulateRequest)),
-		Metrics: s.reg,
-		Events:  sink,
-	})
-	if err := s.registerEnactTransport(q.RunID, transport); err != nil {
-		transport.Close()
+	fabric, closeFabric, err := s.openFabric(q.RunID, "join:"+q.Hosts[0], routes, q.timeout(), sink)
+	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		s.dropEnactTransport(q.RunID)
-		transport.Close()
-	}()
+	defer closeFabric()
 
-	node, err := s.buildEnactNode(&q.SimulateRequest, out, plan, q.Hosts, sink)
+	node, err := s.buildEnactNode(&q.SimulateRequest, proc, ownedBy(proc, plan.Partition, q.Hosts), sink)
 	if err != nil {
 		return nil, err
 	}
 	defer node.close()
 
-	eout, runErr := enact.Run(ctx, enact.Options{
-		Plan:    plan,
-		Set:     minimal,
-		Guards:  out.Guards,
-		Execs:   node.execs,
-		Inputs:  node.inputs,
-		Timeout: enactTimeout(&q.SimulateRequest),
-		Metrics: s.reg,
-		Events:  sink,
-		Hosts:   q.Hosts,
-		Fabric:  &httpFabric{t: transport},
-	})
+	opts := s.enactOptions(&q.SimulateRequest, out, plan, node, sink)
+	opts.Hosts, opts.Fabric = q.Hosts, fabric
+	eout, runErr := enact.Run(ctx, opts)
 	if runErr != nil {
 		return nil, runErr
 	}

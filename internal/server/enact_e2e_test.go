@@ -214,3 +214,39 @@ func TestEnactFabricToken(t *testing.T) {
 		t.Errorf("mismatch error does not name the token refusal: %s", bad.Error)
 	}
 }
+
+// TestEnactRejectsBadMembership: membership a coordinator cannot enact
+// fails at decode with a 400 that names the problem — not a late
+// in-band error after a weave and a fabric retry budget.
+func TestEnactRejectsBadMembership(t *testing.T) {
+	coord, _ := newEnactServer(t)
+	peer, _ := newEnactServer(t)
+	cases := []struct {
+		name  string
+		self  string
+		peers []string
+		want  string
+	}{
+		{"scheme-less-self-url", strings.TrimPrefix(coord.URL, "http://"), []string{peer.URL}, "self_url"},
+		{"repeated-peer", coord.URL, []string{peer.URL, peer.URL}, "listed twice"},
+		{"self-url-as-peer", coord.URL, []string{coord.URL}, "is self_url"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := server.EnactRequest{
+				SimulateRequest: server.SimulateRequest{
+					WeaveRequest: server.WeaveRequest{Source: purchasingSource(t)},
+				},
+				Peers:   tc.peers,
+				SelfURL: tc.self,
+			}
+			code, raw := postJSON(t, coord.URL+"/v1/enact", req, nil)
+			if code != http.StatusBadRequest {
+				t.Fatalf("enact: %d %s, want 400", code, raw)
+			}
+			if !strings.Contains(raw, tc.want) {
+				t.Errorf("error = %s, want it to name %q", raw, tc.want)
+			}
+		})
+	}
+}

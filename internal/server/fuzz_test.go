@@ -63,7 +63,7 @@ func FuzzWeaveRequestDecoder(f *testing.F) {
 	f.Add(`{"source": "x", "parallelism": 99999}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
-		q, err := decodeWeaveRequest(strings.NewReader(body))
+		q, err := decodeRequest[WeaveRequest](strings.NewReader(body))
 		if err != nil {
 			return
 		}

@@ -51,9 +51,10 @@ func occupyPool(t *testing.T, ts *httptest.Server) (cancel func()) {
 }
 
 // TestAdmitShedsWith429RetryAfter: with the single pool slot held by a
-// live weave, a request that outwaits QueueWait is shed with 429, a
-// Retry-After hint, and a server_shed_total increment — instead of
-// camping on the slot until the request timeout.
+// live weave, a request on any of the four pipeline routes that
+// outwaits QueueWait is shed with 429, a Retry-After hint, and a
+// server_shed_total increment — instead of camping on the slot until
+// the request timeout.
 func TestAdmitShedsWith429RetryAfter(t *testing.T) {
 	s, err := server.New(server.Config{
 		WeaveConcurrency: 1,
@@ -71,32 +72,53 @@ func TestAdmitShedsWith429RetryAfter(t *testing.T) {
 	release := occupyPool(t, ts)
 	defer release()
 
-	body, err := json.Marshal(server.WeaveRequest{Source: purchasingSource(t)})
-	if err != nil {
-		t.Fatal(err)
+	sim := server.SimulateRequest{WeaveRequest: server.WeaveRequest{Source: purchasingSource(t)}}
+	cases := []struct {
+		route string
+		body  any
+	}{
+		{"weave", sim.WeaveRequest},
+		{"simulate", sim},
+		{"enact", server.EnactRequest{SimulateRequest: sim}},
+		// Decode runs before admission, so the join body must be valid.
+		{"enact/join", server.EnactJoinRequest{
+			SimulateRequest: sim,
+			RunID:           "shed-join",
+			Hosts:           []string{"coord"},
+			Partition:       map[string]string{"recPO_oi": "coord"},
+		}},
 	}
-	began := time.Now()
-	resp, err := http.Post(ts.URL+"/v1/weave", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated weave returned %d %s, want 429", resp.StatusCode, raw)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Errorf("Retry-After = %q, want %q", got, "1")
-	}
-	if !strings.Contains(string(raw), "saturated") {
-		t.Errorf("shed error = %s, want the saturation surfaced", raw)
-	}
-	// Shed at the queue-wait bound, not the 30s request timeout.
-	if elapsed := time.Since(began); elapsed > 5*time.Second {
-		t.Errorf("shed took %v, want ~QueueWait", elapsed)
-	}
-	if got := s.Registry().Counter("server_shed_total").Value(); got < 1 {
-		t.Errorf("server_shed_total = %d, want >= 1", got)
+	for _, tc := range cases {
+		t.Run(strings.ReplaceAll(tc.route, "/", "_"), func(t *testing.T) {
+			body, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shed := s.Registry().Counter("server_shed_total").Value()
+			began := time.Now()
+			resp, err := http.Post(ts.URL+"/v1/"+tc.route, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("saturated %s returned %d %s, want 429", tc.route, resp.StatusCode, raw)
+			}
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Errorf("Retry-After = %q, want %q", got, "1")
+			}
+			if !strings.Contains(string(raw), "saturated") {
+				t.Errorf("shed error = %s, want the saturation surfaced", raw)
+			}
+			// Shed at the queue-wait bound, not the 30s request timeout.
+			if elapsed := time.Since(began); elapsed > 5*time.Second {
+				t.Errorf("shed took %v, want ~QueueWait", elapsed)
+			}
+			if got := s.Registry().Counter("server_shed_total").Value(); got != shed+1 {
+				t.Errorf("server_shed_total = %d, want %d", got, shed+1)
+			}
+		})
 	}
 }
 

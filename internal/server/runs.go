@@ -9,10 +9,10 @@ import (
 	"dscweaver/internal/store"
 )
 
-// RunSummary is the queryable metadata of one weave or simulate run.
+// RunSummary is the queryable metadata of one pipeline run.
 type RunSummary struct {
 	ID      string    `json:"id"`
-	Kind    string    `json:"kind"` // "weave" or "simulate"
+	Kind    string    `json:"kind"` // "weave", "simulate", "enact" or "enact_join"
 	Process string    `json:"process,omitempty"`
 	Began   time.Time `json:"began"`
 	// Status is "running", "ok", "error" or "interrupted" — the last

@@ -1,15 +1,25 @@
 // Package server implements dscweaverd, the weave-as-a-service HTTP
-// front end: POST /v1/weave runs the full §5 pipeline (parse → merge →
-// desugar → translate → minimize → Petri-net verdict → optional BPEL),
-// POST /v1/simulate executes the minimal set on the scheduling engine
-// against simulated services, GET /metrics exposes the shared obs
-// registry and GET /v1/runs/{id}/events replays any recent run's event
-// log as JSONL.
+// front end. Four POST routes run the pipeline through one request
+// path (serve):
+//
+//   - /v1/weave runs the full §5 pipeline (parse → merge → desugar →
+//     translate → minimize → Petri-net verdict → optional BPEL);
+//   - /v1/simulate executes the minimal set on the scheduling engine
+//     against simulated services;
+//   - /v1/enact executes it decentralized, one engine per partition,
+//     in this process or across peer dscweaverd processes;
+//   - /v1/enact/join runs one peer's partition slice of a coordinated
+//     enactment.
+//
+// POST /v1/transport/invoke carries enactment notes between peers.
+// GET /healthz and /readyz report liveness and readiness, /metrics
+// exposes the shared obs registry, /v1/runs lists recent runs and
+// /v1/runs/{id}/events replays any run's event log as JSONL.
 //
 // Hardening: request bodies are size-capped, requests carry a server
-// timeout, weaves run through a bounded worker pool, and Shutdown
-// drains in-flight requests before closing the rotating event sink.
-// Every weave runs under its request context: a dropped client
+// timeout, pipeline requests run through a bounded worker pool, and
+// Shutdown drains in-flight requests before closing the rotating event
+// sink. Every weave runs under its request context: a dropped client
 // connection or the request timeout aborts the minimizer and the
 // Petri exploration mid-flight (freeing the pool slot), and Shutdown
 // escalates from a graceful drain to aborting the survivors once the
@@ -19,14 +29,18 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,8 +67,9 @@ type Config struct {
 	// WeaveParallelism is the default minimizer worker count per weave
 	// (0 = GOMAXPROCS, the minimizer's own default).
 	WeaveParallelism int
-	// WeaveConcurrency bounds concurrently running weave/simulate
-	// requests — the worker pool (default GOMAXPROCS).
+	// WeaveConcurrency bounds concurrently running pipeline requests
+	// (weave, simulate, enact, enact_join) — the worker pool (default
+	// GOMAXPROCS).
 	WeaveConcurrency int
 	// VerdictCacheSize caps the server-wide cross-run minimize verdict
 	// cache: repeated weaves of an already-decided constraint set replay
@@ -265,7 +280,7 @@ type Server struct {
 	naiveMinimize bool
 
 	weaveSem chan struct{}  // bounded weave worker pool
-	wg       sync.WaitGroup // in-flight weave/simulate requests
+	wg       sync.WaitGroup // in-flight requests on the four pipeline routes
 	// drainMu orders admit's closed-check + wg.Add against Shutdown's
 	// closed-flip: a wg.Add may otherwise start concurrently with
 	// wg.Wait after the counter hit zero, which the WaitGroup contract
@@ -390,12 +405,13 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /v1/runs", s.instrument("runs", s.handleRuns))
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.instrument("run_events", s.handleRunEvents))
-	mux.HandleFunc("POST /v1/weave", s.instrument("weave", s.handleWeave))
-	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/enact", s.instrument("enact", s.handleEnact))
-	mux.HandleFunc("POST /v1/enact/join", s.instrument("enact_join", s.handleEnactJoin))
+	mux.HandleFunc("POST /v1/weave", s.instrument("weave", serve(s, "weave", s.weaveRoute)))
+	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", serve(s, "simulate", s.runSimulation)))
+	mux.HandleFunc("POST /v1/enact", s.instrument("enact", serve(s, "enact", s.runEnactment)))
+	mux.HandleFunc("POST /v1/enact/join",
+		s.instrument("enact_join", s.fabricOnly(serve(s, "enact_join", s.runEnactJoin))))
 	mux.HandleFunc("POST "+services.DefaultInvokePath,
-		s.instrument("transport_invoke", s.handleTransportInvoke))
+		s.instrument("transport_invoke", s.fabricOnly(s.handleTransportInvoke)))
 	s.mux = mux
 	return s, nil
 }
@@ -716,62 +732,105 @@ func (s *Server) sinkFor(rn *run) obs.Sink {
 	return obs.MultiSink(sinks...)
 }
 
-func (s *Server) handleWeave(w http.ResponseWriter, r *http.Request) {
-	q, err := decodeWeaveRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.admitError(w, err)
-		return
-	}
-	defer release()
-
-	ctx, cancel := s.weaveContext(r.Context())
-	defer cancel()
-	rn := s.runs.New("weave")
-	out, err := s.runWeave(ctx, q, s.sinkFor(rn), true)
-	if err != nil {
-		rn.finish(err)
-		writeError(w, weaveStatus(err), err)
-		return
-	}
-	rn.setProcess(out.Parsed.Proc.Name)
-	resp := buildWeaveResponse(out, rn.Summary().ID)
-	rn.finish(nil)
-	writeJSON(w, http.StatusOK, resp)
+// strictRequest is a pipeline request body: a JSON object whose
+// validate method rejects what the pipeline cannot run.
+type strictRequest[Q any] interface {
+	*Q
+	validate() error
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	q, err := decodeSimulateRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// decodeRequest parses a request body strictly: unknown fields and
+// trailing data are errors, so client typos fail loudly instead of
+// silently running with defaults.
+func decodeRequest[Q any, PQ strictRequest[Q]](body io.Reader) (*Q, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	q := new(Q)
+	if err := dec.Decode(q); err != nil {
+		return nil, fmt.Errorf("decode request: %w", err)
 	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.admitError(w, err)
-		return
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after request object")
 	}
-	defer release()
+	if err := PQ(q).validate(); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
 
-	ctx, cancel := s.weaveContext(r.Context())
-	defer cancel()
-	rn := s.runs.New("simulate")
-	resp, err := s.runSimulation(ctx, q, rn, s.sinkFor(rn))
-	if err != nil {
-		rn.finish(err)
-		writeError(w, weaveStatus(err), err)
-		return
+// serve is the one request path of the four pipeline routes: strict
+// decode (400), pool admission (429/503), a tracked run of the given
+// kind under the drain-aware pipeline context, then exec. A failed exec
+// answers weaveStatus(err); a run that fails in-band (a simulate or
+// enact response with Error set) still answers 200. The run finishes
+// before the response is encoded: with a store attached finish is the
+// durability boundary, so a client holding the run id can read its
+// events at once.
+func serve[Q any, PQ strictRequest[Q], R any](s *Server, kind string,
+	exec func(ctx context.Context, q *Q, rn *run, sink obs.Sink, r *http.Request) (*R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := decodeRequest[Q, PQ](r.Body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		release, err := s.admit(r.Context())
+		if err != nil {
+			s.admitError(w, err)
+			return
+		}
+		defer release()
+
+		ctx, cancel := s.weaveContext(r.Context())
+		defer cancel()
+		rn := s.runs.New(kind)
+		resp, err := exec(ctx, q, rn, s.sinkFor(rn), r)
+		if err != nil {
+			rn.finish(err)
+			writeError(w, weaveStatus(err), err)
+			return
+		}
+		rn.finish(inBandError(resp))
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if resp.Error != "" {
-		rn.finish(errors.New(resp.Error))
-	} else {
-		rn.finish(nil)
+}
+
+// inBandError is the run failure a 200 response reports in its Error
+// field; weave and join responses have none.
+func inBandError(resp any) error {
+	var msg string
+	switch r := resp.(type) {
+	case *SimulateResponse:
+		msg = r.Error
+	case *EnactResponse:
+		msg = r.Error
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if msg == "" {
+		return nil
+	}
+	return errors.New(msg)
+}
+
+// fabricOnly guards the inter-node enactment surface with the shared
+// bearer secret, ahead of any decoding. With no token configured
+// everything passes (the reproduction's localhost scope); with one,
+// the comparison is constant-time over SHA-256 digests so neither
+// length nor content leaks through timing. A rejection answers 401,
+// which the sender's retry loop classifies permanent — a bad secret
+// fails the run at the first frame instead of retry-storming the peer.
+func (s *Server) fabricOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cfg.FabricToken != "" {
+			got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+			want := sha256.Sum256([]byte(s.cfg.FabricToken))
+			have := sha256.Sum256([]byte(got))
+			if !ok || subtle.ConstantTimeCompare(want[:], have[:]) != 1 {
+				writeError(w, http.StatusUnauthorized, errors.New("fabric: missing or wrong bearer token"))
+				return
+			}
+		}
+		h(w, r)
+	}
 }
 
 // ListenAndServe runs the server until ctx is canceled, then drains

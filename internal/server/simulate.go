@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"net/http"
 	"time"
 
 	"dscweaver/internal/core"
@@ -141,22 +141,6 @@ func (q *SimulateRequest) validate() error {
 		}
 	}
 	return nil
-}
-
-func decodeSimulateRequest(body io.Reader) (*SimulateRequest, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var q SimulateRequest
-	if err := dec.Decode(&q); err != nil {
-		return nil, fmt.Errorf("decode request: %w", err)
-	}
-	if err := checkTrailing(dec); err != nil {
-		return nil, err
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	return &q, nil
 }
 
 // SimulateResponse is the body of POST /v1/simulate. A run that fails
@@ -316,10 +300,18 @@ func resolveBranch(act *core.Activity, branches map[string]string) string {
 	return domain[0]
 }
 
+// timeout is the engine run bound TimeoutMS sets (default 10s).
+func (q *SimulateRequest) timeout() time.Duration {
+	if q.TimeoutMS > 0 {
+		return time.Duration(q.TimeoutMS) * time.Millisecond
+	}
+	return 10 * time.Second
+}
+
 // runSimulation weaves the request and executes the minimal set
-// against the simulated services. It returns the response and the
-// engine error, which is reported in-band.
-func (s *Server) runSimulation(ctx context.Context, q *SimulateRequest, rn *run, sink obs.Sink) (*SimulateResponse, error) {
+// against the simulated services. The engine error is reported
+// in-band, beside the partial trace.
+func (s *Server) runSimulation(ctx context.Context, q *SimulateRequest, rn *run, sink obs.Sink, _ *http.Request) (*SimulateResponse, error) {
 	out, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
 	if err != nil {
 		return nil, err
@@ -327,32 +319,15 @@ func (s *Server) runSimulation(ctx context.Context, q *SimulateRequest, rn *run,
 	proc := out.Parsed.Proc
 	rn.setProcess(proc.Name)
 
-	latency := time.Duration(q.LatencyUS) * time.Microsecond
-	work := time.Duration(q.WorkUS) * time.Microsecond
-	timeout := 10 * time.Second
-	if q.TimeoutMS > 0 {
-		timeout = time.Duration(q.TimeoutMS) * time.Millisecond
-	}
-
-	bus, err := simulatedBus(proc, q.Branches, latency, q.Services, q.Breaker, s.reg, sink, nil)
+	node, err := s.buildEnactNode(q, proc, nil, sink)
 	if err != nil {
 		return nil, err
 	}
-	binding := schedule.NewBinding(bus)
-	// The bus must close before the binding: Close drains accepted
-	// invocations, then the dispatcher's inbox loop ends.
-	defer binding.Close()
-	defer bus.Close()
-
-	inputs := seedInputs(proc, q.Inputs)
-
-	execs := binding.Executors(proc, work)
-	overrideDecisions(proc, execs, q.Branches)
-
-	eng, err := schedule.New(out.Minimize.Minimal, execs, schedule.Options{
+	defer node.close()
+	eng, err := schedule.New(out.Minimize.Minimal, node.execs, schedule.Options{
 		Guards:  out.Guards,
-		Inputs:  inputs,
-		Timeout: timeout,
+		Inputs:  node.inputs,
+		Timeout: q.timeout(),
 		Metrics: s.reg,
 		Events:  sink,
 	})
@@ -361,18 +336,8 @@ func (s *Server) runSimulation(ctx context.Context, q *SimulateRequest, rn *run,
 	}
 	tr, runErr := eng.Run(ctx)
 
-	resp := &SimulateResponse{
-		RunID:       rn.Summary().ID,
-		Process:     proc.Name,
-		MaxParallel: tr.MaxParallel,
-		MakespanNS:  int64(tr.Makespan()),
-	}
-	for _, id := range tr.Executed() {
-		resp.Executed = append(resp.Executed, string(id))
-	}
-	for _, id := range tr.SkippedActivities() {
-		resp.Skipped = append(resp.Skipped, string(id))
-	}
+	resp := &SimulateResponse{RunID: rn.Summary().ID, Process: proc.Name}
+	resp.Executed, resp.Skipped, resp.MaxParallel, resp.MakespanNS, resp.Trace = renderTrace(tr)
 	if runErr != nil {
 		resp.Error = runErr.Error()
 	} else if err := tr.Validate(out.Translated, out.Guards); err != nil {
@@ -380,10 +345,22 @@ func (s *Server) runSimulation(ctx context.Context, q *SimulateRequest, rn *run,
 	} else {
 		resp.Valid = true
 	}
-	if data, err := tr.MarshalJSON(); err == nil {
-		resp.Trace = data
-	}
 	return resp, nil
+}
+
+// renderTrace renders the execution fields simulate and enact
+// responses share; trace is nil when the trace does not serialize.
+func renderTrace(tr *schedule.Trace) (executed, skipped []string, maxParallel int, makespanNS int64, trace json.RawMessage) {
+	for _, id := range tr.Executed() {
+		executed = append(executed, string(id))
+	}
+	for _, id := range tr.SkippedActivities() {
+		skipped = append(skipped, string(id))
+	}
+	if data, err := tr.MarshalJSON(); err == nil {
+		trace = data
+	}
+	return executed, skipped, tr.MaxParallel, int64(tr.Makespan()), trace
 }
 
 // overrideDecisions wraps decision executors so simulation never

@@ -3,9 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
 
 	"dscweaver/internal/obs"
 	"dscweaver/internal/weave"
@@ -55,32 +54,6 @@ func (q *WeaveRequest) validate() error {
 }
 
 func (q *WeaveRequest) wantValidate() bool { return q.Validate == nil || *q.Validate }
-
-// decodeWeaveRequest parses a request body strictly: unknown fields
-// and trailing garbage are errors, so client typos fail loudly
-// instead of silently weaving with defaults.
-func decodeWeaveRequest(body io.Reader) (*WeaveRequest, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var q WeaveRequest
-	if err := dec.Decode(&q); err != nil {
-		return nil, fmt.Errorf("decode request: %w", err)
-	}
-	if err := checkTrailing(dec); err != nil {
-		return nil, err
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	return &q, nil
-}
-
-func checkTrailing(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after request object")
-	}
-	return nil
-}
 
 // WeaveResponse is the body of a successful POST /v1/weave.
 type WeaveResponse struct {
@@ -157,6 +130,16 @@ func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) 
 // instead of letting an admitted weave run to completion.
 func (s *Server) runWeave(ctx context.Context, q *WeaveRequest, sink obs.Sink, withOutputs bool) (*weave.Result, error) {
 	return weave.Run(ctx, weave.Input{Source: q.Source}, s.weaveOptions(q, sink, withOutputs))
+}
+
+// weaveRoute is POST /v1/weave: the full pipeline, rendered.
+func (s *Server) weaveRoute(ctx context.Context, q *WeaveRequest, rn *run, sink obs.Sink, _ *http.Request) (*WeaveResponse, error) {
+	out, err := s.runWeave(ctx, q, sink, true)
+	if err != nil {
+		return nil, err
+	}
+	rn.setProcess(out.Parsed.Proc.Name)
+	return buildWeaveResponse(out, rn.Summary().ID), nil
 }
 
 // buildWeaveResponse renders a completed pipeline run.
