@@ -7,6 +7,12 @@
 //	                           optional BPEL)
 //	POST /v1/simulate          execute the minimal set on the scheduling
 //	                           engine against simulated services
+//	POST /v1/enact             execute it decentralized, one engine per
+//	                           partition, in this process or across peer
+//	                           dscweaverd processes
+//	POST /v1/enact/join        run one peer's partition slice of a
+//	                           coordinated enactment
+//	POST /v1/transport/invoke  carry enactment notes between peers
 //	GET  /v1/runs              recent run summaries
 //	GET  /v1/runs/{id}/events  one run's lifecycle event log as JSONL
 //	GET  /metrics              Prometheus text exposition
@@ -23,10 +29,10 @@
 //
 //	-addr ADDR       listen address (default :8421)
 //	-config FILE     JSON config file (flags override it)
-//	-store-dir DIR   persistent run store directory: run history
-//	                 survives restarts and outgrows the in-memory ring
+//	-store-dir DIR   persistent run store directory, the daemon's one
+//	                 on-disk event log: run history survives restarts
+//	                 and outgrows the in-memory ring
 //	-store-fsync     fsync the store on every run finish
-//	-events FILE     rotating JSONL event log path
 //	-parallel N      default minimizer worker count per weave
 //	-concurrency N   weave worker pool size (default GOMAXPROCS)
 //	-queue-wait D    max wait for a pool slot before shedding (default 2s)
@@ -43,7 +49,7 @@
 //	                 seed for -chaos-net (default 1)
 //
 // SIGINT/SIGTERM trigger a graceful drain: in-flight weaves finish,
-// then the event log closes.
+// then the run store closes.
 package main
 
 import (
@@ -63,9 +69,8 @@ import (
 func main() {
 	addr := flag.String("addr", "", "listen address (default :8421)")
 	configPath := flag.String("config", "", "JSON config file (flags override it)")
-	storeDir := flag.String("store-dir", "", "persistent run store directory (empty = memory-only run history)")
+	storeDir := flag.String("store-dir", "", "persistent run store directory, the on-disk event log (empty = memory-only run history)")
 	storeFsync := flag.Bool("store-fsync", false, "fsync the run store on every run finish")
-	events := flag.String("events", "", "rotating JSONL event log path")
 	parallel := flag.Int("parallel", 0, "default minimizer worker count per weave (0 = GOMAXPROCS)")
 	concurrency := flag.Int("concurrency", 0, "weave worker pool size (0 = GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", 0, "max wait for a pool slot before shedding with 429 (0 = 2s default)")
@@ -96,9 +101,6 @@ func main() {
 	}
 	if *storeFsync {
 		cfg.StoreFsync = true
-	}
-	if *events != "" {
-		cfg.EventsPath = *events
 	}
 	if *parallel != 0 {
 		cfg.WeaveParallelism = *parallel

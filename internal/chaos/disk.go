@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"dscweaver/internal/obs"
 	"dscweaver/internal/store"
 )
 
@@ -92,17 +91,3 @@ func (c *chaosFile) Sync() error {
 // Close never injects: a store that cannot close files would leak
 // descriptors across a 12-seed suite without testing anything new.
 func (c *chaosFile) Close() error { return c.f.Close() }
-
-// OpenLogFile returns an obs.RotateOptions.OpenFile injecting the same
-// seeded disk faults as OpenFile, keyed "log/<basename>". The rotating
-// JSONL sink must stay live under it: a faulted write drops (and
-// counts) exactly that event, never latching the sink dead.
-func (in *Injector) OpenLogFile() func(path string) (obs.LogFile, error) {
-	return func(path string) (obs.LogFile, error) {
-		f, err := store.OSOpenFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return &chaosFile{in: in, key: "log/" + filepath.Base(path), f: f}, nil
-	}
-}

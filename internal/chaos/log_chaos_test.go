@@ -1,167 +1,130 @@
-// Rotating event-log chaos: the obs.RotatingJSONL sink writing
-// through the injector's faulting file layer. The contract under
-// disk faults is drop-and-continue, never latch-and-die: each faulted
-// write loses exactly that one event (counted by Dropped and the
-// log_dropped_total metric), every event whose write succeeded is on
-// disk, and a daemon logging through the sink stays fully live.
+// Rotating event-log chaos: the run store is dscweaverd's one on-disk
+// event log, and it rotates by size — the active segment seals and a
+// fresh one opens whenever an append would push it past SegmentBytes.
+// This suite drives that rotation through the injector's faulting file
+// layer. The contract under disk faults: the store degrades instead of
+// failing, the first fault surfaces at Close, and a reopen on a healthy
+// disk replays every run that finished before the fault byte for byte,
+// while no run whose finish was lost reads as finished.
 package chaos_test
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
 	"dscweaver/internal/chaos"
-	"dscweaver/internal/chaos/leak"
 	"dscweaver/internal/obs"
-	"dscweaver/internal/server"
+	"dscweaver/internal/store"
 )
 
-// validLogLines counts the lines across the active file and every
-// rotated generation that still parse as JSON. A torn half-line (and
-// the one event a successful write glued onto it) parses as garbage
-// and is excluded.
-func validLogLines(t *testing.T, path string, maxFiles int) int {
-	t.Helper()
-	n := 0
-	names := []string{path}
-	for i := 1; i <= maxFiles; i++ {
-		names = append(names, fmt.Sprintf("%s.%d", path, i))
-	}
-	for _, name := range names {
-		f, err := os.Open(name)
-		if err != nil {
-			continue
-		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-		for sc.Scan() {
-			if json.Valid(sc.Bytes()) {
-				n++
-			}
-		}
-		f.Close()
-	}
-	return n
-}
-
 func TestChaosRotatingLog(t *testing.T) {
-	const total = 400
-	sweptFaults := int64(0)
+	const (
+		runs   = 60
+		perRun = 8
+	)
+	var sweptFaults, sweptRotations int64
 	forEachSeed(t, func(t *testing.T, seed int64) {
 		inj := chaos.New(chaos.Config{
 			Seed:            seed,
-			DiskErrorP:      0.08,
-			DiskShortWriteP: 0.05,
+			DiskErrorP:      0.03,
+			DiskShortWriteP: 0.03,
 		})
-		reg := obs.NewRegistry()
-		path := filepath.Join(t.TempDir(), "events.jsonl")
-		// MaxBytes small enough that rotation happens dozens of times,
-		// MaxFiles large enough that retention never deletes a
-		// generation — every non-dropped event must be accountable.
-		r, err := obs.NewRotatingJSONL(path, obs.RotateOptions{
-			MaxBytes: 2 << 10,
-			MaxFiles: 64,
-			OpenFile: inj.OpenLogFile(),
-			Metrics:  reg,
-		})
+		dir := t.TempDir()
+		// Segments small enough that a run or two fills one, retention
+		// large enough that compaction never deletes a segment — every
+		// finished run must be accountable after the reopen.
+		opts := store.Options{SegmentBytes: 2 << 10, MaxSegments: 1 << 10}
+		faulty := opts
+		faulty.OpenFile = inj.OpenFile(nil)
+		st, err := store.Open(dir, faulty)
 		if err != nil {
-			t.Fatalf("seed %d: faulty disk must not fail sink construction: %v", seed, err)
+			t.Fatalf("seed %d: faulty disk must not fail Open: %v", seed, err)
 		}
-		for i := 0; i < total; i++ {
-			r.Emit(obs.Event{Layer: obs.LayerEngine, Kind: obs.EvActivityStart,
-				Activity: fmt.Sprintf("a_%03d", i), Seq: i + 1})
+		acked := map[string][]byte{} // finished run id → its JSONL event log
+		for i := 1; i <= runs; i++ {
+			id := fmt.Sprintf("weave-%06d", i)
+			app := st.Begin(id, int64(i), "weave", time.Now())
+			var log bytes.Buffer
+			for j := 1; j <= perRun; j++ {
+				e := obs.Event{Layer: obs.LayerEngine, Kind: obs.EvActivityStart,
+					Activity: fmt.Sprintf("a_%03d", j), Seq: j}
+				app.Emit(e)
+				raw, err := json.Marshal(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log.Write(raw)
+				log.WriteByte('\n')
+			}
+			app.Finish("P", nil)
+			if m, ok := st.Get(id); ok && m.Done {
+				acked[id] = log.Bytes()
+			}
 		}
-		st := inj.Stats()
-		faults := st.DiskErrors + st.DiskShortWrites
+		closeErr := st.Close()
+		s := inj.Stats()
+		faults := s.DiskErrors + s.DiskShortWrites
 		sweptFaults += faults
-		dropped := r.Dropped()
 
-		// Drop-and-continue, exactly: one faulted write loses one event
-		// and nothing else. A latched sink would instead lose every
-		// event after the first fault, breaking the equality (and the
-		// on-disk line count below).
-		if dropped != faults {
-			t.Errorf("seed %d: Dropped() = %d, want %d (one per injected fault)", seed, dropped, faults)
+		// Degrade, never fail: one injected fault latches the store, and
+		// the first one surfaces at Close for operators.
+		if st.Degraded() != (faults > 0) {
+			t.Errorf("seed %d: Degraded() = %v with %d injected faults", seed, st.Degraded(), faults)
 		}
-		if got := reg.Counter("log_dropped_total").Value(); got != dropped {
-			t.Errorf("seed %d: log_dropped_total = %d, want %d", seed, got, dropped)
+		if (closeErr != nil) != (faults > 0) {
+			t.Errorf("seed %d: Close() = %v with %d injected faults", seed, closeErr, faults)
 		}
-
-		// Everything that was not dropped or glued to a torn fragment is
-		// on disk as clean JSONL.
-		got := validLogLines(t, path, 64)
-		min := total - int(dropped) - int(st.DiskShortWrites)
-		if got < min {
-			t.Errorf("seed %d: %d valid lines on disk, want >= %d (total %d, dropped %d, torn %d)",
-				seed, got, min, total, dropped, st.DiskShortWrites)
+		if faults == 0 && len(acked) != runs {
+			t.Errorf("seed %d: %d of %d runs finished on a clean disk", seed, len(acked), runs)
 		}
-
-		// The first error still surfaces at Close for operators.
-		if err := r.Close(); (err != nil) != (faults > 0) {
-			t.Errorf("seed %d: Close() = %v with %d faults", seed, err, faults)
-		}
-	})
-	if len(seeds()) > 1 && sweptFaults == 0 {
-		t.Error("sweep injected no log faults — probabilities too low to test anything")
-	}
-}
-
-// TestChaosRotatingLogServerLive routes a daemon's rotating event log
-// through the faulting layer: requests must keep succeeding, /healthz
-// must stay green, and the dropped events must be visible on /metrics.
-func TestChaosRotatingLogServerLive(t *testing.T) {
-	leak.Check(t)
-	inj := chaos.New(chaos.Config{Seed: 1, DiskErrorP: 0.08, DiskShortWriteP: 0.05})
-	s, err := server.New(server.Config{
-		EventsPath:  filepath.Join(t.TempDir(), "events.jsonl"),
-		LogMaxBytes: 4 << 10,
-		LogOpenFile: inj.OpenLogFile(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 6; i++ {
-		body := fmt.Sprintf(`{"source": %q}`, purchasingSource(t))
-		resp, err := http.Post(ts.URL+"/v1/weave", "application/json", strings.NewReader(body))
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("weave %d = %d, want 200 (log faults must not fail requests)", i, resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d after log faults, want 200", resp.StatusCode)
-	}
+		sweptRotations += int64(len(segs) - 1)
 
-	st := inj.Stats()
-	faults := st.DiskErrors + st.DiskShortWrites
-	if got := s.Registry().Counter("log_dropped_total").Value(); got != faults {
-		t.Errorf("log_dropped_total = %d, want %d (injected faults)", got, faults)
+		// Reopen on the real filesystem: recovery quarantines a torn
+		// tail, and every acknowledged run replays exactly.
+		re, err := store.Open(dir, opts)
+		if err != nil {
+			t.Fatalf("seed %d: reopen after faults: %v", seed, err)
+		}
+		defer re.Close()
+		for id, want := range acked {
+			m, ok := re.Get(id)
+			if !ok || !m.Done || !m.OK || m.Events != perRun {
+				t.Errorf("seed %d: finished run %s reopened as %+v (found %v)", seed, id, m, ok)
+				continue
+			}
+			evs, err := re.Events(id)
+			if err != nil {
+				t.Errorf("seed %d: events %s: %v", seed, id, err)
+				continue
+			}
+			var got bytes.Buffer
+			for _, raw := range evs {
+				got.Write(raw)
+				got.WriteByte('\n')
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("seed %d: run %s replays\n%s\nwant\n%s", seed, id, got.Bytes(), want)
+			}
+		}
+		for _, m := range re.List(0) {
+			if _, ok := acked[m.ID]; m.Done && !ok {
+				t.Errorf("seed %d: run %s reads as finished, but its finish was lost to a fault", seed, m.ID)
+			}
+		}
+		t.Logf("%d faults, %d acknowledged runs, %d segments", faults, len(acked), len(segs))
+	})
+	if len(seeds()) > 1 && sweptFaults == 0 {
+		t.Error("sweep injected no disk faults — probabilities too low to test anything")
 	}
-	if faults == 0 {
-		t.Skip("seed 1 injected no log faults at these probabilities")
-	}
-	if err := s.Shutdown(); err == nil {
-		t.Error("Shutdown must surface the first log fault")
+	if len(seeds()) > 1 && sweptRotations == 0 {
+		t.Error("sweep never rotated a segment — rotation untested")
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -160,5 +161,86 @@ func TestMultiSinkAndMemSink(t *testing.T) {
 	}
 	if a.Len() != 2 || b.Len() != 2 {
 		t.Fatalf("Len disagrees with Events: %d / %d", a.Len(), b.Len())
+	}
+}
+
+// TestReadJSONLMalformedLine is the regression test for the typed
+// reader error: a corrupted line must surface a *LineError naming the
+// line while the valid prefix is still returned.
+func TestReadJSONLMalformedLine(t *testing.T) {
+	log := `{"layer":"engine","kind":"run_begin"}
+{"layer":"engine","kind":"activity_start","activity":"a","seq":1}
+{not json at all
+{"layer":"engine","kind":"run_end"}
+`
+	events, err := ReadJSONL(strings.NewReader(log))
+	if err == nil {
+		t.Fatal("corrupted log read without error")
+	}
+	var le *LineError
+	if !errors.As(err, &le) {
+		t.Fatalf("error %T is not a *LineError: %v", err, err)
+	}
+	if le.Line != 3 {
+		t.Errorf("LineError.Line = %d, want 3", le.Line)
+	}
+	if !strings.Contains(le.Excerpt, "not json") {
+		t.Errorf("LineError.Excerpt = %q, want offending input", le.Excerpt)
+	}
+	if le.Unwrap() == nil {
+		t.Error("LineError.Unwrap() = nil, want underlying decode error")
+	}
+	if len(events) != 2 {
+		t.Errorf("valid prefix = %d events, want 2", len(events))
+	}
+	if len(events) == 2 && events[1].Kind != EvActivityStart {
+		t.Errorf("prefix content wrong: %+v", events)
+	}
+}
+
+func TestReadJSONLOversizedLine(t *testing.T) {
+	// A line past the scanner's 4 MiB cap is a scan error, which must
+	// also arrive typed with a line number.
+	big := `{"detail":"` + strings.Repeat("x", 5<<20) + `"}`
+	log := "{\"kind\":\"run_begin\"}\n" + big + "\n"
+	events, err := ReadJSONL(strings.NewReader(log))
+	var le *LineError
+	if !errors.As(err, &le) {
+		t.Fatalf("error %T is not a *LineError: %v", err, err)
+	}
+	if le.Line != 2 {
+		t.Errorf("LineError.Line = %d, want 2", le.Line)
+	}
+	if len(events) != 1 {
+		t.Errorf("valid prefix = %d events, want 1", len(events))
+	}
+}
+
+func TestOverrideBuckets(t *testing.T) {
+	r := NewRegistry()
+	if err := r.OverrideBuckets("weave_seconds", []float64{0.5, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	h := r.Histogram("weave_seconds", DurationBuckets)
+	h.Observe(0.7)
+	expo := r.String()
+	if !strings.Contains(expo, `weave_seconds_bucket{le="0.5"} 0`) ||
+		!strings.Contains(expo, `weave_seconds_bucket{le="1"} 1`) {
+		t.Errorf("override not applied:\n%s", expo)
+	}
+	if strings.Contains(expo, `le="1e-05"`) {
+		t.Errorf("default DurationBuckets leaked through the override:\n%s", expo)
+	}
+
+	// Too late: the family exists.
+	if err := r.OverrideBuckets("weave_seconds", []float64{1}); err == nil {
+		t.Error("overriding a registered family must fail")
+	}
+	// Invalid bounds.
+	if err := r.OverrideBuckets("other", nil); err == nil {
+		t.Error("empty override must fail")
+	}
+	if err := r.OverrideBuckets("other", []float64{2, 1}); err == nil {
+		t.Error("unsorted override must fail")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dscweaver/internal/server"
+	"dscweaver/internal/store"
 )
 
 // slowSource renders a layered DSCL process sized so its conditional
@@ -223,11 +224,14 @@ func TestWeaveClientDisconnectFreesSlot(t *testing.T) {
 // TestShutdownAbortsStuckWeave: when the drain grace expires with a
 // weave still inside the minimizer, Shutdown cancels the in-flight
 // pipeline contexts and completes within the abort beat rather than
-// waiting out a multi-second kernel.
+// waiting out a multi-second kernel. The aborted run still writes its
+// finish record before the run store closes.
 func TestShutdownAbortsStuckWeave(t *testing.T) {
+	storeDir := t.TempDir()
 	s, err := server.New(server.Config{
 		ShutdownGrace:  200 * time.Millisecond,
 		RequestTimeout: 60 * time.Second,
+		StoreDir:       storeDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +274,18 @@ func TestShutdownAbortsStuckWeave(t *testing.T) {
 	}
 	if got := s.Registry().Counter("weave_canceled_total").Value(); got < 1 {
 		t.Errorf("weave_canceled_total = %d, want >= 1", got)
+	}
+
+	st, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	metas := st.List(0)
+	if len(metas) != 1 {
+		t.Fatalf("store lists %d runs, want the one aborted weave: %+v", len(metas), metas)
+	}
+	if m := metas[0]; m.Kind != "weave" || !m.Done || m.OK || !strings.Contains(m.Err, "canceled") {
+		t.Errorf("aborted weave stored as %+v, want done with a cancellation error", m)
 	}
 }

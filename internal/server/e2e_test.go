@@ -18,6 +18,7 @@ import (
 	"dscweaver/internal/pdg"
 	"dscweaver/internal/schedule"
 	"dscweaver/internal/server"
+	"dscweaver/internal/store"
 )
 
 // purchasingSource reads the paper's running-example DSCL document.
@@ -74,9 +75,9 @@ func getBody(t *testing.T, url string) (int, string) {
 // — the externally observable face of Definition 5 equivalence.
 func TestServerEndToEnd(t *testing.T) {
 	src := purchasingSource(t)
-	logPath := filepath.Join(t.TempDir(), "events.jsonl")
+	storeDir := t.TempDir()
 	s, err := server.New(server.Config{
-		EventsPath:       logPath,
+		StoreDir:         storeDir,
 		WeaveParallelism: 2,
 		Buckets:          map[string][]float64{"server_request_seconds": {0.01, 0.1, 1, 10}},
 	})
@@ -270,8 +271,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("oversized body: %d, want 413", code)
 	}
 
-	// 9. Shutdown drains and closes the rotating log; the file holds
-	// every emitted event as valid JSONL.
+	// 9. Shutdown drains and closes the run store; reopened, the store
+	// replays the simulation's events byte for byte as they were served.
 	if err := s.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -281,17 +282,23 @@ func TestServerEndToEnd(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("weave after shutdown: %d, want 503", code)
 	}
-	f, err := os.Open(logPath)
+	st, err := store.Open(storeDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	logged, err := obs.ReadJSONL(f)
+	defer st.Close()
+	stored, err := st.Events(simT.RunID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logged) < len(events) {
-		t.Errorf("rotating log holds %d events, run served %d", len(logged), len(events))
+	var replay bytes.Buffer
+	for _, raw := range stored {
+		replay.Write(raw)
+		replay.WriteByte('\n')
+	}
+	if replay.String() != eventsRaw {
+		t.Errorf("stored events of %s differ from the served log:\nstored %d bytes, %d events\nserved %d bytes, %d events",
+			simT.RunID, replay.Len(), len(stored), len(eventsRaw), len(events))
 	}
 }
 

@@ -276,16 +276,27 @@ func TestLoadConfigHardeningKnobs(t *testing.T) {
 	}
 }
 
-// TestLoadConfigRejectsRemovedKeys: validate_parallel went with the
-// parallel soundness explorer, so a config file that still sets it
-// fails to load instead of being silently ignored.
+// TestLoadConfigRejectsRemovedKeys: a config file that still sets a
+// removed key fails to load instead of being silently ignored.
+// validate_parallel went with the parallel soundness explorer; the
+// events_path and log_* keys went with the rotating event log, whose
+// job the run store (store_dir) does.
 func TestLoadConfigRejectsRemovedKeys(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := os.WriteFile(path, []byte(`{"validate_parallel": 2}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.LoadConfig(path); err == nil || !strings.Contains(err.Error(), "validate_parallel") {
-		t.Errorf("LoadConfig with validate_parallel: err = %v, want an unknown-field error naming it", err)
+	for _, tc := range []struct{ key, body string }{
+		{"validate_parallel", `{"validate_parallel": 2}`},
+		{"events_path", `{"events_path": "/tmp/events.jsonl"}`},
+		{"log_max_bytes", `{"log_max_bytes": 4096}`},
+		{"log_max_age", `{"log_max_age": "1h"}`},
+		{"log_max_files", `{"log_max_files": 3}`},
+	} {
+		path := filepath.Join(t.TempDir(), "cfg.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := server.LoadConfig(path)
+		if err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("LoadConfig with %s: err = %v, want an unknown-field error naming it", tc.key, err)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@
 //
 // Hardening: request bodies are size-capped, requests carry a server
 // timeout, pipeline requests run through a bounded worker pool, and
-// Shutdown drains in-flight requests before closing the rotating event
-// sink. Every weave runs under its request context: a dropped client
+// Shutdown drains in-flight requests before closing the run store.
+// Every weave runs under its request context: a dropped client
 // connection or the request timeout aborts the minimizer and the
 // Petri exploration mid-flight (freeing the pool slot), and Shutdown
 // escalates from a graceful drain to aborting the survivors once the
@@ -122,17 +122,6 @@ type Config struct {
 	// the chaos seam for network-fault injection on the live fabric
 	// (see chaos.Net.RoundTripper). Nil uses the default transport.
 	FabricWrap func(node string, inner http.RoundTripper) http.RoundTripper
-	// EventsPath, when set, appends every run's events to a rotating
-	// JSONL log at this path.
-	EventsPath string
-	// LogMaxBytes / LogMaxAge / LogMaxFiles configure the rotation
-	// (zero values take the obs.RotateOptions defaults).
-	LogMaxBytes int64
-	LogMaxAge   time.Duration
-	LogMaxFiles int
-	// LogOpenFile substitutes the rotating event log's file layer
-	// (chaos fault injection and tests; nil = the real filesystem).
-	LogOpenFile func(path string) (obs.LogFile, error)
 	// Buckets overrides histogram bucket bounds per metric family
 	// name, applied to the registry before any instrument registers.
 	Buckets map[string][]float64
@@ -203,10 +192,6 @@ type fileConfig struct {
 	StoreFsync       bool                 `json:"store_fsync"`
 	StoreReprobe     string               `json:"store_reprobe"`
 	FabricToken      string               `json:"fabric_token"`
-	EventsPath       string               `json:"events_path"`
-	LogMaxBytes      int64                `json:"log_max_bytes"`
-	LogMaxAge        string               `json:"log_max_age"`
-	LogMaxFiles      int                  `json:"log_max_files"`
 	Buckets          map[string][]float64 `json:"buckets"`
 }
 
@@ -236,9 +221,6 @@ func LoadConfig(path string) (Config, error) {
 		StoreMaxSegments:  fc.StoreMaxSegments,
 		StoreFsync:        fc.StoreFsync,
 		FabricToken:       fc.FabricToken,
-		EventsPath:        fc.EventsPath,
-		LogMaxBytes:       fc.LogMaxBytes,
-		LogMaxFiles:       fc.LogMaxFiles,
 		Buckets:           fc.Buckets,
 	}
 	for _, d := range []struct {
@@ -252,7 +234,6 @@ func LoadConfig(path string) (Config, error) {
 		{fc.WriteTimeout, &c.WriteTimeout},
 		{fc.IdleTimeout, &c.IdleTimeout},
 		{fc.StoreReprobe, &c.StoreReprobe},
-		{fc.LogMaxAge, &c.LogMaxAge},
 	} {
 		if d.raw == "" {
 			continue
@@ -272,7 +253,6 @@ type Server struct {
 	reg    *obs.Registry
 	runs   *runStore
 	store  *store.Store       // nil unless StoreDir configured
-	rot    *obs.RotatingJSONL // nil unless EventsPath configured
 	vcache *core.VerdictCache // shared cross-run minimize verdict cache (nil when disabled)
 	// naiveMinimize runs every weave on the paper-naive minimizer with
 	// no verdict cache. Only tests set it (export_test.go), to get a
@@ -367,19 +347,6 @@ func New(cfg Config) (*Server, error) {
 		s.vcache = core.NewVerdictCache(cfg.VerdictCacheSize)
 	}
 	s.abortCtx, s.abortAll = context.WithCancel(context.Background())
-	if cfg.EventsPath != "" {
-		rot, err := obs.NewRotatingJSONL(cfg.EventsPath, obs.RotateOptions{
-			MaxBytes: cfg.LogMaxBytes,
-			MaxAge:   cfg.LogMaxAge,
-			MaxFiles: cfg.LogMaxFiles,
-			OpenFile: cfg.LogOpenFile,
-			Metrics:  reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.rot = rot
-	}
 	requests := func(route string, code int) *obs.Counter {
 		return reg.Counter("server_requests_total", "route", route, "code", strconv.Itoa(code))
 	}
@@ -714,22 +681,30 @@ func weaveStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// sinkFor builds a run's event sink: its in-memory log plus, when
-// configured, the persistent store appender and the shared rotating
-// JSONL file. The appender records the same marshaled bytes the
-// in-memory path serves, so store replays are byte-identical.
+// sinkFor builds a run's event sink: its in-memory log plus, with a
+// store attached, the store appender — the daemon's one on-disk event
+// log. The appender records the same marshaled bytes the in-memory
+// path serves, and one lock orders both, so store replays are
+// byte-identical.
 func (s *Server) sinkFor(rn *run) obs.Sink {
-	if s.rot == nil && rn.app == nil {
+	if rn.app == nil {
 		return rn.events
 	}
-	sinks := []obs.Sink{rn.events}
-	if rn.app != nil {
-		sinks = append(sinks, rn.app)
-	}
-	if s.rot != nil {
-		sinks = append(sinks, s.rot)
-	}
-	return obs.MultiSink(sinks...)
+	return &orderedSink{next: obs.MultiSink(rn.events, rn.app)}
+}
+
+// orderedSink serializes a fan-out. A run's engine and bus emit from
+// many goroutines; without the lock two concurrent events could land
+// in the ring in one order and in the store in the other.
+type orderedSink struct {
+	mu   sync.Mutex
+	next obs.Sink
+}
+
+func (o *orderedSink) Emit(e obs.Event) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.next.Emit(e)
 }
 
 // strictRequest is a pipeline request body: a JSON object whose
@@ -867,9 +842,9 @@ const abortWait = time.Second
 // run to completion bounded by ShutdownGrace. When the grace expires
 // with requests still live, their pipeline contexts are canceled —
 // aborting the minimizer and Petri kernels mid-flight — and the drain
-// waits one short beat more. The rotating event sink and the
-// persistent run store close last so every drained run's events hit
-// the log and the store's active segment is sealed cleanly.
+// waits one short beat more. The run store closes last, so every
+// admitted run — aborted ones included — has written its finish
+// record and the store's active segment is sealed cleanly.
 func (s *Server) Shutdown() error {
 	// The write lock waits out any admit between its closed-check and
 	// wg.Add; once released, every later admit rejects before Adding,
@@ -902,9 +877,6 @@ func (s *Server) Shutdown() error {
 		close(s.maintStop)
 		<-s.maintDone
 		s.maintStop = nil
-	}
-	if s.rot != nil {
-		err = errors.Join(err, s.rot.Close())
 	}
 	if s.store != nil {
 		err = errors.Join(err, s.store.Close())

@@ -3,7 +3,6 @@ package server_test
 import (
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,24 +12,27 @@ import (
 
 	"dscweaver/internal/chaos/leak"
 	"dscweaver/internal/server"
+	"dscweaver/internal/store"
 )
 
 // TestShutdownDrainStress races concurrent weave and simulate traffic
 // against a drain: every request must either complete normally (200)
 // or be rejected cleanly (503) — never hang, panic or corrupt a
-// response — and Shutdown must return once in-flight work finishes.
-// Run under -race in CI.
+// response — and Shutdown must return once in-flight work finishes,
+// with every admitted run's finish record in the run store. Run under
+// -race in CI.
 func TestShutdownDrainStress(t *testing.T) {
 	// Registered before the client cleanup so the leak poll (cleanups run
 	// LIFO) sees keep-alive transport goroutines already torn down.
 	leak.Check(t)
 	t.Cleanup(http.DefaultClient.CloseIdleConnections)
 	src := purchasingSource(t)
+	storeDir := t.TempDir()
 	s, err := server.New(server.Config{
 		WeaveConcurrency: 2,
 		RequestTimeout:   10 * time.Second,
 		ShutdownGrace:    20 * time.Second,
-		EventsPath:       filepath.Join(t.TempDir(), "events.jsonl"),
+		StoreDir:         storeDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,5 +123,22 @@ func TestShutdownDrainStress(t *testing.T) {
 	// Idempotent: a second drain is a no-op, not a deadlock.
 	if err := s.Shutdown(); err != nil {
 		t.Errorf("second shutdown: %v", err)
+	}
+
+	// The store closed after the drain: reopened, it holds a finish
+	// record for every run, so none reads as interrupted.
+	st, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	metas := st.List(0)
+	if int64(len(metas)) < ok.Load() {
+		t.Errorf("store lists %d runs, want >= %d completed requests", len(metas), ok.Load())
+	}
+	for _, m := range metas {
+		if !m.Done {
+			t.Errorf("run %s (%s) left interrupted by the drain", m.ID, m.Kind)
+		}
 	}
 }

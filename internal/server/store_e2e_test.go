@@ -157,7 +157,7 @@ func TestServerStoreBeyondRingAndRestart(t *testing.T) {
 // return the N newest runs. A previous merge classified ring entries
 // by absence from the limit-capped store listing, so any limit below
 // the ring population returned the oldest runs instead — exactly the
-// queries dscbench issues (?limit=50, ?limit=1).
+// queries a client paging recent history issues (?limit=50, ?limit=1).
 func TestServerRunsLimitNewestFirstWithLargeRing(t *testing.T) {
 	src := purchasingSource(t)
 	cfg := server.Config{StoreDir: t.TempDir()} // default ring (128) keeps every run

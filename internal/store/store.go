@@ -40,7 +40,7 @@ type record struct {
 	T    string          `json:"t"` // "begin", "event" or "finish"
 	Run  string          `json:"run"`
 	Seq  int64           `json:"seq,omitempty"`  // begin: numeric id suffix
-	Kind string          `json:"kind,omitempty"` // begin: "weave" or "simulate"
+	Kind string          `json:"kind,omitempty"` // begin: "weave", "simulate", "enact" or "enact_join"
 	Wall time.Time       `json:"wall,omitempty"` // begin: start time
 	Proc string          `json:"proc,omitempty"` // finish: process name
 	OK   bool            `json:"ok,omitempty"`   // finish: terminal status

@@ -15,14 +15,12 @@
 # per kernel/net pair. Each soundness record is stamped with the host
 # that produced it: nproc, the benchmark's GOMAXPROCS, the Go version
 # and the commit (suffixed -dirty when the tree has local changes).
-#
-# Last, unless DSCW_SKIP_LOAD=1, it runs the dscbench load test against
-# a live dscweaverd (scripts/load.sh) and writes BENCH_load.json with
-# per-op-class latency percentiles, throughput and the daemon's RSS.
+# dscweaverd's end-to-end load figures come from perfbench instead
+# (bash perfbench/run.sh --workload serve-mixed ...).
 #
 #   scripts/bench.sh [minimize-output.json] [schedule-output.json] \
 #                    [server-output.json] [weave-output.json] \
-#                    [soundness-output.json] [load-output.json]
+#                    [soundness-output.json]
 #
 # BENCHTIME (default 1x) is passed to -benchtime; set DSCW_BENCH_LARGE=1
 # to include the n=4096 stretch rows (the n=1024 rows always run). SCHED_BENCHTIME (default
@@ -219,10 +217,3 @@ END {
 ' "$soundness_raw" > "$soundness_out"
 
 echo "wrote $soundness_out ($(grep -c '"name"' "$soundness_out") records)"
-
-# The live-daemon load test (dscbench against dscweaverd with a
-# persistent run store) writes BENCH_load.json; skip with
-# DSCW_SKIP_LOAD=1 when no spare port or time budget exists.
-if [ "${DSCW_SKIP_LOAD:-0}" != "1" ]; then
-    scripts/load.sh "${6:-BENCH_load.json}"
-fi
