@@ -176,7 +176,9 @@ type MinimizeOptions struct {
 	// signals on one endpoint.
 	Metrics *obs.Registry
 	// Events, when non-nil, receives obs.LayerMinimize lifecycle
-	// events: one per candidate verdict plus begin/end markers.
+	// events: minimize_begin, then one minimize_end carrying the
+	// decision record (obs.Decision), on a verdict-cache hit as on a
+	// miss.
 	Events obs.Sink
 }
 
@@ -232,16 +234,6 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	began := time.Now()
 	emit(obs.Event{Kind: obs.EvMinimizeBegin, Detail: sc.Proc.Name, Value: float64(sc.Len())})
 
-	cancelErr := func(cause error) error {
-		if opts.Metrics != nil {
-			opts.Metrics.Counter("minimize_canceled_total").Inc()
-		}
-		emit(obs.Event{Kind: obs.EvMinimizeEnd, Detail: sc.Proc.Name,
-			Err: cause.Error(), Value: float64(len(res.Removed)), DurNS: int64(time.Since(began))})
-		return &CancelError{Cause: cause, Checked: res.EquivalenceChecks,
-			Removed: len(res.Removed), Elapsed: time.Since(began)}
-	}
-
 	// Collect the candidates up front in canonical (insertion) order.
 	// The paper's algorithm is order-dependent in general (minimal sets
 	// are not unique); insertion order makes runs deterministic. Points
@@ -258,6 +250,33 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 			continue // folded away during desugaring
 		}
 		cands = append(cands, candidate{idx: i, c: c, u: u, v: v})
+	}
+
+	// end emits minimize_end carrying the decision record: the whole
+	// run's on success, the decided prefix's on cancellation.
+	end := func(cause error) {
+		if opts.Events == nil {
+			return
+		}
+		d := &obs.Decision{Candidates: len(cands), Checks: res.EquivalenceChecks,
+			Pairs: res.PairComparisons, Removed: make([]string, len(res.Removed))}
+		for i, c := range res.Removed {
+			d.Removed[i] = c.String()
+		}
+		ev := obs.Event{Kind: obs.EvMinimizeEnd, Detail: sc.Proc.Name,
+			Value: float64(len(res.Removed)), DurNS: int64(time.Since(began)), Decision: d}
+		if cause != nil {
+			ev.Err = cause.Error()
+		}
+		emit(ev)
+	}
+	cancelErr := func(cause error) error {
+		if opts.Metrics != nil {
+			opts.Metrics.Counter("minimize_canceled_total").Inc()
+		}
+		end(cause)
+		return &CancelError{Cause: cause, Checked: res.EquivalenceChecks,
+			Removed: len(res.Removed), Elapsed: time.Since(began)}
 	}
 
 	var vcKey [32]byte
@@ -286,7 +305,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	}
 
 	if !replayed {
-		removedIdx, err := pg.runSequential(ctx, cands, resolveWorkers(opts.Parallelism), opts.CandidateHook, opts.Events != nil, emit, res)
+		removedIdx, err := pg.runSequential(ctx, cands, resolveWorkers(opts.Parallelism), opts.CandidateHook, res)
 		if err != nil {
 			if ErrCanceled(err) {
 				return nil, cancelErr(err)
@@ -301,8 +320,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		res.CondMemoHits = int(pg.memo.hits.Load())
 	}
 
-	emit(obs.Event{Kind: obs.EvMinimizeEnd, Detail: sc.Proc.Name,
-		Value: float64(len(res.Removed)), DurNS: int64(time.Since(began))})
+	end(nil)
 	if r := opts.Metrics; r != nil {
 		r.Counter("minimize_runs_total").Inc()
 		r.Counter("minimize_equivalence_checks_total").Add(int64(res.EquivalenceChecks))
@@ -343,10 +361,9 @@ type candidate struct {
 // runSequential is the candidate engine: one candidate at a time in
 // canonical order, each decided by checkFrontier (whose rare fallback
 // scan fans out over workers) and committed before the next is tested.
-// It applies every removal to the graph, tallies res, emits one verdict
-// event per candidate when events is set, and returns the removed
-// candidates' indices for the verdict cache.
-func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, workers int, hook CandidateHook, events bool, emit func(obs.Event), res *MinimizeResult) ([]int, error) {
+// It applies every removal to the graph, tallies res, and returns the
+// removed candidates' indices for the verdict cache.
+func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, workers int, hook CandidateHook, res *MinimizeResult) ([]int, error) {
 	var removedIdx []int
 	for _, cand := range cands {
 		if err := ctx.Err(); err != nil {
@@ -357,10 +374,6 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, work
 				return nil, err
 			}
 		}
-		var began time.Time
-		if events {
-			began = time.Now()
-		}
 		removable, pairs, used, err := pg.checkFrontier(ctx, cand.u, cand.v, workers)
 		if used > res.Workers {
 			res.Workers = used
@@ -370,16 +383,10 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, work
 		}
 		res.EquivalenceChecks++
 		res.PairComparisons += pairs
-		verdict := obs.EvCandidateKept
 		if removable {
 			pg.removeConstraintEdge(cand.u, cand.v)
 			res.Removed = append(res.Removed, cand.c)
 			removedIdx = append(removedIdx, cand.idx)
-			verdict = obs.EvCandidateRemoved
-		}
-		if events {
-			emit(obs.Event{Kind: verdict, Detail: cand.c.String(),
-				Value: float64(pairs), DurNS: int64(time.Since(began))})
 		}
 	}
 	return removedIdx, nil

@@ -18,23 +18,17 @@ import (
 	"dscweaver/internal/purchasing"
 )
 
-// cancelAfterSink cancels a context after n candidate verdicts. The
-// minimizer emits EvCandidateKept/EvCandidateRemoved synchronously in
-// its candidate loop, so firing cancel from Emit gives a deterministic
-// mid-run abort: the very next ctx.Err() check sees it.
-type cancelAfterSink struct {
-	n      int
-	cancel context.CancelFunc
-	seen   int
-}
-
-func (s *cancelAfterSink) Emit(e obs.Event) {
-	if e.Kind != obs.EvCandidateKept && e.Kind != obs.EvCandidateRemoved {
-		return
-	}
-	s.seen++
-	if s.seen == s.n {
-		s.cancel()
+// cancelAfter returns a candidate hook that cancels a context after n
+// candidate checks. The minimizer runs the hook synchronously before
+// each check, so firing cancel from call n+1 gives a deterministic
+// mid-run abort: that check's first ctx.Err() test sees it.
+func cancelAfter(n int, cancel context.CancelFunc) core.CandidateHook {
+	seen := 0
+	return func(context.Context, core.Constraint) error {
+		if seen++; seen == n+1 {
+			cancel()
+		}
+		return nil
 	}
 }
 
@@ -46,9 +40,8 @@ func TestMinimizeCancelMidRun(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for _, after := range []int{1, 5} {
 			ctx, cancel := context.WithCancel(context.Background())
-			sink := &cancelAfterSink{n: after, cancel: cancel}
 			res, err := core.MinimizeOpt(ctx, asc, core.MinimizeOptions{
-				Parallelism: workers, Events: sink,
+				Parallelism: workers, CandidateHook: cancelAfter(after, cancel),
 			})
 			cancel()
 			if res != nil {
@@ -96,28 +89,26 @@ func TestMinimizePreCanceled(t *testing.T) {
 	}
 }
 
-// awaitDeadlineSink holds the candidate loop at its first verdict until
-// the context's deadline has fired, so the deadline lands before the run
-// can finish on any machine, however fast the workload.
-type awaitDeadlineSink struct {
-	done <-chan struct{}
-	seen bool
-}
-
-func (s *awaitDeadlineSink) Emit(e obs.Event) {
-	if s.seen || (e.Kind != obs.EvCandidateKept && e.Kind != obs.EvCandidateRemoved) {
-		return
+// awaitDeadline returns a candidate hook that holds the candidate loop
+// at its first candidate until the context's deadline has fired, so
+// the deadline lands before the run can finish on any machine, however
+// fast the workload.
+func awaitDeadline(done <-chan struct{}) core.CandidateHook {
+	seen := false
+	return func(context.Context, core.Constraint) error {
+		if !seen {
+			seen = true
+			<-done
+		}
+		return nil
 	}
-	s.seen = true
-	<-s.done
 }
 
 func TestMinimizeDeadlineExceeded(t *testing.T) {
 	sc := conditionalWorkload(t, 64)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	sink := &awaitDeadlineSink{done: ctx.Done()}
-	res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 4, Events: sink})
+	res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 4, CandidateHook: awaitDeadline(ctx.Done())})
 	if res != nil {
 		t.Fatal("run past its deadline returned a result")
 	}
@@ -160,27 +151,16 @@ func TestMinimizeUncanceledBitIdentical(t *testing.T) {
 	}
 }
 
-// removalRecorder records the committed removal order and cancels the
-// run after n verdicts — a deterministic mid-run abort, since verdicts
-// are emitted synchronously from the canonical candidate loop.
-type removalRecorder struct {
-	n       int
-	cancel  context.CancelFunc
-	seen    int
-	removed []string
+// decisionRecorder keeps the decision record of the run's minimize_end
+// event, which on a canceled run covers the candidates decided before
+// the abort.
+type decisionRecorder struct {
+	decision *obs.Decision
 }
 
-func (s *removalRecorder) Emit(e obs.Event) {
-	switch e.Kind {
-	case obs.EvCandidateRemoved:
-		s.removed = append(s.removed, e.Detail)
-	case obs.EvCandidateKept:
-	default:
-		return
-	}
-	s.seen++
-	if s.seen == s.n {
-		s.cancel()
+func (s *decisionRecorder) Emit(e obs.Event) {
+	if e.Kind == obs.EvMinimizeEnd {
+		s.decision = e.Decision
 	}
 }
 
@@ -206,8 +186,10 @@ func TestMinimizeCancelRemovalPrefix(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		target := 1 + int(seed*7919)%(full.EquivalenceChecks-1)
 		ctx, cancel := context.WithCancel(context.Background())
-		rec := &removalRecorder{n: target, cancel: cancel}
-		res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 8, Events: rec})
+		rec := &decisionRecorder{}
+		res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{
+			Parallelism: 8, CandidateHook: cancelAfter(target, cancel), Events: rec,
+		})
 		cancel()
 		if res != nil {
 			t.Fatalf("seed %d: canceled run returned a result", seed)
@@ -219,15 +201,19 @@ func TestMinimizeCancelRemovalPrefix(t *testing.T) {
 		if ce.Checked < target || ce.Checked >= full.EquivalenceChecks {
 			t.Errorf("seed %d: Checked = %d, want in [%d, %d)", seed, ce.Checked, target, full.EquivalenceChecks)
 		}
-		if ce.Removed != len(rec.removed) {
-			t.Errorf("seed %d: CancelError.Removed = %d, but %d removal events were committed",
-				seed, ce.Removed, len(rec.removed))
+		if rec.decision == nil {
+			t.Fatalf("seed %d: canceled run emitted no decision record", seed)
 		}
-		if len(rec.removed) > len(fullRemoved) {
+		removed := rec.decision.Removed
+		if ce.Removed != len(removed) || ce.Checked != rec.decision.Checks {
+			t.Errorf("seed %d: CancelError reports %d removals in %d checks, but the decision record has %d in %d",
+				seed, ce.Removed, ce.Checked, len(removed), rec.decision.Checks)
+		}
+		if len(removed) > len(fullRemoved) {
 			t.Fatalf("seed %d: canceled run removed %d constraints, full run only %d",
-				seed, len(rec.removed), len(fullRemoved))
+				seed, len(removed), len(fullRemoved))
 		}
-		for i, got := range rec.removed {
+		for i, got := range removed {
 			if got != fullRemoved[i] {
 				t.Fatalf("seed %d: removal %d = %s, full run's sequence has %s — not a prefix",
 					seed, i, got, fullRemoved[i])
@@ -244,8 +230,7 @@ func TestMinimizeCancelNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		sink := &cancelAfterSink{n: 3, cancel: cancel}
-		_, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 8, Events: sink})
+		_, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 8, CandidateHook: cancelAfter(3, cancel)})
 		cancel()
 		if !core.ErrCanceled(err) {
 			t.Fatalf("run %d: err = %v, want cancellation", i, err)

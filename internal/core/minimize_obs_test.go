@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dscweaver/internal/obs"
@@ -43,27 +44,33 @@ func TestMinimizeObservability(t *testing.T) {
 		t.Errorf("workers gauge = %d, result %d", got, res.Workers)
 	}
 
-	var begins, ends, kept, removed int
-	for _, e := range sink.Events() {
+	// The run logs a begin marker and one minimize_end carrying the
+	// whole decision record: no per-candidate events.
+	events := sink.Events()
+	if len(events) != 2 || events[0].Kind != obs.EvMinimizeBegin || events[1].Kind != obs.EvMinimizeEnd {
+		t.Fatalf("events = %+v, want minimize_begin then minimize_end", events)
+	}
+	for _, e := range events {
 		if e.Layer != obs.LayerMinimize {
 			t.Errorf("wrong layer: %+v", e)
 		}
-		switch e.Kind {
-		case obs.EvMinimizeBegin:
-			begins++
-		case obs.EvMinimizeEnd:
-			ends++
-		case obs.EvCandidateKept:
-			kept++
-		case obs.EvCandidateRemoved:
-			removed++
-		}
 	}
-	if begins != 1 || ends != 1 {
-		t.Errorf("begin/end events = %d/%d", begins, ends)
+	d := events[1].Decision
+	if d == nil {
+		t.Fatal("minimize_end carries no decision record")
 	}
-	if removed != 2 || kept+removed != res.EquivalenceChecks {
-		t.Errorf("candidate events kept=%d removed=%d vs %d checks", kept, removed, res.EquivalenceChecks)
+	if d.Checks != res.EquivalenceChecks || d.Pairs != res.PairComparisons {
+		t.Errorf("decision checks/pairs = %d/%d, result %d/%d", d.Checks, d.Pairs, res.EquivalenceChecks, res.PairComparisons)
+	}
+	if d.Candidates != s.Len() {
+		t.Errorf("decision candidates = %d, want %d", d.Candidates, s.Len())
+	}
+	var want []string
+	for _, c := range res.Removed {
+		want = append(want, c.String())
+	}
+	if fmt.Sprint(d.Removed) != fmt.Sprint(want) {
+		t.Errorf("decision removed = %q, want %q (removal order)", d.Removed, want)
 	}
 
 	// The instrumented run must stay bit-identical to the plain one.

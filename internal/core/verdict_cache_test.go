@@ -1,18 +1,21 @@
 // Tests for the cross-run verdict cache: a hit replays the recorded
 // removal sequence bit-identically and skips every equivalence check,
 // the content key separates problems that differ in guards or
-// comparison mode, eviction is oldest-first, and the obs counters
-// mirror the cache's own accounting.
+// comparison mode, eviction is oldest-first, the obs counters mirror
+// the cache's own accounting, and a hit logs the miss's decision
+// record.
 package core_test
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"dscweaver/internal/cond"
 	"dscweaver/internal/core"
 	"dscweaver/internal/obs"
 	"dscweaver/internal/purchasing"
+	"dscweaver/internal/workload"
 )
 
 func TestVerdictCacheHitBitIdentical(t *testing.T) {
@@ -118,5 +121,69 @@ func TestVerdictCacheEviction(t *testing.T) {
 	}
 	if vc.Misses() != 4 || vc.Hits() != 0 {
 		t.Errorf("cache hits/misses = %d/%d, want 0/4", vc.Hits(), vc.Misses())
+	}
+}
+
+// TestVerdictCacheDecisionRecord: a verdict-cache hit logs the same
+// decision record as the miss that filled the entry — the removed
+// constraints byte-identical and in removal order — with checks and
+// pairs at 0, as in MinimizeResult.
+func TestVerdictCacheDecisionRecord(t *testing.T) {
+	_, asc, _, err := purchasing.Pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	layered, err := workload.Layered(16, 16, 0.3, 1).WithShortcuts(16).WithDecisions(1).TranslatedConstraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		name string
+		sc   *core.ConstraintSet
+	}{{"purchasing", asc}, {"layered-16x16", layered}} {
+		t.Run(fx.name, func(t *testing.T) {
+			vc := core.NewVerdictCache(0)
+			var miss, hit decisionRecorder
+			cold, err := core.MinimizeOpt(context.Background(), fx.sc, core.MinimizeOptions{VerdictCache: vc, Events: &miss})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := core.MinimizeOpt(context.Background(), fx.sc, core.MinimizeOptions{VerdictCache: vc, Events: &hit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.VerdictCacheHit || !warm.VerdictCacheHit {
+				t.Fatalf("verdict cache hit = %v then %v, want a miss then a hit", cold.VerdictCacheHit, warm.VerdictCacheHit)
+			}
+			if miss.decision == nil || hit.decision == nil {
+				t.Fatal("a run logged no decision record")
+			}
+			if len(cold.Removed) == 0 {
+				t.Fatal("fixture removes nothing — the comparison is vacuous")
+			}
+			missJSON, err := json.Marshal(miss.decision.Removed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hitJSON, err := json.Marshal(hit.decision.Removed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(missJSON) != string(hitJSON) {
+				t.Errorf("removed lists differ:\nmiss %s\nhit  %s", missJSON, hitJSON)
+			}
+			if len(miss.decision.Removed) != len(cold.Removed) {
+				t.Errorf("miss decision lists %d removals, result %d", len(miss.decision.Removed), len(cold.Removed))
+			}
+			if miss.decision.Candidates != hit.decision.Candidates || miss.decision.Candidates != cold.EquivalenceChecks {
+				t.Errorf("candidates miss/hit = %d/%d, want %d", miss.decision.Candidates, hit.decision.Candidates, cold.EquivalenceChecks)
+			}
+			if miss.decision.Checks != cold.EquivalenceChecks || miss.decision.Pairs != cold.PairComparisons {
+				t.Errorf("miss checks/pairs = %d/%d, result %d/%d", miss.decision.Checks, miss.decision.Pairs, cold.EquivalenceChecks, cold.PairComparisons)
+			}
+			if hit.decision.Checks != 0 || hit.decision.Pairs != 0 {
+				t.Errorf("hit checks/pairs = %d/%d, want 0/0", hit.decision.Checks, hit.decision.Pairs)
+			}
+		})
 	}
 }

@@ -30,11 +30,25 @@ type Event struct {
 	Attempt int    `json:"attempt,omitempty"`
 	Branch  string `json:"branch,omitempty"`
 	Err     string `json:"err,omitempty"`
-	// Detail carries free-form context (process name, constraint
-	// string, verdict).
+	// Detail carries free-form context (process name, stage name).
 	Detail string  `json:"detail,omitempty"`
 	Value  float64 `json:"value,omitempty"`
 	DurNS  int64   `json:"dur_ns,omitempty"`
+	// Decision is the minimizer's decision record; only minimize_end
+	// carries one.
+	Decision *Decision `json:"decision,omitempty"`
+}
+
+// Decision records what one minimization run decided: how many
+// candidates it had, the equivalence checks and pair comparisons it
+// ran (both 0 when the verdict cache served the run), and the removed
+// constraints in removal order. On a canceled run it covers the
+// candidates decided before the abort.
+type Decision struct {
+	Candidates int      `json:"candidates"`
+	Checks     int      `json:"checks"`
+	Pairs      int      `json:"pairs"`
+	Removed    []string `json:"removed"`
 }
 
 // Layers.
@@ -74,11 +88,9 @@ const (
 	EvBreakerHalfOpen = "breaker_half_open"
 	EvBreakerClose    = "breaker_close"
 
-	// Minimizer lifecycle.
-	EvMinimizeBegin    = "minimize_begin"
-	EvMinimizeEnd      = "minimize_end"
-	EvCandidateKept    = "candidate_kept"
-	EvCandidateRemoved = "candidate_removed"
+	// Minimizer lifecycle (minimize_end carries the run's Decision).
+	EvMinimizeBegin = "minimize_begin"
+	EvMinimizeEnd   = "minimize_end"
 
 	// Weave pipeline lifecycle (Detail = stage name for stage events,
 	// process name for weave_end; Err carries the abort cause).

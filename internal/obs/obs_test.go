@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -126,13 +127,20 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		Stamp(Event{Layer: LayerEngine, Kind: EvActivityStart, Activity: "a1", Seq: 3}),
 		Stamp(Event{Layer: LayerBus, Kind: EvFault, Service: "Ship", Port: "1", Err: "boom"}),
-		Stamp(Event{Layer: LayerMinimize, Kind: EvCandidateRemoved, Detail: "F(a)→S(b)", Value: 12}),
+		Stamp(Event{Layer: LayerMinimize, Kind: EvMinimizeEnd, Detail: "P", Value: 1,
+			Decision: &Decision{Candidates: 3, Checks: 3, Pairs: 12, Removed: []string{"F(a)→S(b)"}}}),
 	}
 	for _, e := range in {
 		w.Emit(e)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The decision record's wire shape is the /v1/runs/{id}/events
+	// contract for minimize_end.
+	const decision = `"decision":{"candidates":3,"checks":3,"pairs":12,"removed":["F(a)→S(b)"]}`
+	if !strings.Contains(buf.String(), decision) {
+		t.Errorf("encoded log lacks %s:\n%s", decision, buf.String())
 	}
 	out, err := ReadJSONL(&buf)
 	if err != nil {
@@ -145,7 +153,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if out[i].Kind != in[i].Kind || out[i].Layer != in[i].Layer ||
 			out[i].Activity != in[i].Activity || out[i].Seq != in[i].Seq ||
 			out[i].Err != in[i].Err || out[i].Detail != in[i].Detail ||
-			out[i].Mono != in[i].Mono || out[i].Value != in[i].Value {
+			out[i].Mono != in[i].Mono || out[i].Value != in[i].Value ||
+			!reflect.DeepEqual(out[i].Decision, in[i].Decision) {
 			t.Errorf("event %d: got %+v want %+v", i, out[i], in[i])
 		}
 	}

@@ -221,7 +221,10 @@ func (s *Server) sweepEnactDone(now time.Time) {
 // handleTransportInvoke is the shared frame endpoint for every live
 // enactment on this server. An unknown run answers 404 — the sender's
 // transient classification — so frames racing a peer's registration
-// retry through the warm-up window instead of failing the run.
+// retry through the warm-up window instead of failing the run. Each
+// such refusal counts in transport_invoke_refused_total, by reason:
+// no_run (no transport registered for the run yet) or no_receiver
+// (the run's transport has no receiver for the frame's service yet).
 func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 	var f services.Frame
 	dec := json.NewDecoder(r.Body)
@@ -243,6 +246,7 @@ func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, services.DeliverResult{})
 			return
 		}
+		s.reg.Counter("transport_invoke_refused_total", "reason", "no_run").Inc()
 		writeError(w, http.StatusNotFound, fmt.Errorf("no live enactment for run %q", f.Run))
 		return
 	}
@@ -253,6 +257,7 @@ func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		// "unknown service" covers the window before enact.Run registers
 		// the node's receivers; 404 keeps the sender retrying.
+		s.reg.Counter("transport_invoke_refused_total", "reason", "no_receiver").Inc()
 		writeError(w, http.StatusNotFound, err)
 	default:
 		writeJSON(w, http.StatusOK, res)

@@ -5,6 +5,8 @@
 package server_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,11 +14,19 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"dscweaver/internal/core"
+	"dscweaver/internal/dscl"
+	"dscweaver/internal/obs"
 	"dscweaver/internal/server"
+	"dscweaver/internal/store"
+	"dscweaver/internal/weave"
+	"dscweaver/internal/weave/front"
+	"dscweaver/internal/workload"
 )
 
 func TestServerStoreBeyondRingAndRestart(t *testing.T) {
@@ -150,6 +160,89 @@ func TestServerStoreBeyondRingAndRestart(t *testing.T) {
 	if err := s2.Shutdown(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
+}
+
+// TestServerStoredWeaveLogStaysSmall: a weave's stored log grows with
+// the answer, not with the candidates. A 16x16 process decides over a
+// thousand candidates, yet its run holds a few pipeline events and one
+// minimize_end whose decision record lists the removed constraints in
+// the order the minimizer removed them.
+func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
+	w := workload.Layered(16, 16, 0.3, 1).WithShortcuts(16).WithDecisions(1)
+	src := dscl.PrintDocument(&dscl.Document{Proc: w.Proc, Deps: w.Deps, Extra: core.NewConstraintSet(w.Proc)})
+	dir := t.TempDir()
+	s, err := server.New(server.Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	var wv server.WeaveResponse
+	code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &wv)
+	if code != http.StatusOK {
+		t.Fatalf("weave: %d %s", code, raw)
+	}
+	code, served := getBody(t, fmt.Sprintf("%s/v1/runs/%s/events", ts.URL, wv.RunID))
+	if code != http.StatusOK {
+		t.Fatalf("events: %d", code)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ts.Close()
+
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	stored, err := st.Events(wv.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) > 32 {
+		t.Errorf("stored log holds %d events, want at most 32", len(stored))
+	}
+	var replay bytes.Buffer
+	for _, line := range stored {
+		replay.Write(line)
+		replay.WriteByte('\n')
+	}
+	if replay.String() != served {
+		t.Errorf("stored log differs from the served one (%d vs %d bytes)", replay.Len(), len(served))
+	}
+
+	evs, err := obs.ReadJSONL(&replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decision *obs.Decision
+	for _, e := range evs {
+		if e.Kind == obs.EvMinimizeEnd {
+			decision = e.Decision
+		}
+	}
+	if decision == nil {
+		t.Fatal("no minimize_end decision record in the stored log")
+	}
+	ref, err := weave.Run(context.Background(), weave.Input{Source: src}, weave.Options{Frontend: front.DSCL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MinimizeOpt(context.Background(), ref.Translated, core.MinimizeOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRemoved []string
+	for _, c := range want.Removed {
+		wantRemoved = append(wantRemoved, c.String())
+	}
+	if len(wantRemoved) == 0 || !slices.Equal(decision.Removed, wantRemoved) {
+		t.Errorf("decision removed %q, want %q", decision.Removed, wantRemoved)
+	}
+	if decision.Candidates != want.EquivalenceChecks {
+		t.Errorf("decision covers %d candidates, the reference run checked %d", decision.Candidates, want.EquivalenceChecks)
+	}
+	t.Logf("%d candidates, %d removed, %d stored events (%d bytes)", decision.Candidates, len(decision.Removed), len(stored), len(served))
 }
 
 // TestServerRunsLimitNewestFirstWithLargeRing: with a store attached

@@ -17,7 +17,8 @@
 // registry, and with Options.Events the pipeline emits
 // obs.LayerWeave lifecycle events (weave_begin, stage_begin/stage_end
 // per stage, weave_end) into the run's sink alongside the minimizer's
-// own candidate-verdict events.
+// own minimize_begin/minimize_end events, the latter carrying its
+// decision record.
 package weave
 
 import (
@@ -118,8 +119,13 @@ type Options struct {
 	// minimizer records through the same registry.
 	Metrics *obs.Registry
 	// Events, when non-nil, receives obs.LayerWeave lifecycle events
-	// and is forwarded to the minimizer for its candidate verdicts.
+	// and is forwarded to the minimizer for its begin/end events and
+	// decision record.
 	Events obs.Sink
+
+	// candidateHook is forwarded to core.MinimizeOptions.CandidateHook;
+	// tests set it (export_test.go) to act between candidates.
+	candidateHook core.CandidateHook
 }
 
 // Input selects the pipeline entry point: Source text (parsed by
@@ -368,6 +374,7 @@ func (p *Pipeline) minimize(ctx context.Context, res *Result) error {
 		StrictAnnotations: p.opts.StrictAnnotations,
 		Metrics:           p.opts.Metrics,
 		Events:            p.opts.Events,
+		CandidateHook:     p.opts.candidateHook,
 	})
 	if err != nil {
 		return err

@@ -183,14 +183,10 @@ func TestPipelineInputErrors(t *testing.T) {
 // the Run goroutine, so no locking is needed.
 type recordSink struct {
 	events []obs.Event
-	onCand func()
 }
 
 func (s *recordSink) Emit(e obs.Event) {
 	s.events = append(s.events, e)
-	if s.onCand != nil && (e.Kind == obs.EvCandidateKept || e.Kind == obs.EvCandidateRemoved) {
-		s.onCand()
-	}
 }
 
 func (s *recordSink) kinds(layer string) []string {
@@ -231,9 +227,10 @@ func TestPipelineEventsAndMetrics(t *testing.T) {
 	if last.Kind != obs.EvWeaveEnd || last.Detail != "Purchasing" || last.Err != "" {
 		t.Errorf("last event = %+v, want clean weave_end for Purchasing", last)
 	}
-	// Minimizer lifecycle events ride the same sink on their own layer.
-	if minKinds := sink.kinds(obs.LayerMinimize); len(minKinds) == 0 {
-		t.Error("no minimizer events forwarded through the pipeline sink")
+	// Minimizer lifecycle events ride the same sink on their own layer:
+	// a begin marker and one end event carrying the decision record.
+	if got := sink.kinds(obs.LayerMinimize); fmt.Sprint(got) != fmt.Sprint([]string{obs.EvMinimizeBegin, obs.EvMinimizeEnd}) {
+		t.Errorf("minimizer event kinds = %v, want begin/end", got)
 	}
 	if got := reg.Counter("weave_runs_total").Value(); got != 1 {
 		t.Errorf("weave_runs_total = %d, want 1", got)
@@ -247,8 +244,8 @@ func TestPipelineEventsAndMetrics(t *testing.T) {
 }
 
 // TestPipelineCancelMidMinimize cancels from inside the minimizer's
-// candidate loop (its verdict events are emitted synchronously) and
-// checks the abort surfaces through the pipeline: a minimize-stage
+// candidate loop (its candidate hook runs synchronously before each
+// check) and checks the abort surfaces through the pipeline: a minimize-stage
 // error wrapping context.Canceled, a stage_end and weave_end carrying
 // the error, and the weave_canceled_total counter.
 func TestPipelineCancelMidMinimize(t *testing.T) {
@@ -257,15 +254,17 @@ func TestPipelineCancelMidMinimize(t *testing.T) {
 	defer cancel()
 	seen := 0
 	sink := &recordSink{}
-	sink.onCand = func() {
-		if seen++; seen == 3 {
+	onCand := func(context.Context, core.Constraint) error {
+		// The fourth hook call runs after three checks.
+		if seen++; seen == 4 {
 			cancel()
 		}
+		return nil
 	}
-	res, err := weave.Run(ctx, weave.Input{Parsed: purchasingParsed()}, weave.Options{
+	res, err := weave.Run(ctx, weave.Input{Parsed: purchasingParsed()}, weave.WithCandidateHook(weave.Options{
 		Metrics: reg,
 		Events:  sink,
-	})
+	}, onCand))
 	if res != nil {
 		t.Fatal("canceled run returned a result")
 	}
