@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -300,26 +299,21 @@ func BenchmarkMinimizeExactConditional(b *testing.B) {
 	}
 }
 
-// BenchmarkMinimizeParallel sweeps the minimization engine across
-// workload size, worker count and engine configuration on the Bench C
-// exact-conditional shape. The nocache/workers=1 rows replay the seed
-// algorithm (every closure re-derived per candidate×source) and are
-// the baseline the engine speedup is measured against; the vcache row
-// runs against a pre-warmed cross-run verdict cache, so each op replays
-// the recorded removal sequence instead of re-deciding candidates
-// (vcachehits/op counts the hits). Every configuration produces the
-// identical minimal set. scripts/bench.sh parses this sweep into
-// BENCH_minimize.json. The n=4096 stretch rows only run when
-// DSCW_BENCH_LARGE is set; nocache is capped at n=256 (it would run
-// for hours above that).
-func BenchmarkMinimizeParallel(b *testing.B) {
+// BenchmarkMinimize sweeps the minimization engine across workload
+// size and engine configuration on the Bench C exact-conditional shape.
+// The nocache rows replay the seed algorithm (every closure re-derived
+// per candidate×source) and are the baseline the engine speedup is
+// measured against; the vcache row runs against a pre-warmed cross-run
+// verdict cache, so each op replays the recorded removal sequence
+// instead of re-deciding candidates (vcachehits/op counts the hits).
+// Every configuration produces the identical minimal set.
+// scripts/bench.sh parses this sweep into BENCH_minimize.json. The
+// n=4096 stretch rows only run when DSCW_BENCH_LARGE is set; nocache is
+// capped at n=256 (it would run for hours above that).
+func BenchmarkMinimize(b *testing.B) {
 	type config struct {
 		name string
 		opts core.MinimizeOptions
-	}
-	workerSweep := []int{1, 2, 4, 8}
-	if mp := runtime.GOMAXPROCS(0); mp != 1 && mp != 2 && mp != 4 && mp != 8 {
-		workerSweep = append(workerSweep, mp)
 	}
 	for _, n := range []int{64, 256, 1024, 4096} {
 		if n >= 4096 && os.Getenv("DSCW_BENCH_LARGE") == "" {
@@ -334,15 +328,11 @@ func BenchmarkMinimizeParallel(b *testing.B) {
 		if n <= 256 {
 			// Seed-equivalent baseline; at n=1024 it would run for the
 			// better part of an hour per op.
-			configs = append(configs, config{"nocache/workers=1",
-				core.MinimizeOptions{Parallelism: 1, NoCache: true}})
-		}
-		for _, workers := range workerSweep {
-			configs = append(configs, config{fmt.Sprintf("cache/workers=%d", workers),
-				core.MinimizeOptions{Parallelism: workers}})
+			configs = append(configs, config{"nocache", core.MinimizeOptions{NoCache: true}})
 		}
 		configs = append(configs,
-			config{"vcache/workers=1", core.MinimizeOptions{Parallelism: 1, VerdictCache: core.NewVerdictCache(0)}})
+			config{"cache", core.MinimizeOptions{}},
+			config{"vcache", core.MinimizeOptions{VerdictCache: core.NewVerdictCache(0)}})
 		for _, cfg := range configs {
 			b.Run(fmt.Sprintf("activities=%d/%s", n, cfg.name), func(b *testing.B) {
 				if cfg.opts.VerdictCache != nil {
@@ -808,41 +798,33 @@ func BenchmarkWeavePipelineStages(b *testing.B) {
 
 // BenchmarkServerWeave measures dscweaverd's weave request throughput
 // through the full HTTP stack (decode → pipeline → Petri verdict →
-// encode) at minimizer parallelism 1 vs GOMAXPROCS. scripts/bench.sh
-// turns the ns/op into req/sec for BENCH_server.json.
+// encode). scripts/bench.sh turns the ns/op into req/sec for
+// BENCH_server.json.
 func BenchmarkServerWeave(b *testing.B) {
 	src := mustRead(b, "internal/dscl/testdata/purchasing.dscl")
-	parallels := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		parallels = append(parallels, n)
+	s, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, parallel := range parallels {
-		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
-			s, err := server.New(server.Config{WeaveParallelism: parallel})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			defer s.Shutdown()
-			body, err := json.Marshal(server.WeaveRequest{Source: src})
-			if err != nil {
-				b.Fatal(err)
-			}
-			client := ts.Client()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := client.Post(ts.URL+"/v1/weave", "application/json", bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.StatusCode != 200 {
-					raw, _ := io.ReadAll(resp.Body)
-					b.Fatalf("weave: %d %s", resp.StatusCode, raw)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown()
+	body, err := json.Marshal(server.WeaveRequest{Source: src})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := ts.Client()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(ts.URL+"/v1/weave", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != 200 {
+			raw, _ := io.ReadAll(resp.Body)
+			b.Fatalf("weave: %d %s", resp.StatusCode, raw)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
 }

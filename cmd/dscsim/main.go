@@ -16,8 +16,6 @@
 //	                 transitive equivalence (Definition 5). To quantify
 //	                 the gain over sequencing constructs instead, see
 //	                 examples/concurrency.
-//	-parallel N      minimization worker count (0 = GOMAXPROCS); the
-//	                 minimal set is identical for every value
 //	-metrics FILE    write Prometheus-style minimizer metrics ("-" = stdout)
 //	-events FILE     write the JSONL minimizer event log ("-" = stdout)
 package main
@@ -45,7 +43,6 @@ func main() {
 	maxLat := flag.Duration("max", 5*time.Millisecond, "maximum activity latency")
 	branch := flag.String("branch", "", "force every decision to this branch (empty = uniform sampling)")
 	compare := flag.Bool("compare", true, "also estimate the unoptimized set (equivalence check: the distributions must match)")
-	parallel := flag.Int("parallel", 0, "minimization worker count (0 = GOMAXPROCS, 1 = sequential); the minimal set is identical for every value")
 	metricsOut := flag.String("metrics", "", "write Prometheus-style minimizer metrics to this file (\"-\" = stdout)")
 	eventsOut := flag.String("events", "", "write the JSONL minimizer event log to this file (\"-\" = stdout)")
 	flag.Parse()
@@ -82,9 +79,8 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 	wres, err := weave.Run(ctx, weave.Input{Parsed: doc.Parsed()}, weave.Options{
-		Parallelism: *parallel,
-		Metrics:     reg,
-		Events:      sink,
+		Metrics: reg,
+		Events:  sink,
 	})
 	if err != nil {
 		fail(err)

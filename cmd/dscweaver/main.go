@@ -21,7 +21,6 @@
 //	-bpel FILE     write the generated BPEL document to FILE
 //	-validate      run Petri-net soundness checking (default true)
 //	-max-states N  soundness exploration budget (0 = default, 1<<20)
-//	-parallel N    minimization worker count (0 = GOMAXPROCS)
 //	-run           execute the minimal set with no-op activities and
 //	               print the trace
 //	-decentral N   partition the minimal set across at most N hosts
@@ -64,7 +63,6 @@ func main() {
 	dotOut := flag.String("dot", "", "write the minimal constraint graph as Graphviz to this file")
 	decentralize := flag.Int("decentral", 0, "partition the minimal set across at most N hosts and print the placement (0 = off, -1 = natural placement, no cap); with -run, execute one engine per partition and report measured vs predicted message counts")
 	explain := flag.String("explain", "", "explain why constraints were removed: 'all' or a substring of the constraint")
-	parallel := flag.Int("parallel", 0, "minimization worker count (0 = GOMAXPROCS, 1 = sequential); the minimal set is identical for every value")
 	metricsOut := flag.String("metrics", "", "write Prometheus-style metrics for the whole run to this file (\"-\" = stdout)")
 	eventsOut := flag.String("events", "", "write the JSONL lifecycle event log (minimizer + engine) to this file (\"-\" = stdout)")
 	verbose := flag.Bool("v", false, "print every pipeline stage")
@@ -108,7 +106,6 @@ func main() {
 	}
 	res, err := weave.Run(ctx, weave.Input{Source: string(src)}, weave.Options{
 		Frontend:       fe,
-		Parallelism:    *parallel,
 		Validate:       *validate,
 		MaxStates:      *maxStates,
 		BPEL:           *bpelOut != "",
@@ -137,8 +134,8 @@ func main() {
 	fmt.Printf("minimal constraint set:     %d constraints (%d removed, %d equivalence checks)\n",
 		min.Minimal.Len(), len(min.Removed), min.EquivalenceChecks)
 	if *verbose {
-		fmt.Printf("minimizer engine:           %d workers, %d/%d closure-cache hits/misses, %d equivalence-memo hits\n",
-			min.Workers, min.ClosureCacheHits, min.ClosureCacheMisses, min.CondMemoHits)
+		fmt.Printf("minimizer engine:           %d/%d closure-cache hits/misses, %d equivalence-memo hits\n",
+			min.ClosureCacheHits, min.ClosureCacheMisses, min.CondMemoHits)
 		fmt.Println(dscl.PrintConstraints(min.Minimal))
 		fmt.Println()
 		for _, st := range res.Stages {

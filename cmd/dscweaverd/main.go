@@ -33,7 +33,6 @@
 //	                 on-disk event log: run history survives restarts
 //	                 and outgrows the in-memory ring
 //	-store-fsync     fsync the store on every run finish
-//	-parallel N      default minimizer worker count per weave
 //	-concurrency N   weave worker pool size (default GOMAXPROCS)
 //	-queue-wait D    max wait for a pool slot before shedding (default 2s)
 //	-verdict-cache N cross-run minimize verdict cache entries
@@ -71,7 +70,6 @@ func main() {
 	configPath := flag.String("config", "", "JSON config file (flags override it)")
 	storeDir := flag.String("store-dir", "", "persistent run store directory, the on-disk event log (empty = memory-only run history)")
 	storeFsync := flag.Bool("store-fsync", false, "fsync the run store on every run finish")
-	parallel := flag.Int("parallel", 0, "default minimizer worker count per weave (0 = GOMAXPROCS)")
 	concurrency := flag.Int("concurrency", 0, "weave worker pool size (0 = GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", 0, "max wait for a pool slot before shedding with 429 (0 = 2s default)")
 	verdictCache := flag.Int("verdict-cache", 0, "cross-run minimize verdict cache size in entries (0 = 256 default, negative disables)")
@@ -101,9 +99,6 @@ func main() {
 	}
 	if *storeFsync {
 		cfg.StoreFsync = true
-	}
-	if *parallel != 0 {
-		cfg.WeaveParallelism = *parallel
 	}
 	if *concurrency != 0 {
 		cfg.WeaveConcurrency = *concurrency

@@ -388,7 +388,6 @@ func TestChaosServerFaultStorm(t *testing.T) {
 			WeaveConcurrency: 2,
 			QueueWait:        5 * time.Second,
 			RequestTimeout:   20 * time.Second,
-			WeaveParallelism: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,7 @@ import (
 // cleanup, so leak.Check holds.
 func newChaosServer(t *testing.T, wrap func(string, http.RoundTripper) http.RoundTripper) *httptest.Server {
 	t.Helper()
-	s, err := server.New(server.Config{WeaveParallelism: 2, FabricWrap: wrap})
+	s, err := server.New(server.Config{FabricWrap: wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestChaosNetPeerCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	peer1, err := server.New(server.Config{WeaveParallelism: 2})
+	peer1, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestChaosNetPeerCrashRestart(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	peer2, err := server.New(server.Config{WeaveParallelism: 2})
+	peer2, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,10 @@ type Adapter struct {
 	full    *ConstraintSet // merged + translated catalog
 	minimal *ConstraintSet
 	guards  map[Node]cond.Expr
-	// opts carries the minimization engine options (Parallelism,
-	// NoCache) into every re-minimization and incremental redundancy
-	// check. The Guards field is ignored: the adapter always derives
-	// guards from its own catalog.
+	// opts carries the minimization engine option NoCache into every
+	// re-minimization and incremental redundancy check. The Guards
+	// field is ignored: the adapter always derives guards from its own
+	// catalog.
 	opts MinimizeOptions
 }
 
@@ -60,10 +60,9 @@ func NewAdapter(proc *Process, deps *DependencySet) (*Adapter, error) {
 }
 
 // NewAdapterOpt is NewAdapter with explicit minimization engine
-// options. Parallelism and NoCache apply to the initial minimization
-// and to every subsequent Add/Remove; the Guards override is ignored
-// (the adapter derives guards from its catalog, which changes under
-// adaptation).
+// options. NoCache applies to the initial minimization and to every
+// subsequent Add/Remove; the Guards override is ignored (the adapter
+// derives guards from its catalog, which changes under adaptation).
 func NewAdapterOpt(proc *Process, deps *DependencySet, opts MinimizeOptions) (*Adapter, error) {
 	opts.Guards = nil
 	a := &Adapter{proc: proc, deps: NewDependencySet(), opts: opts}
@@ -193,7 +192,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 			continue
 		}
 		res.EquivalenceChecks++
-		removable, _, _, err := pg.checkFrontier(context.Background(), u, v, resolveWorkers(a.opts.Parallelism))
+		removable, _, err := pg.checkFrontier(context.Background(), u, v)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +304,7 @@ func (a *Adapter) Remove(dep Dependency) (*ChangeResult, error) {
 		}
 		u, v := pg.pointID(c.From), pg.pointID(c.To)
 		res.EquivalenceChecks++
-		removable, _, _, err := pg.checkFrontier(context.Background(), u, v, resolveWorkers(a.opts.Parallelism))
+		removable, _, err := pg.checkFrontier(context.Background(), u, v)
 		if err != nil {
 			return nil, err
 		}

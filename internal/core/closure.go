@@ -13,6 +13,9 @@ import (
 // implicit life-cycle edges S→R→F of every internal activity (S→F for
 // external nodes, which have no run phase visible to the process), and
 // one edge per HappenBefore constraint carrying its condition.
+//
+// A pointGraph, with its scratch buffers and caches, is confined to the
+// one goroutine that built it: nothing in it is locked.
 type pointGraph struct {
 	sc     *ConstraintSet
 	doms   cond.Domains
@@ -38,8 +41,7 @@ type pointGraph struct {
 	pairStack []int
 	// cache and cacheTo memoize baseline single-source forward and
 	// single-target backward closures across the minimizer's candidate
-	// loop; memo caches semantic-equivalence verdicts. All are shared
-	// by checkFrontier's fallback worker pool.
+	// loop; memo caches semantic-equivalence verdicts.
 	cache   *closureCache
 	cacheTo *closureCache
 	memo    *equalMemo
@@ -254,7 +256,7 @@ const sweepCheckInterval = 64
 
 // annotatedFromInto is annotatedFrom computing into buf when it has
 // the right capacity, so the minimizer's per-candidate skip sweeps can
-// reuse one scratch slice per worker instead of allocating one per
+// reuse one scratch slice per candidate instead of allocating one per
 // (candidate, source). The returned slice aliases buf when reused.
 //
 // A non-nil cancel is polled every sweepCheckInterval frontier

@@ -1,109 +1,44 @@
-// White-box tests for the closure cache's singleflight miss path: the
-// whole point of the coalescing is that N pool workers racing on one
-// cold source cost one annotated sweep, not N.
+// White-box test for the closure cache's strict-mode invalidation.
 package core
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"dscweaver/internal/cond"
 )
 
-// TestClosureCacheSingleflightColdMiss: M concurrent gets of one cold
-// source must perform exactly one compute — the first goroutine to miss
-// leads, everyone else parks on the flight and shares its result. Run
-// with -race (CI does): the flight handoff is the racy part.
-func TestClosureCacheSingleflightColdMiss(t *testing.T) {
-	const M = 16
-	c := newClosureCache()
-	var computes atomic.Int32
-	gate := make(chan struct{})
-	results := make([][]cond.Expr, M)
-	var wg sync.WaitGroup
-	for i := 0; i < M; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			results[i] = c.get(7, func() []cond.Expr {
-				computes.Add(1)
-				// Hold the flight open long enough that every sibling's
-				// lookup lands while the sweep is "running".
-				time.Sleep(20 * time.Millisecond)
-				return []cond.Expr{cond.True(), cond.False()}
-			})
-		}()
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d concurrent gets of a cold source ran %d computes, want exactly 1", M, got)
-	}
-	if got := c.misses.Load(); got != 1 {
-		t.Errorf("misses = %d, want 1 (one sweep actually ran)", got)
-	}
-	if got := c.hits.Load(); got != M-1 {
-		t.Errorf("hits = %d, want %d (every non-leader counts as a hit)", got, M-1)
-	}
-	for i := 1; i < M; i++ {
-		if len(results[i]) != len(results[0]) || &results[i][0] != &results[0][0] {
-			t.Fatalf("goroutine %d got a different closure slice than the leader", i)
-		}
-	}
-
-	// A subsequent get is an ordinary entry hit: no flight, no compute.
-	c.get(7, func() []cond.Expr {
-		t.Error("warm get ran compute")
-		return nil
-	})
-	if got := c.hits.Load(); got != M {
-		t.Errorf("hits after warm get = %d, want %d", got, M)
-	}
-}
-
-// TestClosureCacheSingleflightStaleLeader: an invalidation that lands
-// while the leader's sweep is in flight must keep the (now stale)
-// result out of the cache — followers of that flight still share it,
-// exactly as if they had computed it themselves at claim time, but the
-// next get re-sweeps.
-func TestClosureCacheSingleflightStaleLeader(t *testing.T) {
-	c := newClosureCache()
-	var computes atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan []cond.Expr)
-	go func() {
-		done <- c.get(3, func() []cond.Expr {
-			computes.Add(1)
-			close(started)
-			<-release
+// TestClosureCacheInvalidateRecomputes: invalidating the closures
+// through a point drops the entries of that point and of every point
+// reaching it, so their next get re-sweeps, while a source that cannot
+// reach it stays cached. hits and misses count lookups exactly.
+func TestClosureCacheInvalidateRecomputes(t *testing.T) {
+	pg := chainGraph(t, 3)
+	mid := pg.pointID(PointOf("a1", Start))
+	before := pg.pointID(PointOf("a0", Finish))
+	after := pg.pointID(PointOf("a2", Start))
+	computes := 0
+	get := func(p int) {
+		pg.cache.get(p, func() []cond.Expr {
+			computes++
 			return []cond.Expr{cond.True()}
 		})
-	}()
-	<-started
-	// Invalidate source 3 mid-flight, the way removeConstraintEdge's
-	// strict-mode path does.
-	c.mu.Lock()
-	c.gen++
-	c.staleAt[3] = c.gen
-	c.mu.Unlock()
-	close(release)
-	if got := <-done; len(got) != 1 {
-		t.Fatalf("leader returned %d annotations, want its own sweep's 1", len(got))
+	}
+	for _, p := range []int{mid, before, after} {
+		get(p)
+		get(p)
+	}
+	if computes != 3 || pg.cache.misses != 3 || pg.cache.hits != 3 {
+		t.Fatalf("warm-up: computes/misses/hits = %d/%d/%d, want 3/3/3", computes, pg.cache.misses, pg.cache.hits)
 	}
 
-	// The stale result must not have been installed: the next get runs a
-	// fresh compute.
-	c.get(3, func() []cond.Expr {
-		computes.Add(1)
-		return []cond.Expr{cond.False()}
-	})
-	if got := computes.Load(); got != 2 {
-		t.Errorf("computes = %d, want 2 (stale leader result must not be cached)", got)
+	pg.invalidateClosuresThrough(mid)
+	for _, p := range []int{mid, before, after} {
+		get(p)
+	}
+	if computes != 5 {
+		t.Errorf("computes after invalidation = %d, want 5 (mid and its ancestor re-sweep, the descendant stays cached)", computes)
+	}
+	if pg.cache.misses != 5 || pg.cache.hits != 4 {
+		t.Errorf("misses/hits = %d/%d, want 5/4", pg.cache.misses, pg.cache.hits)
 	}
 }

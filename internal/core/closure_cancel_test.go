@@ -3,8 +3,8 @@
 // completion no matter what (the ROADMAP's "unbounded single-candidate
 // latency" gap). These tests pin the new behavior: a fired cancel flag
 // stops a sweep after at most sweepCheckInterval further frontier
-// expansions, in both directions, and the sequential minimizer path
-// arms the flag from its context.
+// expansions, in both directions, and the minimizer's check arms the
+// flag from its context.
 package core
 
 import (
@@ -102,7 +102,7 @@ func TestEdgeRedundantSequentialCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	ok, _, _, err := pg.checkFrontier(ctx, u, v, 1)
+	ok, _, err := pg.checkFrontier(ctx, u, v)
 	if err == nil || ok {
 		t.Fatalf("cancelled sequential check returned ok=%v err=%v, want context error", ok, err)
 	}

@@ -36,7 +36,7 @@ func PairSweepMismatches(sc *ConstraintSet) (compared, nonFalse int, mismatches 
 		if !want.IsFalse() {
 			nonFalse++
 		}
-		removable, _, _, err := pg.checkFrontier(context.Background(), u, v, 1)
+		removable, _, err := pg.checkFrontier(context.Background(), u, v)
 		if err != nil {
 			return compared, nonFalse, mismatches, err
 		}

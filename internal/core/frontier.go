@@ -2,23 +2,11 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"dscweaver/internal/cond"
 	"dscweaver/internal/graph"
 )
-
-// resolveWorkers maps a MinimizeOptions.Parallelism value to a worker
-// count: 0 (and negatives) mean GOMAXPROCS, 1 means run inline with no
-// goroutines, larger values are taken literally.
-func resolveWorkers(parallelism int) int {
-	if parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return parallelism
-}
 
 // candFrontier is the affected-pair frontier of one candidate removal
 // u→v: the only closure pairs its removal can perturb run from srcSet
@@ -191,15 +179,15 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 
 // checkFrontier decides one candidate removal u→v — Definition 6's
 // transitive-equivalence test over the candidate's affected-pair
-// frontier — and returns (removable, pairComparisons, workersUsed,
-// error). The removal verdict is a conjunction over all (source,
-// target) frontier pairs (every pair's closure annotations must stay
-// equivalent in guard context), so the verdict — and therefore the
-// removal sequence the candidate loop performs — is identical for every
-// worker count and engine configuration; only the wall-clock and the
-// PairComparisons tally (workers cancel early on the first
-// inequivalent pair, and who gets how far is scheduling-dependent)
-// vary.
+// frontier — and returns (removable, pairComparisons, error). The
+// removal verdict is a conjunction over all (source, target) frontier
+// pairs (every pair's closure annotations must stay equivalent in
+// guard context), so the verdict — and therefore the removal sequence
+// the candidate loop performs — is identical for every engine
+// configuration. The PairComparisons tally depends on the input and
+// the configuration only: the closure cache changes where the
+// structural fast paths hit, and the local pair test settles most
+// candidates at a single comparison.
 //
 // The engine decides nearly every candidate from the single pair
 // (u, v) — one windowed skip sweep from u (see pairWithout) — via the
@@ -242,23 +230,25 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 // smaller. The NoCache baseline and the strict-annotations ablation
 // always sweep forward, like the paper's algorithm.
 //
-// Cancellation: ctx aborts the check between items (sequential path)
-// or through the pool's shared early-cancel flag (parallel path, via
-// context.AfterFunc, so workers pay no per-item ctx lookup). A
-// context-aborted check returns ctx.Err() — never a verdict computed
-// from an incomplete scan.
+// Cancellation: ctx aborts the check between items, and a flag set by
+// context.AfterFunc aborts a single sweep mid-scan, so no sweep pays a
+// per-node ctx lookup. A context-aborted check returns ctx.Err() —
+// never a verdict computed from an incomplete scan.
 //
-// The pair test uses the point graph's scratch buffers, so calls must
-// not overlap; the candidate loop and the Adapter call it one
-// candidate at a time.
-func (pg *pointGraph) checkFrontier(ctx context.Context, u, v, workers int) (bool, int, int, error) {
+// The point graph, its scratch buffers and its caches belong to the
+// one goroutine running the candidate loop (or the Adapter), which
+// calls checkFrontier one candidate at a time.
+func (pg *pointGraph) checkFrontier(ctx context.Context, u, v int) (bool, int, error) {
 	skip := [2]int{u, v}
 
 	// An already-aborted context never yields a verdict — not even the
 	// local pair test's.
 	if err := ctx.Err(); err != nil {
-		return false, 0, 1, err
+		return false, 0, err
 	}
+	var cancel atomic.Bool
+	stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
+	defer stop()
 
 	if !pg.cache.disabled {
 		// Local pair test, read at v. The cached baseline closure is
@@ -266,33 +256,30 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, u, v, workers int) (boo
 		// closures only in guard context, while the absolute test needs
 		// the current graph's exact full(u,v) — which is just
 		// without(u,v) ∨ cond(u,v).
-		var cancelFlag atomic.Bool
-		stop := context.AfterFunc(ctx, func() { cancelFlag.Store(true) })
-		without := pg.pairWithout(u, v, &cancelFlag)
-		stop()
+		without := pg.pairWithout(u, v, &cancel)
 		if err := ctx.Err(); err != nil {
 			// The sweep may have aborted mid-scan; its result is not a
 			// closure and must not yield a verdict.
-			return false, 0, 1, err
+			return false, 0, err
 		}
 		full := cond.Or(without, pg.conds[skip])
 		eqAbs, err := pg.equalCond(full, without)
 		if err != nil {
-			return false, 1, 1, err
+			return false, 1, err
 		}
 		if eqAbs {
-			return true, 1, 1, nil
+			return true, 1, nil
 		}
 		if pg.strict {
-			return false, 1, 1, nil
+			return false, 1, nil
 		}
 		g := cond.And(pg.guardOf(pg.points[u].Node), pg.guardOf(pg.points[v].Node))
 		eqCtx, err := pg.equalCond(cond.And(full, g), cond.And(without, g))
 		if err != nil {
-			return false, 1, 1, err
+			return false, 1, err
 		}
 		if !eqCtx {
-			return false, 1, 1, nil // the pair (u, v) itself refutes
+			return false, 1, nil // the pair (u, v) itself refutes
 		}
 		// Middle case: covered in guard context only — decide by the full
 		// frontier scan below.
@@ -300,110 +287,42 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, u, v, workers int) (boo
 
 	fr := pg.frontierOf(u, v)
 	backward := !pg.strict && !pg.cache.disabled && len(fr.targets) < len(fr.sources)
-	var within graph.Bitset
-	if !pg.cache.disabled {
-		if backward {
-			within = pg.backwardMask(fr)
-		} else {
-			within = pg.forwardMask(fr)
-		}
-	}
 	items := fr.sources
-	check := func(item int, scratch []cond.Expr, cancel *atomic.Bool) (bool, int, []cond.Expr, error) {
-		return pg.sourceEquivalent(item, skip, fr.targets, within, scratch, cancel)
-	}
+	var within graph.Bitset
 	if backward {
-		items = fr.targets
-		check = func(item int, scratch []cond.Expr, cancel *atomic.Bool) (bool, int, []cond.Expr, error) {
-			return pg.targetEquivalent(item, skip, fr.sources, within, scratch, cancel)
-		}
+		items, within = fr.targets, pg.backwardMask(fr)
+	} else if !pg.cache.disabled {
+		within = pg.forwardMask(fr)
 	}
 
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		pairs := 0
-		// The same early-cancel flag the pool uses, so a single
-		// pathological sweep aborts mid-scan in sequential mode too.
-		var cancel atomic.Bool
-		stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
-		defer stop()
-		var scratch []cond.Expr
-		for _, it := range items {
-			if err := ctx.Err(); err != nil {
-				return false, pairs, 1, err
-			}
-			ok, p, buf, err := check(it, scratch, &cancel)
-			scratch = buf
-			pairs += p
-			if err != nil || !ok {
-				if cerr := ctx.Err(); cerr != nil {
-					return false, pairs, 1, cerr
-				}
-				return false, pairs, 1, err
-			}
-		}
-		// An abort during the final item's sweep yields a vacuous "ok"
-		// from a partial scan; the ctx error must win over that verdict.
+	pairs := 0
+	var scratch []cond.Expr
+	for _, it := range items {
 		if err := ctx.Err(); err != nil {
-			return false, pairs, 1, err
+			return false, pairs, err
 		}
-		return true, pairs, 1, nil
-	}
-
-	var (
-		next     atomic.Int64 // index of the next unclaimed item
-		pairs    atomic.Int64
-		cancel   atomic.Bool // set on first inequivalent pair or error
-		inequiv  atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	// Context cancellation flips the same flag workers already poll
-	// between targets, so an external abort stops the pool exactly as
-	// promptly as an inequivalent pair does.
-	stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
-	defer stop()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []cond.Expr
-			for !cancel.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				ok, p, buf, err := check(items[i], scratch, &cancel)
-				scratch = buf
-				pairs.Add(int64(p))
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					cancel.Store(true)
-					return
-				}
-				if !ok {
-					inequiv.Store(true)
-					cancel.Store(true)
-					return
-				}
+		var ok bool
+		var p int
+		var err error
+		if backward {
+			ok, p, scratch, err = pg.targetEquivalent(it, skip, fr.sources, within, scratch, &cancel)
+		} else {
+			ok, p, scratch, err = pg.sourceEquivalent(it, skip, fr.targets, within, scratch, &cancel)
+		}
+		pairs += p
+		if err != nil || !ok {
+			if cerr := ctx.Err(); cerr != nil {
+				return false, pairs, cerr
 			}
-		}()
+			return false, pairs, err
+		}
 	}
-	wg.Wait()
-	// A context abort poisons the verdict: workers may have bailed
-	// mid-scan, so neither "equivalent" nor "inequivalent" is
-	// trustworthy. The ctx error wins over a worker error, which may
-	// itself be a casualty of the abort.
+	// An abort during the final item's sweep yields a vacuous "ok"
+	// from a partial scan; the ctx error must win over that verdict.
 	if err := ctx.Err(); err != nil {
-		return false, int(pairs.Load()), workers, err
+		return false, pairs, err
 	}
-	if firstErr != nil {
-		return false, int(pairs.Load()), workers, firstErr
-	}
-	return !inequiv.Load(), int(pairs.Load()), workers, nil
+	return true, pairs, nil
 }
 
 // sourceEquivalent checks one source's contribution to a candidate
@@ -411,19 +330,19 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, u, v, workers int) (boo
 // edge agree on every target, compared in guard context. The baseline
 // closure comes from the closure cache; the skip closure is recomputed
 // into scratch — restricted to the within cone when non-nil — and
-// scratch is returned for reuse by the caller's next source. A non-nil
-// cancel is polled between targets so workers stop promptly once a
-// sibling has refuted the candidate (the early return reports
-// equivalent=true, which the cancelling caller ignores). Targets are
-// compared in frontier order, v first, so a kept candidate is usually
-// refuted by its own pair before any other comparison runs.
+// scratch is returned for reuse by the caller's next source. The cancel
+// flag is polled between targets so a context abort stops the scan
+// promptly (the early return reports equivalent=true, which the caller
+// discards on abort). Targets are compared in frontier order, v first,
+// so a kept candidate is usually refuted by its own pair before any
+// other comparison runs.
 func (pg *pointGraph) sourceEquivalent(s int, skip [2]int, targets []int, within graph.Bitset, scratch []cond.Expr, cancel *atomic.Bool) (bool, int, []cond.Expr, error) {
 	full := pg.fullFrom(s)
 	without := pg.annotatedFromInto(scratch, s, &skip, cancel, within)
 	gs := pg.guardOf(pg.points[s].Node)
 	pairs := 0
 	for _, t := range targets {
-		if cancel != nil && cancel.Load() {
+		if cancel.Load() {
 			return true, pairs, without, nil
 		}
 		if full[t].IsFalse() && without[t].IsFalse() {
@@ -463,7 +382,7 @@ func (pg *pointGraph) targetEquivalent(t int, skip [2]int, sources []int, within
 	gt := pg.guardOf(pg.points[t].Node)
 	pairs := 0
 	for _, s := range sources {
-		if cancel != nil && cancel.Load() {
+		if cancel.Load() {
 			return true, pairs, without, nil
 		}
 		if full[s].IsFalse() && without[s].IsFalse() {

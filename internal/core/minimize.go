@@ -50,20 +50,16 @@ type MinimizeResult struct {
 	EquivalenceChecks int
 	// PairComparisons counts the annotated-closure pair comparisons
 	// evaluated across all checks — the maintenance-cost metric of the
-	// optimizer benches. The tally depends on the engine configuration:
-	// with Parallelism > 1 the fallback scan's workers cancel early on
-	// the first inequivalent pair and how far the others got is
-	// scheduling-dependent, the closure cache changes where the
-	// structural fast paths hit, and the local pair test settles most
-	// candidates at a single comparison. The verdicts themselves — and
-	// hence Minimal, Removed and EquivalenceChecks — are identical for
-	// every configuration.
+	// optimizer benches. The tally is a function of the input and the
+	// engine configuration alone: repeated runs report the same count.
+	// It differs between configurations because the closure cache
+	// changes where the structural fast paths hit and the local pair
+	// test settles most candidates at a single comparison. The verdicts
+	// themselves — and hence Minimal, Removed and EquivalenceChecks —
+	// are identical for every configuration.
 	PairComparisons int
-	// Workers is the maximum worker-pool fan-out the run actually
-	// exercised — not the configured size: a 3-point process checked
-	// with Parallelism=8 reports the couple of workers that ever had an
-	// item to claim. 1 when every check ran inline (and on a verdict
-	// cache hit, which runs no checks at all).
+	// Workers is always 1: every check runs on the calling goroutine.
+	// The field remains for readers that still report it.
 	Workers int
 	// Respeculated is always 0: candidates are decided one at a time,
 	// so no verdict is ever re-evaluated. The field remains for readers
@@ -132,19 +128,12 @@ func ErrCanceled(err error) bool {
 }
 
 // MinimizeOptions tunes the minimization algorithm; the zero value is
-// the paper-faithful configuration (the engine options — Parallelism,
-// NoCache — never change the result, only how fast it is computed).
+// the paper-faithful configuration (the engine option NoCache never
+// changes the result, only how fast it is computed).
 type MinimizeOptions struct {
 	// Guards overrides the execution-guard context (nil derives from
 	// the set's control-origin constraints).
 	Guards map[Node]cond.Expr
-	// Parallelism sets the worker-pool size of the fallback frontier
-	// scan: 0 means GOMAXPROCS, 1 runs inline with no goroutines,
-	// larger values are taken literally. Candidates are always decided
-	// one at a time in canonical order, so the removal order — and
-	// therefore the resulting minimal set — is bit-identical across
-	// worker counts.
-	Parallelism int
 	// VerdictCache, when non-nil, consults (and on a miss, fills) a
 	// cross-run content-addressed cache of removal sequences keyed on
 	// the constraint set, guards, domains and comparison mode. On a hit
@@ -305,7 +294,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	}
 
 	if !replayed {
-		removedIdx, err := pg.runSequential(ctx, cands, resolveWorkers(opts.Parallelism), opts.CandidateHook, res)
+		removedIdx, err := pg.runSequential(ctx, cands, opts.CandidateHook, res)
 		if err != nil {
 			if ErrCanceled(err) {
 				return nil, cancelErr(err)
@@ -315,9 +304,9 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		if opts.VerdictCache != nil {
 			opts.VerdictCache.store(vcKey, removedIdx)
 		}
-		res.ClosureCacheHits = int(pg.cache.hits.Load() + pg.cacheTo.hits.Load())
-		res.ClosureCacheMisses = int(pg.cache.misses.Load() + pg.cacheTo.misses.Load())
-		res.CondMemoHits = int(pg.memo.hits.Load())
+		res.ClosureCacheHits = pg.cache.hits + pg.cacheTo.hits
+		res.ClosureCacheMisses = pg.cache.misses + pg.cacheTo.misses
+		res.CondMemoHits = pg.memo.hits
 	}
 
 	end(nil)
@@ -329,7 +318,6 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		r.Counter("minimize_closure_cache_hits_total").Add(int64(res.ClosureCacheHits))
 		r.Counter("minimize_closure_cache_misses_total").Add(int64(res.ClosureCacheMisses))
 		r.Counter("minimize_memo_hits_total").Add(int64(res.CondMemoHits))
-		r.Gauge("minimize_workers").Set(int64(res.Workers))
 		r.Histogram("minimize_run_seconds", obs.DurationBuckets).ObserveDuration(time.Since(began))
 	}
 
@@ -359,11 +347,11 @@ type candidate struct {
 }
 
 // runSequential is the candidate engine: one candidate at a time in
-// canonical order, each decided by checkFrontier (whose rare fallback
-// scan fans out over workers) and committed before the next is tested.
-// It applies every removal to the graph, tallies res, and returns the
-// removed candidates' indices for the verdict cache.
-func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, workers int, hook CandidateHook, res *MinimizeResult) ([]int, error) {
+// canonical order, each decided by checkFrontier and committed before
+// the next is tested. It applies every removal to the graph, tallies
+// res, and returns the removed candidates' indices for the verdict
+// cache.
+func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, hook CandidateHook, res *MinimizeResult) ([]int, error) {
 	var removedIdx []int
 	for _, cand := range cands {
 		if err := ctx.Err(); err != nil {
@@ -374,10 +362,7 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, work
 				return nil, err
 			}
 		}
-		removable, pairs, used, err := pg.checkFrontier(ctx, cand.u, cand.v, workers)
-		if used > res.Workers {
-			res.Workers = used
-		}
+		removable, pairs, err := pg.checkFrontier(ctx, cand.u, cand.v)
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +456,7 @@ func MinimizeUnconditional(sc *ConstraintSet) (*MinimizeResult, error) {
 			removedSet[e] = true
 		}
 	}
-	res := &MinimizeResult{Minimal: NewConstraintSet(sc.Proc), Guards: pg.guards}
+	res := &MinimizeResult{Minimal: NewConstraintSet(sc.Proc), Guards: pg.guards, Workers: 1}
 	for _, c := range sc.Constraints() {
 		if c.Rel == HappenBefore {
 			e := [2]int{pg.pointID(c.From), pg.pointID(c.To)}

@@ -1,9 +1,7 @@
 // Cancellation property tests for MinimizeOpt: a canceled run aborts
 // promptly with a *CancelError carrying the partial progress, leaks no
-// worker goroutines, and an uncancelled run under a live (but unfired)
-// cancelable context stays bit-identical to Minimize. Run with -race:
-// the mid-run cancellation races the worker pool's abort path by
-// construction.
+// goroutines, and an uncancelled run under a live (but unfired)
+// cancelable context stays bit-identical to Minimize.
 package core_test
 
 import (
@@ -37,34 +35,30 @@ func TestMinimizeCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
-		for _, after := range []int{1, 5} {
-			ctx, cancel := context.WithCancel(context.Background())
-			res, err := core.MinimizeOpt(ctx, asc, core.MinimizeOptions{
-				Parallelism: workers, CandidateHook: cancelAfter(after, cancel),
-			})
-			cancel()
-			if res != nil {
-				t.Fatalf("workers=%d after=%d: canceled run returned a result", workers, after)
-			}
-			var ce *core.CancelError
-			if !errors.As(err, &ce) {
-				t.Fatalf("workers=%d after=%d: err = %v, want *core.CancelError", workers, after, err)
-			}
-			if !errors.Is(err, context.Canceled) || !core.ErrCanceled(err) {
-				t.Errorf("workers=%d after=%d: CancelError does not unwrap to context.Canceled: %v", workers, after, err)
-			}
-			// The abort lands at the next candidate boundary (or inside
-			// the aborted check, which is then uncounted), so progress is
-			// a strict prefix of the full run.
-			if ce.Checked < after || ce.Checked >= full.EquivalenceChecks {
-				t.Errorf("workers=%d after=%d: Checked = %d, want in [%d, %d)",
-					workers, after, ce.Checked, after, full.EquivalenceChecks)
-			}
-			if ce.Removed > len(full.Removed) {
-				t.Errorf("workers=%d after=%d: Removed = %d > full run's %d",
-					workers, after, ce.Removed, len(full.Removed))
-			}
+	for _, after := range []int{1, 5} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := core.MinimizeOpt(ctx, asc, core.MinimizeOptions{CandidateHook: cancelAfter(after, cancel)})
+		cancel()
+		if res != nil {
+			t.Fatalf("after=%d: canceled run returned a result", after)
+		}
+		var ce *core.CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("after=%d: err = %v, want *core.CancelError", after, err)
+		}
+		if !errors.Is(err, context.Canceled) || !core.ErrCanceled(err) {
+			t.Errorf("after=%d: CancelError does not unwrap to context.Canceled: %v", after, err)
+		}
+		// The abort lands at the next candidate boundary (or inside the
+		// aborted check, which is then uncounted), so progress is a
+		// strict prefix of the full run.
+		if ce.Checked < after || ce.Checked >= full.EquivalenceChecks {
+			t.Errorf("after=%d: Checked = %d, want in [%d, %d)",
+				after, ce.Checked, after, full.EquivalenceChecks)
+		}
+		if ce.Removed > len(full.Removed) {
+			t.Errorf("after=%d: Removed = %d > full run's %d",
+				after, ce.Removed, len(full.Removed))
 		}
 	}
 }
@@ -108,7 +102,7 @@ func TestMinimizeDeadlineExceeded(t *testing.T) {
 	sc := conditionalWorkload(t, 64)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 4, CandidateHook: awaitDeadline(ctx.Done())})
+	res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{CandidateHook: awaitDeadline(ctx.Done())})
 	if res != nil {
 		t.Fatal("run past its deadline returned a result")
 	}
@@ -140,13 +134,11 @@ func TestMinimizeUncanceledBitIdentical(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			for _, workers := range []int{1, 8} {
-				res, err := core.MinimizeOpt(ctx, fx.sc, core.MinimizeOptions{Parallelism: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, "uncanceled", ref, res)
+			res, err := core.MinimizeOpt(ctx, fx.sc, core.MinimizeOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireIdentical(t, "uncanceled", ref, res)
 		})
 	}
 }
@@ -164,15 +156,14 @@ func (s *decisionRecorder) Emit(e obs.Event) {
 	}
 }
 
-// TestMinimizeCancelRemovalPrefix: a cancel landing mid-run with
-// Parallelism 8 must abort at a candidate boundary with the removals
-// applied so far an exact prefix of the uncancelled run's
-// deterministic removal sequence — never a verdict from a partial
-// scan, never a removal out of order. Twelve seeded cancel points
-// spread the abort across the run.
+// TestMinimizeCancelRemovalPrefix: a cancel landing mid-run must
+// abort at a candidate boundary with the removals applied so far an
+// exact prefix of the uncancelled run's deterministic removal sequence
+// — never a verdict from a partial scan, never a removal out of order.
+// Twelve seeded cancel points spread the abort across the run.
 func TestMinimizeCancelRemovalPrefix(t *testing.T) {
 	sc := conditionalWorkload(t, 128)
-	full, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{Parallelism: 8})
+	full, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +179,7 @@ func TestMinimizeCancelRemovalPrefix(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		rec := &decisionRecorder{}
 		res, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{
-			Parallelism: 8, CandidateHook: cancelAfter(target, cancel), Events: rec,
+			CandidateHook: cancelAfter(target, cancel), Events: rec,
 		})
 		cancel()
 		if res != nil {
@@ -222,15 +213,15 @@ func TestMinimizeCancelRemovalPrefix(t *testing.T) {
 	}
 }
 
-// TestMinimizeCancelNoGoroutineLeak aborts a parallel run mid-flight
-// and checks the worker pool drains: the goroutine count must return
-// to its baseline.
+// TestMinimizeCancelNoGoroutineLeak aborts runs mid-flight and checks
+// that nothing they armed outlives them: the goroutine count must
+// return to its baseline.
 func TestMinimizeCancelNoGoroutineLeak(t *testing.T) {
 	sc := conditionalWorkload(t, 64)
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{Parallelism: 8, CandidateHook: cancelAfter(3, cancel)})
+		_, err := core.MinimizeOpt(ctx, sc, core.MinimizeOptions{CandidateHook: cancelAfter(3, cancel)})
 		cancel()
 		if !core.ErrCanceled(err) {
 			t.Fatalf("run %d: err = %v, want cancellation", i, err)

@@ -1,9 +1,9 @@
 // Determinism property tests for the candidate engine: the minimal
 // set, the removal order and the equivalence-check count must be
-// bit-identical across every engine configuration — worker count,
-// closure cache on/off, verdict cache cold/warm — and the Workers field
-// must report the fan-out a run actually used, not the configured pool
-// size.
+// bit-identical across every engine configuration — closure cache
+// on/off, verdict cache cold/warm — the pair-comparison count must
+// repeat exactly across runs of one configuration, and Workers must
+// report 1.
 package core_test
 
 import (
@@ -14,13 +14,14 @@ import (
 	"dscweaver/internal/core"
 )
 
-// TestMinimizeDeterminismMatrix sweeps the full engine matrix on the
-// layered conditional workload. The n=512 sweep covers workers ∈
-// {1, 2, 8} × verdict cache off/shared; the
-// closure-cache-off axis runs on the n=64 sweep only, because the
-// naive engine re-derives every closure per candidate and takes
-// minutes at n=512 (it is the baseline this engine exists to beat —
-// see BENCH_minimize.json).
+// TestMinimizeDeterminismMatrix sweeps the engine matrix on the
+// layered conditional workload: repeated runs × verdict cache
+// off/shared at n=512, plus the closure-cache-off axis on the n=64
+// sweep only, because the naive engine re-derives every closure per
+// candidate and takes minutes at n=512 (it is the baseline this engine
+// exists to beat — see BENCH_minimize.json). Every full cached run must
+// also repeat the reference run's PairComparisons: the tally depends on
+// the input alone.
 func TestMinimizeDeterminismMatrix(t *testing.T) {
 	for _, n := range []int{64, 512} {
 		n := n
@@ -29,7 +30,7 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 				t.Skip("large workload skipped in -short mode")
 			}
 			sc := conditionalWorkload(t, n)
-			ref, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{Parallelism: 1})
+			ref, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,11 +40,10 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 
 			vc := core.NewVerdictCache(0)
 			vcRuns := 0
-			for _, workers := range []int{1, 2, 8} {
+			for run := 1; run <= 3; run++ {
 				for _, cache := range []*core.VerdictCache{nil, vc} {
-					opts := core.MinimizeOptions{Parallelism: workers, VerdictCache: cache}
-					name := fmt.Sprintf("workers=%d/vcache=%v", workers, cache != nil)
-					res, err := core.MinimizeOpt(context.Background(), sc, opts)
+					name := fmt.Sprintf("run=%d/vcache=%v", run, cache != nil)
+					res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{VerdictCache: cache})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -51,13 +51,16 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 						// A replay runs no equivalence checks, so compare
 						// the outcome, not the work counters.
 						if res.Minimal.String() != ref.Minimal.String() || removedString(res) != removedString(ref) {
-							t.Errorf("%s: replayed result differs from sequential run", name)
+							t.Errorf("%s: replayed result differs from reference run", name)
 						}
 						if res.EquivalenceChecks != 0 {
 							t.Errorf("%s: replayed run reports %d equivalence checks, want 0", name, res.EquivalenceChecks)
 						}
 					} else {
 						requireIdentical(t, name, ref, res)
+						if res.PairComparisons != ref.PairComparisons {
+							t.Errorf("%s: PairComparisons = %d, reference = %d", name, res.PairComparisons, ref.PairComparisons)
+						}
 					}
 					if res.Respeculated != 0 {
 						t.Errorf("%s: Respeculated = %d, want 0", name, res.Respeculated)
@@ -69,28 +72,26 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 						}
 					}
 				}
-				if n <= 64 {
-					// Closure-cache-off axis (the naive Def. 6 engine).
-					opts := core.MinimizeOptions{Parallelism: workers, NoCache: true}
-					name := fmt.Sprintf("workers=%d/nocache", workers)
-					res, err := core.MinimizeOpt(context.Background(), sc, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					requireIdentical(t, name, ref, res)
-				}
 			}
 			if hits, misses := vc.Hits(), vc.Misses(); hits != int64(vcRuns-1) || misses != 1 {
 				t.Errorf("verdict cache hits/misses = %d/%d, want %d/1", hits, misses, vcRuns-1)
+			}
+			if n <= 64 {
+				// Closure-cache-off axis (the naive Def. 6 engine).
+				res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{NoCache: true})
+				if err != nil {
+					t.Fatalf("nocache: %v", err)
+				}
+				requireIdentical(t, "nocache", ref, res)
 			}
 		})
 	}
 }
 
-// TestMinimizeWorkersEffective: Workers reports the maximum fan-out the
-// run actually exercised, not the configured pool size. A three-activity
-// chain with one redundant shortcut has at most two sweep sources per
-// candidate, so a Parallelism=8 run must not claim 8 workers.
+// TestMinimizeWorkersEffective: every check runs on the calling
+// goroutine, so Workers is 1 — for a full run, for a verdict-cache
+// replay and for the unconditional fast path alike. The fixture is a
+// three-activity chain with one redundant shortcut.
 func TestMinimizeWorkersEffective(t *testing.T) {
 	proc := core.NewProcess("tiny")
 	proc.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque, Writes: []string{"x"}})
@@ -105,21 +106,21 @@ func TestMinimizeWorkersEffective(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{Parallelism: 8})
+	res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Removed) != 1 {
 		t.Fatalf("removed %d constraints, want the shortcut only: %+v", len(res.Removed), res.Removed)
 	}
-	if res.Workers < 1 || res.Workers > 2 {
-		t.Errorf("Workers = %d, want the effective fan-out in [1, 2] — not the configured 8", res.Workers)
+	if res.Workers != 1 {
+		t.Errorf("Workers = %d, want 1", res.Workers)
 	}
 
 	// A verdict-cache replay runs no checks at all and must say so.
 	vc := core.NewVerdictCache(0)
 	for i := 0; i < 2; i++ {
-		if res, err = core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{Parallelism: 8, VerdictCache: vc}); err != nil {
+		if res, err = core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{VerdictCache: vc}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,5 +129,12 @@ func TestMinimizeWorkersEffective(t *testing.T) {
 	}
 	if res.Workers != 1 {
 		t.Errorf("replayed run Workers = %d, want 1", res.Workers)
+	}
+
+	if res, err = core.MinimizeUnconditional(sc); err != nil {
+		t.Fatal(err)
+	}
+	if res.Workers != 1 {
+		t.Errorf("MinimizeUnconditional Workers = %d, want 1", res.Workers)
 	}
 }

@@ -40,9 +40,6 @@ func TestMinimizeObservability(t *testing.T) {
 	if got := reg.Counter("minimize_closure_cache_hits_total").Value(); int(got) != res.ClosureCacheHits {
 		t.Errorf("cache-hit counter = %d, result %d", got, res.ClosureCacheHits)
 	}
-	if got := reg.Gauge("minimize_workers").Value(); int(got) != res.Workers {
-		t.Errorf("workers gauge = %d, result %d", got, res.Workers)
-	}
 
 	// The run logs a begin marker and one minimize_end carrying the
 	// whole decision record: no per-candidate events.

@@ -1,9 +1,7 @@
-// Property tests for the parallel, closure-caching minimization
-// engine: for any worker count and cache configuration the minimal
-// set, the removal order and the equivalence-check count must be
-// bit-identical to the sequential naive path, and the result must stay
-// transitive-equivalent to the input. Run with -race to exercise the
-// worker pool under the race detector (CI does).
+// Property tests for the closure-caching minimization engine: with the
+// caches on or off the minimal set, the removal order and the
+// equivalence-check count must be bit-identical to the naive path, and
+// the result must stay transitive-equivalent to the input.
 package core_test
 
 import (
@@ -41,15 +39,15 @@ func removedString(res *core.MinimizeResult) string {
 func requireIdentical(t *testing.T, what string, seq, got *core.MinimizeResult) {
 	t.Helper()
 	if seq.Minimal.String() != got.Minimal.String() {
-		t.Errorf("%s: minimal set differs from sequential run:\nseq:\n%s\ngot:\n%s",
+		t.Errorf("%s: minimal set differs from reference run:\nref:\n%s\ngot:\n%s",
 			what, seq.Minimal, got.Minimal)
 	}
 	if removedString(seq) != removedString(got) {
-		t.Errorf("%s: removal order differs from sequential run:\nseq:\n%s\ngot:\n%s",
+		t.Errorf("%s: removal order differs from reference run:\nref:\n%s\ngot:\n%s",
 			what, removedString(seq), removedString(got))
 	}
 	if seq.EquivalenceChecks != got.EquivalenceChecks {
-		t.Errorf("%s: EquivalenceChecks = %d, sequential = %d",
+		t.Errorf("%s: EquivalenceChecks = %d, reference = %d",
 			what, got.EquivalenceChecks, seq.EquivalenceChecks)
 	}
 }
@@ -63,11 +61,11 @@ func TestMinimizeParallelMatchesSequential(t *testing.T) {
 			}
 			sc := conditionalWorkload(t, n)
 
-			// Cached sequential run is the reference; the naive
-			// (seed-algorithm) cross-check runs only on the smaller
-			// sizes — it re-derives every closure per candidate and
-			// dominates wall-clock at n=256.
-			ref, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{Parallelism: 1})
+			// The cached run is the reference; the naive (seed-algorithm)
+			// cross-check runs only on the smaller sizes — it re-derives
+			// every closure per candidate and dominates wall-clock at
+			// n=256.
+			ref, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,46 +77,25 @@ func TestMinimizeParallelMatchesSequential(t *testing.T) {
 			if n >= 64 && ref.CondMemoHits == 0 {
 				t.Error("reference run: condition-equality memo never hit")
 			}
-			variants := []struct {
-				name string
-				opts core.MinimizeOptions
-			}{
-				{"cached-parallel-8", core.MinimizeOptions{Parallelism: 8}},
-			}
 			if n <= 64 {
-				variants = append(variants,
-					struct {
-						name string
-						opts core.MinimizeOptions
-					}{"naive-sequential", core.MinimizeOptions{Parallelism: 1, NoCache: true}},
-					struct {
-						name string
-						opts core.MinimizeOptions
-					}{"nocache-parallel-8", core.MinimizeOptions{Parallelism: 8, NoCache: true}})
-			}
-			results := map[string]*core.MinimizeResult{"cached-sequential": ref}
-			for _, variant := range variants {
-				res, err := core.MinimizeOpt(context.Background(), sc, variant.opts)
+				naive, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{NoCache: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireIdentical(t, variant.name, ref, res)
-				if variant.opts.NoCache && (res.ClosureCacheHits != 0 || res.CondMemoHits != 0) {
-					t.Errorf("%s: cache counters nonzero with NoCache: %+v", variant.name, res)
+				requireIdentical(t, "naive", ref, naive)
+				if naive.ClosureCacheHits != 0 || naive.CondMemoHits != 0 {
+					t.Errorf("naive: cache counters nonzero with NoCache: %+v", naive)
 				}
-				results[variant.name] = res
 			}
 
-			// Both engines' results must stay transitive-equivalent to
-			// the input (Definition 5).
-			for _, name := range []string{"cached-sequential", "cached-parallel-8"} {
-				eq, err := core.Equivalent(sc, results[name].Minimal)
-				if err != nil {
-					t.Fatalf("%s: Equivalent: %v", name, err)
-				}
-				if !eq {
-					t.Errorf("%s: minimal set not equivalent to input", name)
-				}
+			// The result must stay transitive-equivalent to the input
+			// (Definition 5).
+			eq, err := core.Equivalent(sc, ref.Minimal)
+			if err != nil {
+				t.Fatalf("Equivalent: %v", err)
+			}
+			if !eq {
+				t.Error("minimal set not equivalent to input")
 			}
 		})
 	}
@@ -126,8 +103,7 @@ func TestMinimizeParallelMatchesSequential(t *testing.T) {
 
 // TestMinimizeParallelPurchasing pins the acceptance fixture: the
 // paper's purchasing process minimizes to the same 17 constraints and
-// the same removal order (23 removals from the merged catalog's view)
-// for every engine configuration.
+// the same removal order with the caches on as with the naive engine.
 func TestMinimizeParallelPurchasing(t *testing.T) {
 	_, asc, seqRes, err := purchasing.Pipeline()
 	if err != nil {
@@ -136,19 +112,17 @@ func TestMinimizeParallelPurchasing(t *testing.T) {
 	if seqRes.Minimal.Len() != 17 {
 		t.Fatalf("purchasing minimal = %d constraints, want 17", seqRes.Minimal.Len())
 	}
-	naive, err := core.MinimizeOpt(context.Background(), asc, core.MinimizeOptions{Parallelism: 1, NoCache: true})
+	naive, err := core.MinimizeOpt(context.Background(), asc, core.MinimizeOptions{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		res, err := core.MinimizeOpt(context.Background(), asc, core.MinimizeOptions{Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("workers=%d", workers), naive, res)
-		if res.Minimal.Len() != 17 {
-			t.Errorf("workers=%d: minimal = %d constraints, want 17", workers, res.Minimal.Len())
-		}
+	res, err := core.MinimizeOpt(context.Background(), asc, core.MinimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "cached", naive, res)
+	if res.Minimal.Len() != 17 {
+		t.Errorf("cached: minimal = %d constraints, want 17", res.Minimal.Len())
 	}
 }
 
@@ -166,8 +140,8 @@ func TestAdapterParallelMatchesSequential(t *testing.T) {
 		name string
 		opts core.MinimizeOptions
 	}{
-		{"sequential-nocache", core.MinimizeOptions{Parallelism: 1, NoCache: true}},
-		{"parallel-cached", core.MinimizeOptions{Parallelism: 8}},
+		{"nocache", core.MinimizeOptions{NoCache: true}},
+		{"cached", core.MinimizeOptions{}},
 	} {
 		a, err := core.NewAdapterOpt(w.Proc, w.Deps, cfg.opts)
 		if err != nil {
@@ -178,8 +152,8 @@ func TestAdapterParallelMatchesSequential(t *testing.T) {
 		}
 		minimals[cfg.name] = a.Minimal().String()
 	}
-	if minimals["sequential-nocache"] != minimals["parallel-cached"] {
-		t.Errorf("adapter minimal views diverge:\nseq:\n%s\npar:\n%s",
-			minimals["sequential-nocache"], minimals["parallel-cached"])
+	if minimals["nocache"] != minimals["cached"] {
+		t.Errorf("adapter minimal views diverge:\nnocache:\n%s\ncached:\n%s",
+			minimals["nocache"], minimals["cached"])
 	}
 }

@@ -67,11 +67,11 @@ func TestPairWindowSweepMatchesFullSweep(t *testing.T) {
 func TestPairTestFallbackMatchesNaive(t *testing.T) {
 	fallback := false
 	for _, w := range windowWorkloads(t)[:2] {
-		res, err := core.MinimizeOpt(context.Background(), w.sc, core.MinimizeOptions{Parallelism: 1})
+		res, err := core.MinimizeOpt(context.Background(), w.sc, core.MinimizeOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
-		naive, err := core.MinimizeOpt(context.Background(), w.sc, core.MinimizeOptions{Parallelism: 1, NoCache: true})
+		naive, err := core.MinimizeOpt(context.Background(), w.sc, core.MinimizeOptions{NoCache: true})
 		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}

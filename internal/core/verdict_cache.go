@@ -26,10 +26,9 @@ const DefaultVerdictCacheEntries = 256
 // Keying on content rather than identity means the cache survives
 // re-parsing: any route to the same constraint set — the same DSCL
 // source, a structurally identical JSON request — lands on the same
-// entry. Engine knobs (Parallelism, NoCache) are
-// deliberately excluded from the key: they never change the removal
-// sequence, only how fast it is computed, so all configurations share
-// entries. StrictAnnotations changes the equivalence relation and is
+// entry. The engine knob NoCache is deliberately excluded from the
+// key: it never changes the removal sequence, only how fast it is
+// computed, so both configurations share entries. StrictAnnotations changes the equivalence relation and is
 // part of the key.
 type VerdictCache struct {
 	mu      sync.Mutex

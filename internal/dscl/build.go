@@ -254,13 +254,12 @@ func (d *Document) Weave() (*core.ConstraintSet, *core.MinimizeResult, error) {
 	return d.WeaveOpt(core.MinimizeOptions{})
 }
 
-// WeaveOpt is Weave with explicit minimization options (parallelism,
-// cache configuration, observability); the minimal set is identical
-// for every engine configuration.
+// WeaveOpt is Weave with explicit minimization options (cache
+// configuration, observability); the minimal set is identical for
+// every engine configuration.
 func (d *Document) WeaveOpt(opts core.MinimizeOptions) (*core.ConstraintSet, *core.MinimizeResult, error) {
 	res, err := weave.Run(context.Background(), weave.Input{Parsed: d.Parsed()}, weave.Options{
 		Guards:            opts.Guards,
-		Parallelism:       opts.Parallelism,
 		NoCache:           opts.NoCache,
 		StrictAnnotations: opts.StrictAnnotations,
 		Metrics:           opts.Metrics,

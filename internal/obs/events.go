@@ -42,8 +42,10 @@ type Event struct {
 // Decision records what one minimization run decided: how many
 // candidates it had, the equivalence checks and pair comparisons it
 // ran (both 0 when the verdict cache served the run), and the removed
-// constraints in removal order. On a canceled run it covers the
-// candidates decided before the abort.
+// constraints in removal order. Every field is a function of the input
+// and the engine configuration: two runs that decide the same set
+// record the same Decision. On a canceled run it covers the candidates
+// decided before the abort.
 type Decision struct {
 	Candidates int      `json:"candidates"`
 	Checks     int      `json:"checks"`

@@ -2,7 +2,7 @@
 // abort the weave mid-minimize and free its pool slot, and Shutdown's
 // drain escalation must abort stuck weaves within the grace window
 // instead of waiting them out. Run with -race: both tests cancel while
-// the minimizer's worker pool is live.
+// the minimizer is mid-sweep.
 package server_test
 
 import (

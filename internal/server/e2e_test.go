@@ -77,9 +77,8 @@ func TestServerEndToEnd(t *testing.T) {
 	src := purchasingSource(t)
 	storeDir := t.TempDir()
 	s, err := server.New(server.Config{
-		StoreDir:         storeDir,
-		WeaveParallelism: 2,
-		Buckets:          map[string][]float64{"server_request_seconds": {0.01, 0.1, 1, 10}},
+		StoreDir: storeDir,
+		Buckets:  map[string][]float64{"server_request_seconds": {0.01, 0.1, 1, 10}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +250,11 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	// Removed engine knobs are unknown fields now: the speculative
 	// minimizer, the parallel soundness explorer, the full-graph escape
-	// hatch and the naive minimizer are no longer selectable per request.
-	for field, val := range map[string]any{"no_speculation": true, "validate_parallel": 2, "no_reduction": true, "no_cache": true} {
-		if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, field: val}, nil); code != http.StatusBadRequest {
-			t.Errorf("removed %s field: %d, want 400", field, code)
+	// hatch, the naive minimizer and the minimizer worker count are no
+	// longer selectable per request.
+	for field, val := range map[string]any{"no_speculation": true, "validate_parallel": 2, "no_reduction": true, "no_cache": true, "parallelism": 4} {
+		if code, body := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, field: val}, nil); code != http.StatusBadRequest || !strings.Contains(body, "unknown field") {
+			t.Errorf("removed %s field: %d %s, want the unknown-field 400", field, code, body)
 		}
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/weave", map[string]any{"source": src, "lang": "xml"}, nil); code != http.StatusBadRequest {

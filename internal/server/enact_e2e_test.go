@@ -13,7 +13,7 @@ import (
 
 func newEnactServer(t *testing.T) (*httptest.Server, *server.Server) {
 	t.Helper()
-	s, err := server.New(server.Config{WeaveParallelism: 2})
+	s, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func listRuns(t *testing.T, base string) []server.RunSummary {
 // in-band error — no retry storm, no partial run left behind.
 func TestEnactFabricToken(t *testing.T) {
 	newTokenServer := func(token string) *httptest.Server {
-		s, err := server.New(server.Config{WeaveParallelism: 2, FabricToken: token})
+		s, err := server.New(server.Config{FabricToken: token})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ var (
 
 func fuzzServerInstance(t interface{ Fatal(...any) }) *Server {
 	fuzzOnce.Do(func() {
-		s, err := New(Config{WeaveParallelism: 1})
+		s, err := New(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,9 +69,6 @@ func FuzzWeaveRequestDecoder(f *testing.F) {
 		}
 		if q.Source == "" {
 			t.Fatalf("validate() let an empty source through: %q", body)
-		}
-		if q.Parallelism < 0 || q.Parallelism > maxParallelism {
-			t.Fatalf("validate() let parallelism %d through", q.Parallelism)
 		}
 		// Decoded requests feed the pipeline; cap the source so fuzz
 		// throughput stays on the decoder and parser, not the minimizer.

@@ -280,10 +280,12 @@ func TestLoadConfigHardeningKnobs(t *testing.T) {
 // removed key fails to load instead of being silently ignored.
 // validate_parallel went with the parallel soundness explorer; the
 // events_path and log_* keys went with the rotating event log, whose
-// job the run store (store_dir) does.
+// job the run store (store_dir) does; weave_parallelism went with the
+// minimizer worker pool.
 func TestLoadConfigRejectsRemovedKeys(t *testing.T) {
 	for _, tc := range []struct{ key, body string }{
 		{"validate_parallel", `{"validate_parallel": 2}`},
+		{"weave_parallelism", `{"weave_parallelism": 2}`},
 		{"events_path", `{"events_path": "/tmp/events.jsonl"}`},
 		{"log_max_bytes", `{"log_max_bytes": 4096}`},
 		{"log_max_age", `{"log_max_age": "1h"}`},

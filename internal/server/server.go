@@ -64,9 +64,6 @@ type Config struct {
 	// ShutdownGrace bounds Shutdown's drain of in-flight requests
 	// (default 10s).
 	ShutdownGrace time.Duration
-	// WeaveParallelism is the default minimizer worker count per weave
-	// (0 = GOMAXPROCS, the minimizer's own default).
-	WeaveParallelism int
 	// WeaveConcurrency bounds concurrently running pipeline requests
 	// (weave, simulate, enact, enact_join) — the worker pool (default
 	// GOMAXPROCS).
@@ -177,7 +174,6 @@ type fileConfig struct {
 	MaxBodyBytes     int64                `json:"max_body_bytes"`
 	RequestTimeout   string               `json:"request_timeout"`
 	ShutdownGrace    string               `json:"shutdown_grace"`
-	WeaveParallelism int                  `json:"weave_parallelism"`
 	WeaveConcurrency int                  `json:"weave_concurrency"`
 	VerdictCacheSize int                  `json:"verdict_cache_size"`
 	QueueWait        string               `json:"queue_wait"`
@@ -211,7 +207,6 @@ func LoadConfig(path string) (Config, error) {
 	c = Config{
 		Addr:              fc.Addr,
 		MaxBodyBytes:      fc.MaxBodyBytes,
-		WeaveParallelism:  fc.WeaveParallelism,
 		WeaveConcurrency:  fc.WeaveConcurrency,
 		VerdictCacheSize:  fc.VerdictCacheSize,
 		MaxHeaderBytes:    fc.MaxHeaderBytes,

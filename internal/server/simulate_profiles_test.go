@@ -15,7 +15,7 @@ import (
 
 func newTestServer(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
-	s, err := server.New(server.Config{WeaveParallelism: 2})
+	s, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -166,17 +167,19 @@ func TestServerStoreBeyondRingAndRestart(t *testing.T) {
 // the answer, not with the candidates. A 16x16 process decides over a
 // thousand candidates, yet its run holds a few pipeline events and one
 // minimize_end whose decision record lists the removed constraints in
-// the order the minimizer removed them.
+// the order the minimizer removed them. With the verdict cache off, a
+// second weave of the same process decides every candidate again and
+// must store the identical decision record, pair count included.
 func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 	w := workload.Layered(16, 16, 0.3, 1).WithShortcuts(16).WithDecisions(1)
 	src := dscl.PrintDocument(&dscl.Document{Proc: w.Proc, Deps: w.Deps, Extra: core.NewConstraintSet(w.Proc)})
 	dir := t.TempDir()
-	s, err := server.New(server.Config{StoreDir: dir})
+	s, err := server.New(server.Config{StoreDir: dir, VerdictCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	var wv server.WeaveResponse
+	var wv, again server.WeaveResponse
 	code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &wv)
 	if code != http.StatusOK {
 		t.Fatalf("weave: %d %s", code, raw)
@@ -184,6 +187,12 @@ func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 	code, served := getBody(t, fmt.Sprintf("%s/v1/runs/%s/events", ts.URL, wv.RunID))
 	if code != http.StatusOK {
 		t.Fatalf("events: %d", code)
+	}
+	if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &again); code != http.StatusOK {
+		t.Fatalf("second weave: %d %s", code, raw)
+	}
+	if again.VerdictCacheHit {
+		t.Fatal("second weave replayed a verdict with the verdict cache off")
 	}
 	if err := s.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -195,40 +204,50 @@ func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	stored, err := st.Events(wv.RunID)
-	if err != nil {
-		t.Fatal(err)
+	// storedDecision reads a run's stored log and returns it with the
+	// decision record of its minimize_end.
+	storedDecision := func(runID string) (*bytes.Buffer, int, *obs.Decision) {
+		t.Helper()
+		stored, err := st.Events(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		for _, line := range stored {
+			log.Write(line)
+			log.WriteByte('\n')
+		}
+		evs, err := obs.ReadJSONL(bytes.NewReader(log.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decision *obs.Decision
+		for _, e := range evs {
+			if e.Kind == obs.EvMinimizeEnd {
+				decision = e.Decision
+			}
+		}
+		if decision == nil {
+			t.Fatalf("run %s: no minimize_end decision record in the stored log", runID)
+		}
+		return &log, len(stored), decision
 	}
-	if len(stored) > 32 {
-		t.Errorf("stored log holds %d events, want at most 32", len(stored))
-	}
-	var replay bytes.Buffer
-	for _, line := range stored {
-		replay.Write(line)
-		replay.WriteByte('\n')
+	replay, events, decision := storedDecision(wv.RunID)
+	if events > 32 {
+		t.Errorf("stored log holds %d events, want at most 32", events)
 	}
 	if replay.String() != served {
 		t.Errorf("stored log differs from the served one (%d vs %d bytes)", replay.Len(), len(served))
 	}
+	if _, _, second := storedDecision(again.RunID); !reflect.DeepEqual(second, decision) {
+		t.Errorf("second weave stored decision %+v, first %+v", second, decision)
+	}
 
-	evs, err := obs.ReadJSONL(&replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decision *obs.Decision
-	for _, e := range evs {
-		if e.Kind == obs.EvMinimizeEnd {
-			decision = e.Decision
-		}
-	}
-	if decision == nil {
-		t.Fatal("no minimize_end decision record in the stored log")
-	}
 	ref, err := weave.Run(context.Background(), weave.Input{Source: src}, weave.Options{Frontend: front.DSCL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MinimizeOpt(context.Background(), ref.Translated, core.MinimizeOptions{Parallelism: 1})
+	want, err := core.MinimizeOpt(context.Background(), ref.Translated, core.MinimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +261,10 @@ func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 	if decision.Candidates != want.EquivalenceChecks {
 		t.Errorf("decision covers %d candidates, the reference run checked %d", decision.Candidates, want.EquivalenceChecks)
 	}
-	t.Logf("%d candidates, %d removed, %d stored events (%d bytes)", decision.Candidates, len(decision.Removed), len(stored), len(served))
+	if decision.Pairs != want.PairComparisons {
+		t.Errorf("decision records %d pair comparisons, the reference run made %d", decision.Pairs, want.PairComparisons)
+	}
+	t.Logf("%d candidates, %d removed, %d pairs, %d stored events (%d bytes)", decision.Candidates, len(decision.Removed), decision.Pairs, events, len(served))
 }
 
 // TestServerRunsLimitNewestFirstWithLargeRing: with a store attached

@@ -11,10 +11,6 @@ import (
 	"dscweaver/internal/weave/front"
 )
 
-// maxParallelism caps the per-request minimizer worker count so a
-// client cannot ask one weave for thousands of goroutines.
-const maxParallelism = 256
-
 // WeaveRequest is the body of POST /v1/weave (and, embedded, of
 // /v1/simulate): a process description plus pipeline options.
 type WeaveRequest struct {
@@ -29,9 +25,6 @@ type WeaveRequest struct {
 	// Structured folds unconditional chains into <sequence> constructs.
 	BPEL       bool `json:"bpel,omitempty"`
 	Structured bool `json:"structured,omitempty"`
-	// Parallelism overrides the server's minimizer worker count for
-	// this request (0 = server default, capped at 256).
-	Parallelism int `json:"parallelism,omitempty"`
 	// MaxStates bounds the soundness exploration for this request
 	// (0 = the petri default, 1<<20).
 	MaxStates int `json:"max_states,omitempty"`
@@ -43,9 +36,6 @@ func (q *WeaveRequest) validate() error {
 	}
 	if _, err := front.ByLang(q.Lang); err != nil {
 		return fmt.Errorf("unknown lang %q (want dscl or seqlang)", q.Lang)
-	}
-	if q.Parallelism < 0 || q.Parallelism > maxParallelism {
-		return fmt.Errorf("parallelism %d out of range [0, %d]", q.Parallelism, maxParallelism)
 	}
 	if q.MaxStates < 0 {
 		return fmt.Errorf("max_states %d must be ≥ 0", q.MaxStates)
@@ -97,13 +87,8 @@ type WeaveResponse struct {
 // validating the executed trace instead).
 func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) weave.Options {
 	fe, _ := front.ByLang(q.Lang) // lang was validated at decode time
-	parallelism := q.Parallelism
-	if parallelism == 0 {
-		parallelism = s.cfg.WeaveParallelism
-	}
 	opts := weave.Options{
 		Frontend:     fe,
-		Parallelism:  parallelism,
 		VerdictCache: s.vcache,
 		Metrics:      s.reg,
 		Events:       sink,

@@ -76,12 +76,15 @@ type Options struct {
 	// minimizer (nil derives guards from the constraint set, the
 	// normal case).
 	Guards map[core.Node]cond.Expr
-	// Parallelism / NoCache tune the minimizer engine exactly as
-	// core.MinimizeOptions does; neither changes the minimal set.
-	// StrictAnnotations selects the strict-comparison ablation.
-	Parallelism       int
+	// NoCache tunes the minimizer engine exactly as core.MinimizeOptions
+	// does; it never changes the minimal set. StrictAnnotations selects
+	// the strict-comparison ablation.
 	NoCache           bool
 	StrictAnnotations bool
+	// Parallelism is ignored: the minimizer decides every candidate on
+	// the calling goroutine. The field remains for callers that still
+	// set it.
+	Parallelism int
 
 	// VerdictCache, when non-nil, lets repeated runs over the same
 	// desugared constraint set skip Definition 6 entirely: the minimize
@@ -368,7 +371,6 @@ func (p *Pipeline) translate(ctx context.Context, res *Result) error {
 func (p *Pipeline) minimize(ctx context.Context, res *Result) error {
 	min, err := core.MinimizeOpt(ctx, res.Translated, core.MinimizeOptions{
 		Guards:            p.opts.Guards,
-		Parallelism:       p.opts.Parallelism,
 		NoCache:           p.opts.NoCache,
 		VerdictCache:      p.opts.VerdictCache,
 		StrictAnnotations: p.opts.StrictAnnotations,

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
 # Runs the minimizer benchmark sweep and writes BENCH_minimize.json:
-# one record per BenchmarkMinimizeParallel row with the workload size,
-# worker count, engine configuration (closure cache, verdict cache),
-# ns/op, annotated-closure pair comparisons, closure-cache hits and
-# the cross-run verdict-cache hit rate. Also runs the scheduler
+# one record per BenchmarkMinimize row with the workload size, engine
+# configuration (closure cache, verdict cache), ns/op,
+# annotated-closure pair comparisons, closure-cache hits and the
+# cross-run verdict-cache hit rate. Also runs the scheduler
 # observability-overhead and no-fault retry-overhead benchmarks and
 # writes BENCH_schedule.json with the obs=off/obs=on and
 # retry=off/retry=on ns/op pairs and their overhead percentages. Finally
 # runs the dscweaverd weave-throughput benchmark and writes
-# BENCH_server.json with req/sec at minimizer parallelism 1 vs
-# GOMAXPROCS, the weave pipeline stage benchmark into
-# BENCH_weave.json with the per-stage ns/op breakdown, and the
-# soundness-kernel comparison into BENCH_soundness.json with one record
-# per kernel/net pair. Each soundness record is stamped with the host
-# that produced it: nproc, the benchmark's GOMAXPROCS, the Go version
-# and the commit (suffixed -dirty when the tree has local changes).
+# BENCH_server.json with its req/sec, the weave pipeline stage
+# benchmark into BENCH_weave.json with the per-stage ns/op breakdown,
+# and the soundness-kernel comparison into BENCH_soundness.json with
+# one record per kernel/net pair. Each minimize, server and soundness
+# record is stamped with the host that produced it: nproc, the
+# benchmark's GOMAXPROCS, the Go version and the commit (suffixed
+# -dirty when the tree has local changes).
 # dscweaverd's end-to-end load figures come from perfbench instead
 # (bash perfbench/run.sh --workload serve-mixed ...).
 #
@@ -40,17 +40,24 @@ sched_benchtime="${SCHED_BENCHTIME:-20x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkMinimizeParallel' -benchtime "$benchtime" -timeout 0 . | tee "$raw"
+commit="$(git rev-parse HEAD)"
+git diff --quiet HEAD -- || commit="$commit-dirty"
+# Host stamp awk options; a record's GOMAXPROCS comes from its name,
+# which go test suffixes with -GOMAXPROCS unless it is 1.
+stamp=(-v nproc="$(nproc)" -v gover="$(go env GOVERSION)" -v commit="$commit")
 
-awk '
-/^BenchmarkMinimizeParallel\// {
+go test -run '^$' -bench '^BenchmarkMinimize$' -benchtime "$benchtime" -timeout 0 . | tee "$raw"
+
+awk "${stamp[@]}" '
+/^BenchmarkMinimize\// {
     name = $1
+    gomaxprocs = 1
+    if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
-    n = 0; workers = 0; cache = "true"; vcache = "false"
+    n = 0; cache = "true"; vcache = "false"
     split(name, parts, "/")
     for (i in parts) {
         if (parts[i] ~ /^activities=/) { split(parts[i], kv, "="); n = kv[2] }
-        if (parts[i] ~ /^workers=/)    { split(parts[i], kv, "="); workers = kv[2] }
         if (parts[i] == "nocache")     { cache = "false" }
         if (parts[i] == "vcache")      { vcache = "true" }
     }
@@ -62,8 +69,8 @@ awk '
         if ($(i+1) == "vcachehits/op") vrate = $i
     }
     if (ns == 0) next
-    rec = sprintf("  {\"name\": \"%s\", \"activities\": %d, \"workers\": %d, \"cache\": %s, \"verdict_cache\": %s, \"ns_per_op\": %.0f, \"pair_comparisons\": %.0f, \"cache_hits\": %.0f, \"verdict_cache_hit_rate\": %.2f}",
-                  name, n, workers, cache, vcache, ns, pairs, hits, vrate)
+    rec = sprintf("  {\"name\": \"%s\", \"activities\": %d, \"cache\": %s, \"verdict_cache\": %s, \"ns_per_op\": %.0f, \"pair_comparisons\": %.0f, \"cache_hits\": %.0f, \"verdict_cache_hit_rate\": %.2f, \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\"}",
+                  name, n, cache, vcache, ns, pairs, hits, vrate, nproc, gomaxprocs, gover, commit)
     recs[++count] = rec
 }
 END {
@@ -113,24 +120,21 @@ server_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw" "$server_raw"' EXIT
 server_benchtime="${SERVER_BENCHTIME:-10x}"
 
-go test -run '^$' -bench 'BenchmarkServerWeave' -benchtime "$server_benchtime" -timeout 0 . | tee "$server_raw"
+go test -run '^$' -bench '^BenchmarkServerWeave$' -benchtime "$server_benchtime" -timeout 0 . | tee "$server_raw"
 
-awk '
-/^BenchmarkServerWeave\// {
+awk "${stamp[@]}" '
+/^BenchmarkServerWeave(-[0-9]+)?[ \t]/ {
     name = $1
+    gomaxprocs = 1
+    if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
-    parallel = 0
-    split(name, parts, "/")
-    for (i in parts) {
-        if (parts[i] ~ /^parallel=/) { split(parts[i], kv, "="); parallel = kv[2] }
-    }
     ns = 0
     for (i = 3; i < NF; i += 2) {
         if ($(i+1) == "ns/op") ns = $i
     }
     if (ns == 0) next
-    recs[++count] = sprintf("  {\"name\": \"%s\", \"parallelism\": %d, \"ns_per_op\": %.0f, \"req_per_sec\": %.1f}",
-                            name, parallel, ns, 1e9 / ns)
+    recs[++count] = sprintf("  {\"name\": \"%s\", \"ns_per_op\": %.0f, \"req_per_sec\": %.1f, \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\"}",
+                            name, ns, 1e9 / ns, nproc, gomaxprocs, gover, commit)
 }
 END {
     if (count == 0) { print "missing server benchmark rows" > "/dev/stderr"; exit 1 }
@@ -186,13 +190,9 @@ soundness_benchtime="${SOUNDNESS_BENCHTIME:-10x}"
 
 go test -run '^$' -bench 'BenchmarkSoundness' -benchtime "$soundness_benchtime" -timeout 0 . | tee "$soundness_raw"
 
-commit="$(git rev-parse HEAD)"
-git diff --quiet HEAD -- || commit="$commit-dirty"
-
-awk -v nproc="$(nproc)" -v gover="$(go env GOVERSION)" -v commit="$commit" '
+awk "${stamp[@]}" '
 /^BenchmarkSoundness\// {
     name = $1
-    # go test suffixes the name with -GOMAXPROCS unless it is 1.
     gomaxprocs = 1
     if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
