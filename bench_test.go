@@ -794,6 +794,25 @@ func BenchmarkWeavePipelineStages(b *testing.B) {
 			return weave.Run(context.Background(), weave.Input{Parsed: parsed}, weave.Options{})
 		})
 	})
+	// The weave-heavy request shape: a 16x16 one-decision process
+	// rendered as DSCL, so every op pays parse through bpel on a fresh
+	// source. Sources rotate over a fixed seed list and no verdict
+	// cache is attached, as each weave-heavy request is unique.
+	b.Run("heavy/16x16", func(b *testing.B) {
+		srcs := make([]string, 8)
+		for i := range srcs {
+			w := workload.Layered(16, 16, 0.3, int64(i+1)).WithShortcuts(16).WithDecisions(1)
+			srcs[i] = dscl.PrintDocument(&dscl.Document{Proc: w.Proc, Deps: w.Deps, Extra: core.NewConstraintSet(w.Proc)})
+		}
+		opts := weave.Options{Frontend: front.DSCL, Validate: true, BPEL: true}
+		b.ReportAllocs()
+		b.ResetTimer()
+		k := 0
+		report(b, func() (*weave.Result, error) {
+			k++
+			return weave.Run(context.Background(), weave.Input{Source: srcs[k%len(srcs)]}, opts)
+		})
+	})
 }
 
 // BenchmarkServerWeave measures dscweaverd's weave request throughput

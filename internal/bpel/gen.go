@@ -81,7 +81,8 @@ func Generate(sc *core.ConstraintSet) (*Process, error) {
 	for _, a := range proc.Activities() {
 		commons[a.ID] = &Common{Name: string(a.ID)}
 	}
-	for i, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		switch c.Rel {
 		case core.Exclusive:
 			return nil, fmt.Errorf("bpel: Exclusive constraint %s has no BPEL link encoding; execute with the scheduling engine", c)

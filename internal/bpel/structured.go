@@ -41,7 +41,8 @@ func GenerateStructured(sc *core.ConstraintSet, guards map[core.Node]cond.Expr) 
 	next := map[core.ActivityID]core.ActivityID{}
 	foldable := map[core.ActivityID]bool{} // u → (u,next[u]) foldable
 	linkIdx := map[[2]core.ActivityID]int{}
-	for i, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		if c.Rel != core.HappenBefore {
 			continue
 		}

@@ -20,6 +20,7 @@ package cond
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,8 +62,12 @@ type Expr struct {
 	terms []term
 }
 
+// trueTerms is True's one empty term. Expressions are immutable, so
+// every True shares it; its capacity of one makes any append copy.
+var trueTerms = []term{{}}
+
 // True returns the expression satisfied by every assignment.
-func True() Expr { return Expr{terms: []term{{}}} }
+func True() Expr { return Expr{terms: trueTerms} }
 
 // False returns the unsatisfiable expression.
 func False() Expr { return Expr{} }
@@ -98,7 +103,13 @@ func (e Expr) IsFalse() bool { return len(e.terms) == 0 }
 func normalizeTerm(lits []Literal) (term, bool) {
 	t := make(term, len(lits))
 	copy(t, lits)
-	sort.Slice(t, func(i, j int) bool { return compareLiterals(t[i], t[j]) < 0 })
+	return normalizeOwnedTerm(t)
+}
+
+// normalizeOwnedTerm is normalizeTerm on a slice the caller hands
+// over: it sorts and deduplicates t in place.
+func normalizeOwnedTerm(t term) (term, bool) {
+	slices.SortFunc(t, compareLiterals)
 	out := t[:0]
 	for i, l := range t {
 		if i > 0 && l == t[i-1] {
@@ -163,7 +174,7 @@ func normalize(ts []term) Expr {
 			kept = append(kept, t)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return compareTerms(kept[i], kept[j]) < 0 })
+	slices.SortFunc(kept, compareTerms)
 	out := kept[:0]
 	for i, t := range kept {
 		if i > 0 && compareTerms(t, kept[i-1]) == 0 {
@@ -187,20 +198,24 @@ func Or(es ...Expr) Expr {
 }
 
 // And returns the conjunction of the operands, distributing over the
-// DNF terms. Contradictory cross-terms are dropped.
+// DNF terms. Contradictory cross-terms are dropped. True operands are
+// the identity and are skipped.
 func And(es ...Expr) Expr {
-	acc := []term{{}}
+	acc := trueTerms
 	for _, e := range es {
 		if e.IsFalse() {
 			return False()
 		}
-		var next []term
+		if e.IsTrue() {
+			continue
+		}
+		next := make([]term, 0, len(acc)*len(e.terms))
 		for _, a := range acc {
 			for _, b := range e.terms {
-				merged := make([]Literal, 0, len(a)+len(b))
+				merged := make(term, 0, len(a)+len(b))
 				merged = append(merged, a...)
 				merged = append(merged, b...)
-				if t, ok := normalizeTerm(merged); ok {
+				if t, ok := normalizeOwnedTerm(merged); ok {
 					next = append(next, t)
 				}
 			}

@@ -171,7 +171,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 	}
 
 	res := &ChangeResult{}
-	newEdges := map[string]bool{}
+	newEdges := map[PairKey]bool{}
 	for _, c := range added {
 		newEdges[c.PairKey()] = true
 	}
@@ -179,7 +179,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 	// Test the new edges first (a new edge may be implied, possibly by
 	// a sibling new edge), then the old edges whose redundancy the
 	// insertion could have changed.
-	for _, c := range candidate.Constraints() {
+	for _, c := range candidate.constraints {
 		if c.Rel != HappenBefore {
 			continue
 		}
@@ -209,7 +209,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 	res.Implied = impliedAll
 
 	rebuilt := NewConstraintSet(a.proc)
-	for _, c := range candidate.Constraints() {
+	for _, c := range candidate.constraints {
 		if c.Rel != HappenBefore {
 			rebuilt.Add(c)
 			continue
@@ -330,12 +330,12 @@ func (a *Adapter) Remove(dep Dependency) (*ChangeResult, error) {
 // from a (by pair), and reports whether a's pairs all survive into b
 // with unchanged conditions (stable=true).
 func diffConstraints(a, b *ConstraintSet) (added []Constraint, stable bool) {
-	aPairs := map[string]Constraint{}
-	for _, c := range a.Constraints() {
+	aPairs := map[PairKey]Constraint{}
+	for _, c := range a.constraints {
 		aPairs[c.PairKey()] = c
 	}
-	bPairs := map[string]bool{}
-	for _, c := range b.Constraints() {
+	bPairs := map[PairKey]bool{}
+	for _, c := range b.constraints {
 		bPairs[c.PairKey()] = true
 		if prev, ok := aPairs[c.PairKey()]; ok {
 			if prev.Cond.String() != c.Cond.String() {

@@ -52,12 +52,15 @@ type pointGraph struct {
 // infinite synchronization sequence, which §4.1 requires be detected
 // at design time) or if guard derivation hits a control cycle.
 func buildPointGraph(sc *ConstraintSet) (*pointGraph, error) {
+	// Size the maps for the common case: three points and two
+	// life-cycle edges per activity, one edge per constraint.
+	nActs, nCons := len(sc.Proc.Activities()), sc.Len()
 	pg := &pointGraph{
 		sc:       sc,
 		doms:     sc.Proc.Domains(),
-		index:    map[Point]int{},
-		conds:    map[[2]int]cond.Expr{},
-		conIndex: map[[2]int]int{},
+		index:    make(map[Point]int, 3*nActs),
+		conds:    make(map[[2]int]cond.Expr, 2*nActs+nCons),
+		conIndex: make(map[[2]int]int, nCons),
 		guards:   map[Node]cond.Expr{},
 		cache:    newClosureCache(),
 		cacheTo:  newClosureCache(),
@@ -110,7 +113,7 @@ func buildPointGraph(sc *ConstraintSet) (*pointGraph, error) {
 		lifecycle(n)
 	}
 
-	for i, c := range sc.Constraints() {
+	for i, c := range sc.constraints {
 		if c.Rel != HappenBefore {
 			continue
 		}
@@ -156,7 +159,7 @@ func buildPointGraph(sc *ConstraintSet) (*pointGraph, error) {
 // minimized set (which may have shed redundant control edges) is
 // judged in the same execution context as its original.
 func (pg *pointGraph) deriveGuards() error {
-	return pg.deriveGuardsFrom(pg.sc.Constraints())
+	return pg.deriveGuardsFrom(pg.sc.constraints)
 }
 
 func (pg *pointGraph) deriveGuardsFrom(constraints []Constraint) error {
@@ -477,7 +480,7 @@ func CoversWithGuards(p, q *ConstraintSet, guards map[Node]cond.Expr) (bool, err
 		return false, err
 	}
 	if guards == nil {
-		union := append(p.Constraints(), q.Constraints()...)
+		union := append(append(make([]Constraint, 0, p.Len()+q.Len()), p.constraints...), q.constraints...)
 		if err := pgP.deriveGuardsFrom(union); err != nil {
 			return false, err
 		}

@@ -49,7 +49,7 @@ func PointOf(id ActivityID, s State) Point {
 
 // String renders "S(recClient_po)" style.
 func (p Point) String() string {
-	return fmt.Sprintf("%s(%s)", p.State, p.Node)
+	return p.State.String() + "(" + p.Node.String() + ")"
 }
 
 func comparePoints(a, b Point) int {
@@ -117,15 +117,21 @@ type Constraint struct {
 func (c Constraint) String() string {
 	arrow := c.Rel.String()
 	if c.Rel == HappenBefore && !c.Cond.IsTrue() {
-		arrow = fmt.Sprintf("→[%s]", c.Cond)
+		arrow = "→[" + c.Cond.String() + "]"
 	}
-	return fmt.Sprintf("%s %s %s", c.From, arrow, c.To)
+	return c.From.String() + " " + arrow + " " + c.To.String()
 }
 
 // PairKey identifies the (relation, endpoints) of a constraint,
 // ignoring conditions; Merge uses it to fold duplicate pairs.
-func (c Constraint) PairKey() string {
-	return fmt.Sprint(int(c.Rel)) + "\x00" + c.From.String() + "\x00" + c.To.String()
+type PairKey struct {
+	Rel      Relation
+	From, To Point
+}
+
+// PairKey returns the constraint's (relation, endpoints) key.
+func (c Constraint) PairKey() PairKey {
+	return PairKey{Rel: c.Rel, From: c.From, To: c.To}
 }
 
 // HasOrigin reports whether dim contributed to the constraint.
@@ -146,12 +152,18 @@ type ConstraintSet struct {
 	Proc *Process
 
 	constraints []Constraint
-	byPair      map[string]int
+	byPair      map[PairKey]int
 }
 
 // NewConstraintSet returns an empty set bound to the process.
 func NewConstraintSet(p *Process) *ConstraintSet {
-	return &ConstraintSet{Proc: p, byPair: map[string]int{}}
+	return &ConstraintSet{Proc: p, byPair: map[PairKey]int{}}
+}
+
+// newConstraintSetSize returns an empty set with room for n
+// constraints, for builders that know their output size up front.
+func newConstraintSetSize(p *Process, n int) *ConstraintSet {
+	return &ConstraintSet{Proc: p, constraints: make([]Constraint, 0, n), byPair: make(map[PairKey]int, n)}
 }
 
 // Add inserts a constraint. A HappenBefore constraint over an existing
@@ -186,35 +198,26 @@ func (s *ConstraintSet) Before(from, to ActivityID, origin Dimension) {
 	})
 }
 
-// Constraints returns the constraints in insertion order (copy).
+// Constraints returns the constraints in insertion order (copy). Hot
+// paths read in place with Len and At instead.
 func (s *ConstraintSet) Constraints() []Constraint {
 	return append([]Constraint(nil), s.constraints...)
 }
 
-// HappenBefores returns only the HappenBefore constraints, which are
-// the ones static optimization manipulates (§4.2 discusses why ⊘ is
-// excluded and ↔ desugared).
-func (s *ConstraintSet) HappenBefores() []Constraint {
-	var out []Constraint
-	for _, c := range s.constraints {
-		if c.Rel == HappenBefore {
-			out = append(out, c)
-		}
-	}
-	return out
-}
+// At returns the i-th constraint in insertion order, 0 <= i < Len().
+func (s *ConstraintSet) At(i int) Constraint { return s.constraints[i] }
 
 // Len returns the number of constraints.
 func (s *ConstraintSet) Len() int { return len(s.constraints) }
 
 // Nodes returns every node referenced by the constraints, sorted.
 func (s *ConstraintSet) Nodes() []Node {
-	seen := map[string]bool{}
+	seen := map[Node]bool{}
 	var out []Node
 	for _, c := range s.constraints {
-		for _, n := range []Node{c.From.Node, c.To.Node} {
-			if k := n.String(); !seen[k] {
-				seen[k] = true
+		for _, n := range [2]Node{c.From.Node, c.To.Node} {
+			if !seen[n] {
+				seen[n] = true
 				out = append(out, n)
 			}
 		}
@@ -255,13 +258,12 @@ func (s *ConstraintSet) HasServiceNodes() bool {
 
 // Clone returns a deep copy sharing the process reference.
 func (s *ConstraintSet) Clone() *ConstraintSet {
-	c := NewConstraintSet(s.Proc)
-	for _, con := range s.constraints {
-		cc := con
-		cc.Origins = append([]Dimension(nil), con.Origins...)
-		cc.Labels = append([]string(nil), con.Labels...)
-		c.byPair[cc.PairKey()] = len(c.constraints)
-		c.constraints = append(c.constraints, cc)
+	c := newConstraintSetSize(s.Proc, len(s.constraints))
+	for i, con := range s.constraints {
+		con.Origins = append([]Dimension(nil), con.Origins...)
+		con.Labels = append([]string(nil), con.Labels...)
+		c.byPair[con.PairKey()] = i
+		c.constraints = append(c.constraints, con)
 	}
 	return c
 }

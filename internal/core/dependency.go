@@ -82,24 +82,31 @@ func (d Dependency) String() string {
 	if d.Dim == Control && d.Branch != "" {
 		arrow = "→c[" + d.Branch + "]"
 	}
-	return fmt.Sprintf("%s %s %s", d.From, arrow, d.To)
+	return d.From.String() + " " + arrow + " " + d.To.String()
 }
 
-// key identifies a dependency for deduplication.
-func (d Dependency) key() string {
-	return d.From.String() + "\x00" + d.To.String() + "\x00" + fmt.Sprint(int(d.Dim)) + "\x00" + d.Branch
+// depKey identifies a dependency for deduplication: everything but
+// its provenance label.
+type depKey struct {
+	from, to Node
+	dim      Dimension
+	branch   string
+}
+
+func (d Dependency) key() depKey {
+	return depKey{from: d.From, to: d.To, dim: d.Dim, branch: d.Branch}
 }
 
 // DependencySet is an ordered, duplicate-free collection of
 // dependencies across all four dimensions.
 type DependencySet struct {
 	deps []Dependency
-	seen map[string]bool
+	seen map[depKey]bool
 }
 
 // NewDependencySet returns an empty set.
 func NewDependencySet() *DependencySet {
-	return &DependencySet{seen: map[string]bool{}}
+	return &DependencySet{seen: map[depKey]bool{}}
 }
 
 // Add inserts a dependency, ignoring exact duplicates. It reports
@@ -153,12 +160,12 @@ func (s *DependencySet) CountByDimension() map[Dimension]int {
 
 // Nodes returns every node mentioned by the set, sorted.
 func (s *DependencySet) Nodes() []Node {
-	seen := map[string]bool{}
+	seen := map[Node]bool{}
 	var out []Node
 	for _, d := range s.deps {
-		for _, n := range []Node{d.From, d.To} {
-			if k := n.String(); !seen[k] {
-				seen[k] = true
+		for _, n := range [2]Node{d.From, d.To} {
+			if !seen[n] {
+				seen[n] = true
 				out = append(out, n)
 			}
 		}

@@ -68,7 +68,7 @@ func ConstraintDOT(name string, sc *ConstraintSet) string {
 	}
 
 	var lines []string
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		attrs := map[string]string{}
 		var labels []string
 		switch c.Rel {

@@ -87,7 +87,7 @@ func ExplainRemovals(res *MinimizeResult) ([]Removal, error) {
 			for _, e := range path {
 				pathCond = cond.And(pathCond, pg.conds[e])
 				if ci, ok := pg.conIndex[e]; ok {
-					rendered = append(rendered, res.Minimal.Constraints()[ci])
+					rendered = append(rendered, res.Minimal.constraints[ci])
 				}
 			}
 			// Skip paths that cannot fire alongside the target or add

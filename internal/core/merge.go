@@ -24,8 +24,8 @@ func Merge(p *Process, deps *DependencySet) (*ConstraintSet, error) {
 	if err := deps.Validate(p); err != nil {
 		return nil, fmt.Errorf("merge: %w", err)
 	}
-	sc := NewConstraintSet(p)
-	for _, d := range deps.All() {
+	sc := newConstraintSetSize(p, deps.Len())
+	for _, d := range deps.deps {
 		c := Constraint{
 			Rel:     HappenBefore,
 			From:    Point{Node: d.From, State: Finish},

@@ -35,7 +35,10 @@ func Measure(sc *ConstraintSet) (Metrics, error) {
 		g.AddNode()
 	}
 	m := Metrics{Activities: len(acts)}
-	for _, c := range sc.HappenBefores() {
+	for _, c := range sc.constraints {
+		if c.Rel != HappenBefore {
+			continue
+		}
 		m.Constraints++
 		if c.From.Node.IsService() || c.To.Node.IsService() {
 			continue

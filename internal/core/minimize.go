@@ -194,7 +194,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		if c.Rel == HappenTogether {
 			return nil, fmt.Errorf("minimize: HappenTogether constraint %s: call Desugar first", c)
 		}
@@ -228,8 +228,8 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	// are not unique); insertion order makes runs deterministic. Points
 	// are fixed for the run and no two constraints share an edge, so no
 	// candidate's edge can disappear before its turn.
-	var cands []candidate
-	for i, c := range sc.Constraints() {
+	cands := make([]candidate, 0, sc.Len())
+	for i, c := range sc.constraints {
 		if c.Rel != HappenBefore {
 			continue
 		}
@@ -238,7 +238,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		if u < 0 || v < 0 || !pg.g.HasEdge(u, v) {
 			continue // folded away during desugaring
 		}
-		cands = append(cands, candidate{idx: i, c: c, u: u, v: v})
+		cands = append(cands, candidate{idx: i, u: u, v: v})
 	}
 
 	// end emits minimize_end carrying the decision record: the whole
@@ -322,8 +322,8 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	}
 
 	// Rebuild the minimal set from the surviving edges.
-	minimal := NewConstraintSet(sc.Proc)
-	for _, c := range work.Constraints() {
+	minimal := newConstraintSetSize(sc.Proc, work.Len()-len(res.Removed))
+	for _, c := range work.constraints {
 		switch c.Rel {
 		case HappenBefore:
 			u, v := pg.pointID(c.From), pg.pointID(c.To)
@@ -341,8 +341,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 // candidate is one HappenBefore constraint in the canonical
 // (insertion) candidate order, with its edge resolved up front.
 type candidate struct {
-	idx  int // position in sc.Constraints(), the verdict-cache value
-	c    Constraint
+	idx  int // position in sc's insertion order, the verdict-cache value
 	u, v int
 }
 
@@ -358,7 +357,7 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, hook
 			return nil, err
 		}
 		if hook != nil {
-			if err := hook(ctx, cand.c); err != nil {
+			if err := hook(ctx, pg.sc.constraints[cand.idx]); err != nil {
 				return nil, err
 			}
 		}
@@ -370,7 +369,7 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, hook
 		res.PairComparisons += pairs
 		if removable {
 			pg.removeConstraintEdge(cand.u, cand.v)
-			res.Removed = append(res.Removed, cand.c)
+			res.Removed = append(res.Removed, pg.sc.constraints[cand.idx])
 			removedIdx = append(removedIdx, cand.idx)
 		}
 	}
@@ -400,7 +399,7 @@ func (pg *pointGraph) replayRemovals(cands []candidate, removedIdx []int, res *M
 	}
 	for _, cand := range picked {
 		pg.removeConstraintEdge(cand.u, cand.v)
-		res.Removed = append(res.Removed, cand.c)
+		res.Removed = append(res.Removed, pg.sc.constraints[cand.idx])
 	}
 	return true
 }
@@ -430,7 +429,7 @@ func (pg *pointGraph) ancestorsOf(x int) []int {
 // error if any constraint carries a condition. Used by the large-scale
 // optimizer benches.
 func MinimizeUnconditional(sc *ConstraintSet) (*MinimizeResult, error) {
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		if c.Rel == HappenBefore && !c.Cond.IsTrue() {
 			return nil, fmt.Errorf("minimize: constraint %s is conditional; use Minimize", c)
 		}
@@ -457,7 +456,7 @@ func MinimizeUnconditional(sc *ConstraintSet) (*MinimizeResult, error) {
 		}
 	}
 	res := &MinimizeResult{Minimal: NewConstraintSet(sc.Proc), Guards: pg.guards, Workers: 1}
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		if c.Rel == HappenBefore {
 			e := [2]int{pg.pointID(c.From), pg.pointID(c.To)}
 			if removedSet[e] {

@@ -33,7 +33,7 @@ import (
 // Conditions accumulate conjunctively along projected paths. The
 // translated constraints carry the ServiceDim origin.
 func TranslateServices(sc *ConstraintSet) (*ConstraintSet, error) {
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		if c.Rel == HappenTogether && (c.From.Node.IsService() || c.To.Node.IsService()) {
 			return nil, fmt.Errorf("translate: HappenTogether on external node %s: desugar first", c)
 		}
@@ -46,17 +46,20 @@ func TranslateServices(sc *ConstraintSet) (*ConstraintSet, error) {
 	}
 	succ := map[Node][]edge{}
 	invokers := map[Node][]invokerEdge{} // external node -> internal activities invoking it
-	for _, c := range sc.HappenBefores() {
+	for _, c := range sc.constraints {
+		if c.Rel != HappenBefore {
+			continue
+		}
 		succ[c.From.Node] = append(succ[c.From.Node], edge{to: c.To.Node, cond: c.Cond})
 		if !c.From.Node.IsService() && c.To.Node.IsService() {
 			invokers[c.To.Node] = append(invokers[c.To.Node], invokerEdge{act: c.From.Node.Activity, cond: c.Cond})
 		}
 	}
 
-	out := NewConstraintSet(sc.Proc)
+	out := newConstraintSetSize(sc.Proc, sc.Len())
 	// Keep internal-only constraints verbatim (preserving point
 	// states, so DSCL state-level constraints survive translation).
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		if !c.From.Node.IsService() && !c.To.Node.IsService() {
 			out.Add(c)
 		}
@@ -64,8 +67,8 @@ func TranslateServices(sc *ConstraintSet) (*ConstraintSet, error) {
 
 	// Rule 1: path projection from each internal node through
 	// external-only interiors.
-	for _, c := range sc.HappenBefores() {
-		if c.From.Node.IsService() || !c.To.Node.IsService() {
+	for _, c := range sc.constraints {
+		if c.Rel != HappenBefore || c.From.Node.IsService() || !c.To.Node.IsService() {
 			continue
 		}
 		src := c.From.Node.Activity
@@ -111,8 +114,8 @@ func TranslateServices(sc *ConstraintSet) (*ConstraintSet, error) {
 
 	// Rule 2: port-order anchoring for external→external constraints
 	// whose both endpoints are process-invoked.
-	for _, c := range sc.HappenBefores() {
-		if !c.From.Node.IsService() || !c.To.Node.IsService() {
+	for _, c := range sc.constraints {
+		if c.Rel != HappenBefore || !c.From.Node.IsService() || !c.To.Node.IsService() {
 			continue
 		}
 		for _, i1 := range invokers[c.From.Node] {

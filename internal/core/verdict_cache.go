@@ -116,7 +116,7 @@ func verdictCacheKey(sc *ConstraintSet, guards map[Node]cond.Expr, doms cond.Dom
 		buf = append(buf, 0)
 	}
 	h.Write(buf)
-	for _, c := range sc.Constraints() {
+	for _, c := range sc.constraints {
 		buf = buf[:0]
 		buf = append(buf, byte(c.Rel))
 		buf = appendPointKey(buf, c.From)

@@ -75,7 +75,11 @@ func Place(sc *core.ConstraintSet, pinned Partition) (*Plan, error) {
 
 	// Adjacency over HappenBefore constraints.
 	neighbors := map[core.ActivityID][]core.ActivityID{}
-	for _, c := range sc.HappenBefores() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
+		if c.Rel != core.HappenBefore {
+			continue
+		}
 		u, v := c.From.Node.Activity, c.To.Node.Activity
 		neighbors[u] = append(neighbors[u], v)
 		neighbors[v] = append(neighbors[v], u)
@@ -132,7 +136,11 @@ func PlanFor(sc *core.ConstraintSet, part Partition) (*Plan, error) {
 	}
 	sort.Strings(plan.Hosts)
 
-	for _, c := range sc.HappenBefores() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
+		if c.Rel != core.HappenBefore {
+			continue
+		}
 		from, to := part[c.From.Node.Activity], part[c.To.Node.Activity]
 		if from == to {
 			plan.LocalEdges++
@@ -186,7 +194,8 @@ func Fold(sc *core.ConstraintSet, plan *Plan, max int) (*Plan, error) {
 // unchanged.
 func CoLocate(sc *core.ConstraintSet, plan *Plan) (*Plan, error) {
 	var excl []core.Constraint
-	for _, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		if c.Rel == core.Exclusive {
 			excl = append(excl, c)
 		}

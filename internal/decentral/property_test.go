@@ -56,7 +56,10 @@ func TestPlacePropertyTotalAndConsistent(t *testing.T) {
 				}
 			}
 			local, cross := 0, 0
-			for _, c := range sc.HappenBefores() {
+			for _, c := range sc.Constraints() {
+				if c.Rel != core.HappenBefore {
+					continue
+				}
 				f, ok1 := plan.Partition[c.From.Node.Activity]
 				to, ok2 := plan.Partition[c.To.Node.Activity]
 				if !ok1 || !ok2 {

@@ -234,8 +234,8 @@ func (d *Document) ConstraintSet() (*core.ConstraintSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range d.Extra.Constraints() {
-		sc.Add(c)
+	for i := 0; i < d.Extra.Len(); i++ {
+		sc.Add(d.Extra.At(i))
 	}
 	return sc, nil
 }

@@ -210,7 +210,11 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	// Outgoing cross edges per activity, and the decision set for
 	// outcome broadcasts.
 	edges := map[core.ActivityID][]crossEdge{}
-	for _, c := range opts.Set.HappenBefores() {
+	for i := 0; i < opts.Set.Len(); i++ {
+		c := opts.Set.At(i)
+		if c.Rel != core.HappenBefore {
+			continue
+		}
 		fh, th := part[c.From.Node.Activity], part[c.To.Node.Activity]
 		if fh == th {
 			continue

@@ -35,7 +35,10 @@ import (
 // minimalEdgeSet renders a constraint set's happen-before pairs.
 func minimalEdgeSet(sc *core.ConstraintSet) []string {
 	var out []string
-	for _, c := range sc.HappenBefores() {
+	for _, c := range sc.Constraints() {
+		if c.Rel != core.HappenBefore {
+			continue
+		}
 		out = append(out, fmt.Sprintf("%s→%s", c.From.Node, c.To.Node))
 	}
 	sort.Strings(out)

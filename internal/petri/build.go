@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dscweaver/internal/cond"
 	"dscweaver/internal/core"
@@ -48,7 +49,8 @@ func Build(sc *core.ConstraintSet, guards map[core.Node]cond.Expr) (*Net, *Mappi
 	if sc.HasServiceNodes() {
 		return nil, nil, fmt.Errorf("petri: constraint set mentions external nodes; translate first")
 	}
-	for _, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		if c.Rel == core.HappenTogether {
 			return nil, nil, fmt.Errorf("petri: HappenTogether constraint %s: desugar first", c)
 		}
@@ -73,53 +75,45 @@ func Build(sc *core.ConstraintSet, guards map[core.Node]cond.Expr) (*Net, *Mappi
 		}
 	}
 
-	type edgeInfo struct {
-		idx  int
-		c    core.Constraint
-		porq PlaceID
-	}
-	var edges []edgeInfo
-	for i, c := range sc.Constraints() {
-		if c.Rel != core.HappenBefore {
-			continue
-		}
-		p := n.AddPlace(fmt.Sprintf("edge/%d(%s→%s)", i, c.From, c.To))
-		m.Edges[i] = p
-		edges = append(edges, edgeInfo{idx: i, c: c, porq: p})
-	}
-
-	// Mutex places for Exclusive constraints.
-	mutexes := map[core.ActivityID][]PlaceID{}
-	for _, c := range sc.Constraints() {
-		if c.Rel != core.Exclusive {
-			continue
-		}
-		p := n.AddPlace(fmt.Sprintf("mutex(%s,%s)", c.From.Node, c.To.Node), "")
-		mutexes[c.From.Node.Activity] = append(mutexes[c.From.Node.Activity], p)
-		mutexes[c.To.Node.Activity] = append(mutexes[c.To.Node.Activity], p)
-	}
-
-	// Partition constraint edges by their attachment points.
+	// Edge places, partitioned by their attachment points.
 	inAtStart := map[core.ActivityID][]PlaceID{}  // consumed by start (targets S or R)
 	inAtFinish := map[core.ActivityID][]PlaceID{} // consumed by finish (targets F)
 	outAtStart := map[core.ActivityID][]PlaceID{} // produced by start (sources S or R)
 	outAtFinish := map[core.ActivityID][]PlaceID{}
 	allIn := map[core.ActivityID][]PlaceID{}
 	allOut := map[core.ActivityID][]PlaceID{}
-	for _, e := range edges {
-		src, dst := e.c.From.Node.Activity, e.c.To.Node.Activity
-		if e.c.From.State == core.Finish {
-			outAtFinish[src] = append(outAtFinish[src], e.porq)
-		} else {
-			outAtStart[src] = append(outAtStart[src], e.porq)
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
+		if c.Rel != core.HappenBefore {
+			continue
 		}
-		if e.c.To.State == core.Finish {
-			inAtFinish[dst] = append(inAtFinish[dst], e.porq)
+		p := n.AddPlace("edge/" + strconv.Itoa(i) + "(" + c.From.String() + "→" + c.To.String() + ")")
+		m.Edges[i] = p
+		src, dst := c.From.Node.Activity, c.To.Node.Activity
+		if c.From.State == core.Finish {
+			outAtFinish[src] = append(outAtFinish[src], p)
 		} else {
-			inAtStart[dst] = append(inAtStart[dst], e.porq)
+			outAtStart[src] = append(outAtStart[src], p)
 		}
-		allIn[dst] = append(allIn[dst], e.porq)
-		allOut[src] = append(allOut[src], e.porq)
+		if c.To.State == core.Finish {
+			inAtFinish[dst] = append(inAtFinish[dst], p)
+		} else {
+			inAtStart[dst] = append(inAtStart[dst], p)
+		}
+		allIn[dst] = append(allIn[dst], p)
+		allOut[src] = append(allOut[src], p)
+	}
+
+	// Mutex places for Exclusive constraints.
+	mutexes := map[core.ActivityID][]PlaceID{}
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
+		if c.Rel != core.Exclusive {
+			continue
+		}
+		p := n.AddPlace("mutex("+c.From.Node.String()+","+c.To.Node.String()+")", "")
+		mutexes[c.From.Node.Activity] = append(mutexes[c.From.Node.Activity], p)
+		mutexes[c.To.Node.Activity] = append(mutexes[c.To.Node.Activity], p)
 	}
 
 	domains := sc.Proc.Domains()
@@ -189,7 +183,7 @@ func Build(sc *core.ConstraintSet, guards map[core.Node]cond.Expr) (*Net, *Mappi
 		if a.Kind == core.KindDecision {
 			for _, branch := range a.BranchDomain() {
 				arcs := append(finishArcs(), Out(m.Value[a.ID], branch))
-				n.AddTransition(fmt.Sprintf("finish/%s=%s", a.ID, branch), arcs...)
+				n.AddTransition("finish/"+string(a.ID)+"="+branch, arcs...)
 			}
 		} else {
 			n.AddTransition("finish/"+string(a.ID), finishArcs()...)
@@ -236,7 +230,7 @@ func guardAssignments(guard cond.Expr, domains cond.Domains, proc *core.Process)
 			as := assignment{satisfied: guard.Eval(assign)}
 			for _, d := range decisions {
 				as.lits = append(as.lits, cond.Literal{Decision: d, Value: assign[d]})
-				as.label += fmt.Sprintf("[%s=%s]", d, assign[d])
+				as.label += "[" + d + "=" + assign[d] + "]"
 			}
 			out = append(out, as)
 			return

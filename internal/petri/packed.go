@@ -7,7 +7,7 @@
 // slot in a flat []uint8 state vector, so a marking is stateLen bytes,
 // firing a transition is a handful of byte increments, and the visited
 // set hashes raw bytes (FNV-1a) into an open-addressing table backed
-// by one contiguous arena — no per-state maps, no Marking.Key()
+// by an arena of fixed-size chunks — no per-state maps, no Marking.Key()
 // strings.
 //
 // Token counts are capped at 255 per slot: a count that would
@@ -25,7 +25,7 @@ import (
 )
 
 // maxPackedStates caps MaxStates for every kernel. State ids are dense
-// int32 indexes into one arena, so the cap keeps ids, edge lists and
+// int32 indexes into the state table, so the cap keeps ids, edge lists and
 // the per-state flag slices well inside their int32 and memory range.
 const maxPackedStates = 1 << 26
 
@@ -410,12 +410,20 @@ func hashState(s []byte) uint64 {
 	return h
 }
 
+// stateChunkBytes is the target size of one arena chunk.
+const stateChunkBytes = 16 << 10
+
 // stateTable is an open-addressing hash set of packed states. States
-// live back-to-back in one arena; the table stores id+1 (0 = empty)
-// and probes linearly over stored hashes.
+// live back-to-back in fixed-size arena chunks of 1<<shift states
+// each (one state per chunk when a state is larger than
+// stateChunkBytes). A chunk never moves once allocated, so a slice
+// returned by state stays valid across insert, and growing the table
+// never copies a state. The table stores id+1 (0 = empty) and probes
+// linearly over stored hashes.
 type stateTable struct {
 	stateLen int
-	arena    []byte
+	shift    uint
+	chunks   [][]byte
 	hashes   []uint64
 	slots    []int32
 	mask     uint64
@@ -426,8 +434,13 @@ func newStateTable(stateLen, sizeHint int) *stateTable {
 	for capacity < sizeHint*2 {
 		capacity <<= 1
 	}
+	shift := uint(0)
+	for stateLen<<(shift+1) <= stateChunkBytes && shift < 30 {
+		shift++
+	}
 	return &stateTable{
 		stateLen: stateLen,
+		shift:    shift,
 		slots:    make([]int32, capacity),
 		mask:     uint64(capacity - 1),
 	}
@@ -436,8 +449,8 @@ func newStateTable(stateLen, sizeHint int) *stateTable {
 func (st *stateTable) count() int { return len(st.hashes) }
 
 func (st *stateTable) state(id int32) []byte {
-	off := int(id) * st.stateLen
-	return st.arena[off : off+st.stateLen : off+st.stateLen]
+	off := int(id&(1<<st.shift-1)) * st.stateLen
+	return st.chunks[id>>st.shift][off : off+st.stateLen : off+st.stateLen]
 }
 
 // find returns the id of s if present.
@@ -459,8 +472,11 @@ func (st *stateTable) find(h uint64, s []byte) (int32, bool) {
 // insert adds s (which must be absent) and returns its dense id.
 func (st *stateTable) insert(h uint64, s []byte) int32 {
 	id := int32(len(st.hashes))
-	st.arena = append(st.arena, s...)
+	if int(id>>st.shift) == len(st.chunks) {
+		st.chunks = append(st.chunks, make([]byte, st.stateLen<<st.shift))
+	}
 	st.hashes = append(st.hashes, h)
+	copy(st.state(id), s)
 	i := h & st.mask
 	for st.slots[i] != 0 {
 		i = (i + 1) & st.mask
@@ -541,7 +557,6 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, isFinal func
 					continue
 				}
 				id = st.insert(h, dst)
-				s = st.state(i) // re-take: insert may have moved the arena
 			}
 			g.edgeFrom = append(g.edgeFrom, i)
 			g.edgeTo = append(g.edgeTo, id)
@@ -604,7 +619,6 @@ func (c *compiled) exploreStats(ctx context.Context, opts ExploreOptions, isFina
 			}
 			ss.Transitions++
 			st.insert(h, dst)
-			s = st.state(i) // re-take: insert may have moved the arena
 			for _, p := range c.trans[t].prodPlaces {
 				if tot := int(c.placeTotal(dst, p)); tot > ss.MaxTokens {
 					ss.MaxTokens = tot

@@ -257,7 +257,7 @@ func Ablation() (Result, error) {
 	fmt.Fprintf(&b, "guard-context equivalence (paper-faithful): %d constraints\n", faithful.Minimal.Len())
 	fmt.Fprintf(&b, "strict annotation comparison (ablation):    %d constraints\n\n", strict.Minimal.Len())
 	b.WriteString("surviving under the ablation only:\n")
-	faithfulPairs := map[string]bool{}
+	faithfulPairs := map[core.PairKey]bool{}
 	for _, c := range faithful.Minimal.Constraints() {
 		faithfulPairs[c.PairKey()] = true
 	}

@@ -207,7 +207,8 @@ func New(sc *core.ConstraintSet, execs map[core.ActivityID]Executor, opts Option
 	if sc.HasServiceNodes() {
 		return nil, fmt.Errorf("schedule: constraint set mentions external nodes; translate first")
 	}
-	for _, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		if c.Rel == core.HappenTogether {
 			return nil, fmt.Errorf("schedule: HappenTogether constraint %s: desugar first", c)
 		}
@@ -232,7 +233,8 @@ func New(sc *core.ConstraintSet, execs map[core.ActivityID]Executor, opts Option
 		inEdges: map[core.ActivityID][]edgeRef{},
 		mutexes: map[core.ActivityID][]int{},
 	}
-	for _, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		switch c.Rel {
 		case core.HappenBefore:
 			e.inEdges[c.To.Node.Activity] = append(e.inEdges[c.To.Node.Activity], edgeRef{con: c, toState: c.To.State})

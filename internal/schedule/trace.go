@@ -201,7 +201,8 @@ func (t *Trace) Validate(sc *core.ConstraintSet, guards map[core.Node]cond.Expr)
 		return r.StartSeq, true
 	}
 
-	for _, c := range sc.Constraints() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
 		switch c.Rel {
 		case core.HappenBefore:
 			if !condHolds(c.Cond, outcomes) {

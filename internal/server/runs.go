@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,7 +36,12 @@ type run struct {
 	app     *store.Appender // nil without a persistent store
 }
 
+// setProcess records the run's process name. The name is cloned: a
+// parsed name is a substring of the decoded request body, and the run
+// registry and the store (through finish) keep it for as long as they
+// keep the run, so the bare substring would pin the whole body.
 func (r *run) setProcess(name string) {
+	name = strings.Clone(name)
 	r.mu.Lock()
 	r.summary.Process = name
 	r.mu.Unlock()

@@ -6,9 +6,11 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dscweaver/internal/store"
 )
@@ -135,5 +137,25 @@ func TestMetaSummaryUnfinishedIsInterrupted(t *testing.T) {
 	m.OK, m.Err = false, "boom"
 	if s := metaSummary(m); s.Status != "error" || s.Error != "boom" {
 		t.Fatalf("finished failed run = %+v, want error/boom", s)
+	}
+}
+
+// TestSetProcessDoesNotPinRequest: a run outlives its request in the
+// registry and the store, so the process name it keeps must not share
+// memory with the request body it was parsed from.
+func TestSetProcessDoesNotPinRequest(t *testing.T) {
+	body := strings.Repeat("x", 1<<20)
+	name := body[1000:1016]
+	rs := newRunStore(4, nil)
+	r := rs.New("weave")
+	r.setProcess(name)
+	got := r.Summary().Process
+	if got != name {
+		t.Fatalf("Process = %q, want %q", got, name)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+	p := uintptr(unsafe.Pointer(unsafe.StringData(got)))
+	if p >= lo && p < lo+uintptr(len(body)) {
+		t.Fatalf("stored process name aliases the %d-byte request body", len(body))
 	}
 }

@@ -141,8 +141,8 @@ func buildWeaveResponse(res *weave.Result, runID string) *WeaveResponse {
 		EquivalenceChecks:     min.EquivalenceChecks,
 		VerdictCacheHit:       min.VerdictCacheHit,
 	}
-	for _, c := range min.Minimal.Constraints() {
-		resp.Minimal = append(resp.Minimal, c.String())
+	for i := 0; i < min.Minimal.Len(); i++ {
+		resp.Minimal = append(resp.Minimal, min.Minimal.At(i).String())
 	}
 	if rep := res.Soundness; rep != nil {
 		sound := rep.Sound

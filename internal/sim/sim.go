@@ -123,7 +123,11 @@ func Estimate(sc *core.ConstraintSet, study Study) (Summary, error) {
 	for range acts {
 		g.AddNode()
 	}
-	for _, c := range sc.HappenBefores() {
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
+		if c.Rel != core.HappenBefore {
+			continue
+		}
 		if c.From.Node.IsService() || c.To.Node.IsService() {
 			return Summary{}, fmt.Errorf("sim: external node in %s; translate first", c)
 		}

@@ -339,8 +339,8 @@ func (p *Pipeline) merge(ctx context.Context, res *Result) error {
 		return err
 	}
 	if res.Parsed.Extra != nil {
-		for _, c := range res.Parsed.Extra.Constraints() {
-			sc.Add(c)
+		for i := 0; i < res.Parsed.Extra.Len(); i++ {
+			sc.Add(res.Parsed.Extra.At(i))
 		}
 	}
 	res.Merged = sc

@@ -11,7 +11,8 @@
 # BENCH_server.json with its req/sec, the weave pipeline stage
 # benchmark into BENCH_weave.json with the per-stage ns/op breakdown,
 # and the soundness-kernel comparison into BENCH_soundness.json with
-# one record per kernel/net pair. Each minimize, server and soundness
+# one record per kernel/net pair. Each weave record also carries
+# bytes/op and allocs/op. Each minimize, server, weave and soundness
 # record is stamped with the host that produced it: nproc, the
 # benchmark's GOMAXPROCS, the Go version and the commit (suffixed
 # -dirty when the tree has local changes).
@@ -150,16 +151,20 @@ weave_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw" "$server_raw" "$weave_raw"' EXIT
 weave_benchtime="${WEAVE_BENCHTIME:-1x}"
 
-go test -run '^$' -bench 'BenchmarkWeavePipelineStages' -benchtime "$weave_benchtime" -timeout 0 . | tee "$weave_raw"
+go test -run '^$' -bench 'BenchmarkWeavePipelineStages' -benchtime "$weave_benchtime" -benchmem -timeout 0 . | tee "$weave_raw"
 
-awk '
+awk "${stamp[@]}" '
 /^BenchmarkWeavePipelineStages\// {
     name = $1
+    gomaxprocs = 1
+    if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
-    ns = 0; nstages = 0
+    ns = 0; bytes = 0; allocs = 0; nstages = 0
     delete stage; delete stagens
     for (i = 3; i < NF; i += 2) {
         if ($(i+1) == "ns/op") { ns = $i; continue }
+        if ($(i+1) == "B/op") { bytes = $i; continue }
+        if ($(i+1) == "allocs/op") { allocs = $i; continue }
         if ($(i+1) ~ /-ns\/op$/) {
             st = $(i+1)
             sub(/-ns\/op$/, "", st)
@@ -168,10 +173,10 @@ awk '
         }
     }
     if (ns == 0) next
-    rec = sprintf("  {\"name\": \"%s\", \"ns_per_op\": %.0f, \"stages\": {", name, ns)
+    rec = sprintf("  {\"name\": \"%s\", \"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f, \"stages\": {", name, ns, bytes, allocs)
     for (i = 1; i <= nstages; i++)
         rec = rec sprintf("%s\"%s\": %.0f", i > 1 ? ", " : "", stage[i], stagens[stage[i]])
-    rec = rec "}}"
+    rec = rec sprintf("}, \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\"}", nproc, gomaxprocs, gover, commit)
     recs[++count] = rec
 }
 END {
