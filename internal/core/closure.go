@@ -480,7 +480,7 @@ func CoversWithGuards(p, q *ConstraintSet, guards map[Node]cond.Expr) (bool, err
 		return false, err
 	}
 	if guards == nil {
-		union := append(append(make([]Constraint, 0, p.Len()+q.Len()), p.constraints...), q.constraints...)
+		union := append(append([]Constraint(nil), p.constraints...), q.constraints...)
 		if err := pgP.deriveGuardsFrom(union); err != nil {
 			return false, err
 		}
