@@ -186,11 +186,11 @@ func BenchmarkSoundness(b *testing.B) {
 		})
 	}
 	run("purchasing/auto", res.Minimal, guards, petri.ExploreOptions{}, "reduced")
-	run("purchasing/full", res.Minimal, guards, petri.ExploreOptions{ReductionOff: true}, "full")
+	run("purchasing/full", res.Minimal, guards, petri.ExploreOptions{FullGraph: true}, "full")
 
 	wide, wideGuards := soundnessWorkload(b, 3, 8, 0.3, 11)
 	run("wide8/fastpath", wide, wideGuards, petri.ExploreOptions{}, "fastpath")
-	run("wide8/full", wide, wideGuards, petri.ExploreOptions{NoFastPath: true, ReductionOff: true}, "full")
+	run("wide8/full", wide, wideGuards, petri.ExploreOptions{FullGraph: true}, "full")
 	huge, hugeGuards := soundnessWorkload(b, 4, 16, 0.25, 13)
 	run("wide16/fastpath", huge, hugeGuards, petri.ExploreOptions{}, "fastpath")
 }

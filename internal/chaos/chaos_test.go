@@ -266,10 +266,7 @@ func TestChaosValidateParallelCancel(t *testing.T) {
 			defer timer.Stop()
 			ctx = cctx
 		}
-		rep, err := petri.ValidateOpt(ctx, asc, guards, petri.ExploreOptions{
-			NoFastPath:   true,
-			ReductionOff: true,
-		})
+		rep, err := petri.ValidateOpt(ctx, asc, guards, petri.ExploreOptions{FullGraph: true})
 		switch {
 		case err == nil:
 			if !rep.Sound {

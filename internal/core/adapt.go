@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"dscweaver/internal/cond"
 )
@@ -176,6 +177,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 		newEdges[c.PairKey()] = true
 	}
 	impliedAll := true
+	var noCancel atomic.Bool // Adapter checks run to completion
 	// Test the new edges first (a new edge may be implied, possibly by
 	// a sibling new edge), then the old edges whose redundancy the
 	// insertion could have changed.
@@ -192,7 +194,7 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 			continue
 		}
 		res.EquivalenceChecks++
-		removable, _, err := pg.checkFrontier(context.Background(), u, v)
+		removable, _, err := pg.checkFrontier(context.Background(), u, v, &noCancel)
 		if err != nil {
 			return nil, err
 		}
@@ -298,13 +300,14 @@ func (a *Adapter) Remove(dep Dependency) (*ChangeResult, error) {
 	pg.memo.disabled = a.opts.NoCache
 	res := &ChangeResult{}
 	allRedundant := true
+	var noCancel atomic.Bool // Adapter checks run to completion
 	for _, c := range gone {
 		if c.Rel != HappenBefore {
 			continue
 		}
 		u, v := pg.pointID(c.From), pg.pointID(c.To)
 		res.EquivalenceChecks++
-		removable, _, err := pg.checkFrontier(context.Background(), u, v)
+		removable, _, err := pg.checkFrontier(context.Background(), u, v, &noCancel)
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,8 @@
 // completion no matter what (the ROADMAP's "unbounded single-candidate
 // latency" gap). These tests pin the new behavior: a fired cancel flag
 // stops a sweep after at most sweepCheckInterval further frontier
-// expansions, in both directions, and the minimizer's check arms the
-// flag from its context.
+// expansions, in both directions, and a check whose flag fires
+// mid-sweep returns the context error instead of a verdict.
 package core
 
 import (
@@ -85,11 +85,26 @@ func TestClosureSweepAbortsMidSweep(t *testing.T) {
 	}
 }
 
-// TestEdgeRedundantSequentialCancelMidSweep: the sequential check path
-// arms the sweep cancel flag from its context, so a pre-cancelled
-// context aborts the very first sweep mid-scan instead of riding out a
-// full pass over the chain — and never returns a verdict from the
-// partial data.
+// lateErrCtx is a context whose Err stays nil for its first quiet
+// calls and then reports the embedded context's error. It lands a
+// cancellation between checkFrontier's entry check and the end of its
+// first sweep, as a cancel arriving mid-sweep would.
+type lateErrCtx struct {
+	context.Context
+	quiet atomic.Int32
+}
+
+func (c *lateErrCtx) Err() error {
+	if c.quiet.Add(-1) >= 0 {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestEdgeRedundantSequentialCancelMidSweep: with the cancel flag
+// fired (as runSequential's context.AfterFunc fires it) after the
+// check has started, the sweep aborts mid-scan and the check returns
+// the context error — never a verdict from the partial data.
 func TestEdgeRedundantSequentialCancelMidSweep(t *testing.T) {
 	pg := chainGraph(t, 400)
 	// Candidate: the edge S(a0)→R(a0)? Lifecycle edges are not
@@ -99,10 +114,14 @@ func TestEdgeRedundantSequentialCancelMidSweep(t *testing.T) {
 	if u < 0 || v < 0 {
 		t.Fatal("candidate edge endpoints missing")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	base, cancel := context.WithCancel(context.Background())
 	cancel()
+	ctx := &lateErrCtx{Context: base}
+	ctx.quiet.Store(1) // the entry check passes
+	fired := &atomic.Bool{}
+	fired.Store(true)
 	start := time.Now()
-	ok, _, err := pg.checkFrontier(ctx, u, v)
+	ok, _, err := pg.checkFrontier(ctx, u, v, fired)
 	if err == nil || ok {
 		t.Fatalf("cancelled sequential check returned ok=%v err=%v, want context error", ok, err)
 	}

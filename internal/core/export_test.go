@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 )
 
 // PairSweepMismatches checks the local pair test's windowed sweep
@@ -18,6 +19,7 @@ func PairSweepMismatches(sc *ConstraintSet) (compared, nonFalse int, mismatches 
 	if err != nil {
 		return 0, 0, nil, err
 	}
+	var noCancel atomic.Bool // the walk runs to completion
 	for _, c := range sc.Constraints() {
 		if c.Rel != HappenBefore {
 			continue
@@ -36,7 +38,7 @@ func PairSweepMismatches(sc *ConstraintSet) (compared, nonFalse int, mismatches 
 		if !want.IsFalse() {
 			nonFalse++
 		}
-		removable, _, err := pg.checkFrontier(context.Background(), u, v)
+		removable, _, err := pg.checkFrontier(context.Background(), u, v, &noCancel)
 		if err != nil {
 			return compared, nonFalse, mismatches, err
 		}

@@ -230,15 +230,17 @@ func (pg *pointGraph) backwardMask(fr *candFrontier) graph.Bitset {
 // smaller. The NoCache baseline and the strict-annotations ablation
 // always sweep forward, like the paper's algorithm.
 //
-// Cancellation: ctx aborts the check between items, and a flag set by
-// context.AfterFunc aborts a single sweep mid-scan, so no sweep pays a
-// per-node ctx lookup. A context-aborted check returns ctx.Err() —
-// never a verdict computed from an incomplete scan.
+// Cancellation: ctx aborts the check between items, and the cancel
+// flag aborts a single sweep mid-scan, so no sweep pays a per-node ctx
+// lookup. The caller owns the flag: runSequential arms it once per
+// minimization with context.AfterFunc, so it is set only after ctx is
+// done. A context-aborted check returns ctx.Err() — never a verdict
+// computed from an incomplete scan.
 //
 // The point graph, its scratch buffers and its caches belong to the
 // one goroutine running the candidate loop (or the Adapter), which
 // calls checkFrontier one candidate at a time.
-func (pg *pointGraph) checkFrontier(ctx context.Context, u, v int) (bool, int, error) {
+func (pg *pointGraph) checkFrontier(ctx context.Context, u, v int, cancel *atomic.Bool) (bool, int, error) {
 	skip := [2]int{u, v}
 
 	// An already-aborted context never yields a verdict — not even the
@@ -246,17 +248,13 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, u, v int) (bool, int, e
 	if err := ctx.Err(); err != nil {
 		return false, 0, err
 	}
-	var cancel atomic.Bool
-	stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
-	defer stop()
-
 	if !pg.cache.disabled {
 		// Local pair test, read at v. The cached baseline closure is
 		// deliberately not used here: prior guard-mode removals preserve
 		// closures only in guard context, while the absolute test needs
 		// the current graph's exact full(u,v) — which is just
 		// without(u,v) ∨ cond(u,v).
-		without := pg.pairWithout(u, v, &cancel)
+		without := pg.pairWithout(u, v, cancel)
 		if err := ctx.Err(); err != nil {
 			// The sweep may have aborted mid-scan; its result is not a
 			// closure and must not yield a verdict.
@@ -305,9 +303,9 @@ func (pg *pointGraph) checkFrontier(ctx context.Context, u, v int) (bool, int, e
 		var p int
 		var err error
 		if backward {
-			ok, p, scratch, err = pg.targetEquivalent(it, skip, fr.sources, within, scratch, &cancel)
+			ok, p, scratch, err = pg.targetEquivalent(it, skip, fr.sources, within, scratch, cancel)
 		} else {
-			ok, p, scratch, err = pg.sourceEquivalent(it, skip, fr.targets, within, scratch, &cancel)
+			ok, p, scratch, err = pg.sourceEquivalent(it, skip, fr.targets, within, scratch, cancel)
 		}
 		pairs += p
 		if err != nil || !ok {

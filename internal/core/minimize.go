@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dscweaver/internal/cond"
@@ -349,8 +350,12 @@ type candidate struct {
 // canonical order, each decided by checkFrontier and committed before
 // the next is tested. It applies every removal to the graph, tallies
 // res, and returns the removed candidates' indices for the verdict
-// cache.
+// cache. One context.AfterFunc per minimization arms the sweep cancel
+// flag every check polls.
 func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, hook CandidateHook, res *MinimizeResult) ([]int, error) {
+	var cancel atomic.Bool
+	stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
+	defer stop()
 	var removedIdx []int
 	for _, cand := range cands {
 		if err := ctx.Err(); err != nil {
@@ -361,7 +366,7 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, hook
 				return nil, err
 			}
 		}
-		removable, pairs, err := pg.checkFrontier(ctx, cand.u, cand.v)
+		removable, pairs, err := pg.checkFrontier(ctx, cand.u, cand.v, &cancel)
 		if err != nil {
 			return nil, err
 		}

@@ -127,25 +127,8 @@ func TestEveryBackEndAcceptsTheMinimalSet(t *testing.T) {
 		t.Fatalf("petri: %v %+v", err, rep)
 	}
 
-	// Invariants hold across the reachable space.
-	net, _, err := petri.Build(res.Minimal, guards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	invs, err := net.PlaceInvariants(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.CheckInvariants(invs, 0); err != nil {
-		t.Fatal(err)
-	}
-	cov, err := net.Coverability(context.Background(), 1<<19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cov.Bounded {
-		t.Errorf("coverability: %+v", cov)
-	}
+	// Lifecycle invariants and boundedness of the purchasing nets are
+	// petri's TestBuildNetsAreOneBounded.
 
 	// Both BPEL generators emit valid documents conserving the 17
 	// orderings.

@@ -24,65 +24,32 @@ func ctxErrEvery(ctx context.Context, n int) error {
 	return ctx.Err()
 }
 
-// StateSpace is the result of an explicit-state exploration.
+// StateSpace is the size of the exploration behind a verdict.
 type StateSpace struct {
-	// States counts distinct reachable markings.
+	// States counts the distinct markings the kernel visited.
 	States int
-	// Transitions counts explored firings (edges of the reachability
-	// graph).
-	Transitions int
-	// Deadlocks lists reachable markings with no enabled transition
-	// that do not satisfy the exploration's final predicate.
-	Deadlocks []Marking
-	// Finals lists reachable markings satisfying the final predicate
-	// (with no distinction whether further transitions are enabled).
-	Finals []Marking
-	// DeadTransitions lists transitions never enabled in any reachable
-	// marking.
-	DeadTransitions []TransitionID
-	// Bounded is false if some place exceeded the bound during
-	// exploration.
-	Bounded bool
-	// MaxTokens is the largest token count observed in any single
-	// place.
-	MaxTokens int
-	// Truncated is true if MaxStates refused a successor. The walk
-	// stops at the first refusal, so every statistic — States,
-	// Transitions, Deadlocks, Finals, DeadTransitions, MaxTokens —
-	// covers only the prefix visited up to that point. A truncated
-	// space is a budget cut, never a certificate: callers must not
-	// conclude anything from the absence of a deadlock in it.
+	// Truncated is true if MaxStates refused a successor. A truncated
+	// space is a budget cut, never a certificate: the verdict is
+	// unsound, and callers must not conclude anything from the absence
+	// of a deadlock in it.
 	Truncated bool
 }
 
-// ExploreOptions tunes Explore and CheckSoundness.
+// ExploreOptions tunes CheckSoundness.
 type ExploreOptions struct {
 	// MaxStates bounds the exploration (default 1 << 20, capped at
 	// 1 << 26 by the packed state-id layout).
 	MaxStates int
-	// Bound is the per-place token bound for the boundedness check
-	// (default 16). Exceeding it clears Bounded but does not stop the
-	// exploration.
-	Bound int
-	// Final classifies completion markings; may be nil (no marking is
-	// final, every dead marking is a deadlock). Prefer FinalPlaces
-	// when the predicate has that structural shape: an opaque func
-	// forces the kernels to decode every packed state and disables the
-	// structural fast path and reduction.
-	Final func(Marking) bool
 	// FinalPlaces declares a marking final when every listed place
 	// holds at least one token — the all-activities-determined shape
-	// Validate uses. Ignored when Final is set.
+	// Validate uses. Required.
 	FinalPlaces []PlaceID
-	// ReductionOff disables stubborn-set partial-order reduction in
-	// CheckSoundness (Explore never reduces: its statistics describe
-	// the full graph).
-	ReductionOff bool
-	// NoFastPath disables the polynomial structural fast path in
-	// CheckSoundness.
-	NoFastPath bool
-	// Metrics receives kernel counters (states explored, reduction
-	// skips, fast-path hits); nil is fine.
+	// FullGraph disables the structural fast path and stubborn-set
+	// reduction, so StateSpace.States counts every reachable marking.
+	// The verdict is the same either way.
+	FullGraph bool
+	// Metrics receives kernel counters (states explored, verdicts per
+	// method); nil is fine.
 	Metrics *obs.Registry
 }
 
@@ -93,65 +60,6 @@ func (opts *ExploreOptions) setDefaults() {
 	if opts.MaxStates > maxPackedStates {
 		opts.MaxStates = maxPackedStates
 	}
-	if opts.Bound <= 0 {
-		opts.Bound = 16
-	}
-}
-
-// packedFinal lowers the options' final predicate onto packed states.
-func packedFinal(c *compiled, opts ExploreOptions) (func([]byte) bool, []int32) {
-	if opts.Final != nil {
-		f := opts.Final
-		return func(s []byte) bool { return f(c.decode(s)) }, nil
-	}
-	if len(opts.FinalPlaces) == 0 {
-		return func([]byte) bool { return false }, nil
-	}
-	fp := c.compileFinalPlaces(opts.FinalPlaces)
-	return func(s []byte) bool {
-		for _, p := range fp {
-			if c.placeTotal(s, p) == 0 {
-				return false
-			}
-		}
-		return true
-	}, fp
-}
-
-// Explore performs a breadth-first reachability analysis from the
-// initial marking, always over the full (unreduced) graph — its
-// statistics describe every reachable marking and firing. It runs on
-// the packed kernel and falls back to the reference kernel when a
-// token count leaves the packed range. ctx is checked every
-// ctxCheckEvery states alongside MaxStates; a canceled exploration
-// returns ctx.Err(). See StateSpace.Truncated for what a MaxStates
-// cut means.
-func (n *Net) Explore(ctx context.Context, opts ExploreOptions) (*StateSpace, error) {
-	opts.setDefaults()
-	ss, err := n.explore(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	countStates(opts.Metrics, ss.States)
-	return ss, nil
-}
-
-// explore picks Explore's kernel: packed, or the reference kernel when
-// the net does not compile or a token count overflows a packed slot.
-func (n *Net) explore(ctx context.Context, opts ExploreOptions) (*StateSpace, error) {
-	c, err := compile(n)
-	if err != nil {
-		return n.exploreRef(ctx, opts)
-	}
-	var isFinal func([]byte) bool
-	if opts.Final != nil || len(opts.FinalPlaces) > 0 {
-		isFinal, _ = packedFinal(c, opts)
-	}
-	ss, err := c.exploreStats(ctx, opts, isFinal)
-	if isOverflow(err) {
-		return n.exploreRef(ctx, opts)
-	}
-	return ss, err
 }
 
 // SoundnessReport is the validation verdict the weaver pipeline
@@ -162,101 +70,84 @@ type SoundnessReport struct {
 	Sound bool
 	// Deadlocks carries diagnostic markings when unsound.
 	Deadlocks []string
-	// Unreachable lists final-predicate violations: true when no final
-	// marking is reachable at all.
+	// NoCompletion is true when no final marking is reachable at all.
 	NoCompletion bool
 	// StateSpace carries the exploration statistics. The fast path
 	// reports the length of its single greedy run, not the full
 	// interleaving count (which it exists to avoid); the reduced
-	// kernels report the reduced graph's size.
+	// kernel reports the reduced graph's size.
 	StateSpace *StateSpace
 	// Method names the kernel that produced the verdict: "fastpath",
-	// "full", "reduced" or "reference" (the unpacked fallback).
+	// "reduced" or "full".
 	Method string
-	// Classification summarizes the structural analysis of the net
-	// (e.g. "progressive conflict-free wildcard-safe uncolored"), or
-	// "general" when no property holds.
-	Classification string
 }
 
 // CheckSoundness verifies the classical workflow soundness conditions
-// relative to the final predicate:
+// relative to the final places:
 //
 //  1. option to complete — from every reachable marking some final
 //     marking is reachable;
 //  2. no deadlocks — every dead marking is final.
 //
-// Dead transitions are reported through Explore's StateSpace but do
-// not make a net unsound here: the builder intentionally emits guard
-// variants for branch assignments that a particular run never takes.
+// Dead transitions do not make a net unsound here: the builder
+// intentionally emits guard variants for branch assignments that a
+// particular run never takes.
 //
-// The verdict is produced by the cheapest kernel whose preconditions
-// hold, in order: the polynomial structural fast path (progressive +
-// conflict-free + uncolored nets with monotone FinalPlaces), then an
-// explicit sequential exploration — stubborn-set reduced when the net
-// qualifies (ReductionOff forces the full graph) — and finally the
-// unpacked reference kernel when a marking leaves the packed token
-// range. Every path returns the same Sound, NoCompletion and
-// Deadlocks; Method records which one ran.
+// The verdict comes from the cheapest packed kernel whose
+// preconditions hold: the polynomial structural fast path
+// (progressive + conflict-free + uncolored nets with monotone
+// FinalPlaces), else the explicit exploration, stubborn-set reduced
+// when the net qualifies. FullGraph forces the unreduced exploration.
+// Every path returns the same Sound, NoCompletion and Deadlocks;
+// Method records which one ran.
+//
+// A token count above a packed slot's 255 returns an *OverflowError,
+// never a verdict. Build nets cannot reach it: they are 1-bounded
+// (DESIGN.md).
 //
 // ctx is checked every ctxCheckEvery explored states alongside
 // MaxStates; a canceled check returns ctx.Err() rather than a verdict
 // from a partial exploration.
 func (n *Net) CheckSoundness(ctx context.Context, opts ExploreOptions) (*SoundnessReport, error) {
-	if opts.Final == nil && len(opts.FinalPlaces) == 0 {
-		return nil, fmt.Errorf("petri: CheckSoundness requires a Final predicate or FinalPlaces")
+	if len(opts.FinalPlaces) == 0 {
+		return nil, fmt.Errorf("petri: CheckSoundness requires FinalPlaces")
+	}
+	for _, p := range opts.FinalPlaces {
+		if p < 0 || int(p) >= len(n.places) {
+			return nil, fmt.Errorf("petri: final place %d out of range", p)
+		}
 	}
 	opts.setDefaults()
 	c, err := compile(n)
 	if err != nil {
-		return n.soundnessViaRef(ctx, opts)
-	}
-	isFinal, fp := packedFinal(c, opts)
-	class := c.classification()
-
-	if fp != nil && !opts.NoFastPath && c.fastpathEligible(fp) {
-		rep, err := c.fastpath(ctx, fp)
-		if err == nil {
-			rep.Method = "fastpath"
-			rep.Classification = class
-			recordVerdict(opts.Metrics, rep)
-			return rep, nil
-		}
-		if !isOverflow(err) {
-			return nil, err
-		}
-		// Token overflow: fall through to the exploring kernels (whose
-		// own overflow handling lands on the reference kernel).
-	}
-
-	reduce := fp != nil && !opts.ReductionOff && c.reductionEligible(fp)
-	if !opts.ReductionOff && !reduce {
-		countSkippedReduction(opts.Metrics)
-	}
-	g, err := c.exploreGraph(ctx, opts.MaxStates, isFinal, reduce)
-	if err != nil {
-		if isOverflow(err) {
-			return n.soundnessViaRef(ctx, opts)
-		}
 		return nil, err
 	}
-	rep := n.soundnessFromGraph(c, g)
-	rep.Method = "full"
-	if reduce {
-		rep.Method = "reduced"
+	fp := c.compileFinalPlaces(opts.FinalPlaces)
+	var rep *SoundnessReport
+	if !opts.FullGraph && c.fastpathEligible(fp) {
+		rep, err = c.fastpath(ctx, fp)
+	} else {
+		rep, err = c.explore(ctx, opts.MaxStates, fp, !opts.FullGraph && c.reductionEligible(fp))
 	}
-	rep.Classification = class
+	if err != nil {
+		return nil, err
+	}
 	recordVerdict(opts.Metrics, rep)
 	return rep, nil
 }
 
-// soundnessViaRef runs the unpacked fallback and tags its report.
-func (n *Net) soundnessViaRef(ctx context.Context, opts ExploreOptions) (*SoundnessReport, error) {
-	rep, err := n.checkSoundnessRef(ctx, opts)
+// explore runs the packed exploration, reduced or full, and turns its
+// graph into a verdict.
+func (c *compiled) explore(ctx context.Context, maxStates int, fp []int32, reduce bool) (*SoundnessReport, error) {
+	g, err := c.exploreGraph(ctx, maxStates, fp, reduce)
 	if err != nil {
 		return nil, err
 	}
-	recordVerdict(opts.Metrics, rep)
+	rep := c.soundnessFromGraph(g)
+	rep.Method = "full"
+	if reduce {
+		rep.Method = "reduced"
+	}
 	return rep, nil
 }
 
@@ -264,7 +155,7 @@ func (n *Net) soundnessViaRef(ctx context.Context, opts ExploreOptions) (*Soundn
 // graph: backward reachability from the final markings, then the two
 // soundness conditions. Deadlock diagnostics are decoded and sorted,
 // so reports are identical across kernels.
-func (n *Net) soundnessFromGraph(c *compiled, g *sgraph) *SoundnessReport {
+func (c *compiled) soundnessFromGraph(g *sgraph) *SoundnessReport {
 	cnt := make([]int32, g.n+1)
 	for _, to := range g.edgeTo {
 		cnt[to+1]++
@@ -303,7 +194,7 @@ func (n *Net) soundnessFromGraph(c *compiled, g *sgraph) *SoundnessReport {
 
 	rep := &SoundnessReport{
 		Sound:      true,
-		StateSpace: &StateSpace{States: g.n, Bounded: true, Truncated: g.truncated},
+		StateSpace: &StateSpace{States: g.n, Truncated: g.truncated},
 	}
 	anyFinal := false
 	for i := 0; i < g.n; i++ {
@@ -312,7 +203,7 @@ func (n *Net) soundnessFromGraph(c *compiled, g *sgraph) *SoundnessReport {
 		}
 		if g.dead[i] && !g.final[i] {
 			rep.Sound = false
-			rep.Deadlocks = append(rep.Deadlocks, n.describeMarking(c.decode(g.st.state(int32(i)))))
+			rep.Deadlocks = append(rep.Deadlocks, c.net.describeMarking(c.decode(g.st.state(int32(i)))))
 		}
 		if !canComplete[i] {
 			rep.Sound = false
@@ -352,27 +243,11 @@ func (n *Net) describeMarking(m Marking) string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// --- kernel metrics ------------------------------------------------------
-
-func countStates(reg *obs.Registry, states int) {
-	if reg != nil {
-		reg.Counter("petri_states_explored_total").Add(int64(states))
-	}
-}
-
-func countSkippedReduction(reg *obs.Registry) {
-	if reg != nil {
-		reg.Counter("petri_reduction_skipped_total").Inc()
-	}
-}
-
+// recordVerdict counts the verdict's method and explored states.
 func recordVerdict(reg *obs.Registry, rep *SoundnessReport) {
 	if reg == nil {
 		return
 	}
-	countStates(reg, rep.StateSpace.States)
+	reg.Counter("petri_states_explored_total").Add(int64(rep.StateSpace.States))
 	reg.Counter("petri_validate_total", "method", rep.Method).Inc()
-	if rep.Method == "fastpath" {
-		reg.Counter("petri_validate_fastpath_total").Inc()
-	}
 }

@@ -256,19 +256,19 @@ func Validate(ctx context.Context, sc *core.ConstraintSet, guards map[core.Node]
 
 // ValidateOpt is Validate with explicit exploration options (MaxStates
 // most usefully); the final predicate is always the all-activities-
-// determined completion marking — expressed structurally through
-// FinalPlaces so the kernels can classify it — and any caller-supplied
-// Final or FinalPlaces is ignored.
+// determined completion marking, expressed through FinalPlaces so the
+// kernels can classify it, and any caller-supplied FinalPlaces is
+// ignored (never written to).
 func ValidateOpt(ctx context.Context, sc *core.ConstraintSet, guards map[core.Node]cond.Expr, opts ExploreOptions) (*SoundnessReport, error) {
 	n, m, err := Build(sc, guards)
 	if err != nil {
 		return nil, err
 	}
-	opts.Final = nil
-	opts.FinalPlaces = opts.FinalPlaces[:0]
+	fp := make([]PlaceID, 0, len(m.Done))
 	for _, p := range m.Done {
-		opts.FinalPlaces = append(opts.FinalPlaces, p)
+		fp = append(fp, p)
 	}
-	sort.Slice(opts.FinalPlaces, func(i, j int) bool { return opts.FinalPlaces[i] < opts.FinalPlaces[j] })
+	sort.Slice(fp, func(i, j int) bool { return fp[i] < fp[j] })
+	opts.FinalPlaces = fp
 	return n.CheckSoundness(ctx, opts)
 }

@@ -2,6 +2,7 @@ package petri
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"dscweaver/internal/cond"
@@ -64,13 +65,73 @@ func TestPurchasingMinimalSound(t *testing.T) {
 	t.Logf("minimal state space: %d states", rep.StateSpace.States)
 }
 
-func TestCyclicConstraintsDeadlock(t *testing.T) {
+// cyclicSet orders a before b and b before a.
+func cyclicSet() *core.ConstraintSet {
 	p := core.NewProcess("cycle")
 	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
 	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
 	s := core.NewConstraintSet(p)
 	s.Before("a", "b", core.Data)
 	s.Before("b", "a", core.Data)
+	return s
+}
+
+// exclusiveSet makes a and b mutually exclusive, beside an
+// unconstrained c.
+func exclusiveSet() *core.ConstraintSet {
+	p := core.NewProcess("excl")
+	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
+	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
+	p.MustAddActivity(&core.Activity{ID: "c", Kind: core.KindOpaque})
+	s := core.NewConstraintSet(p)
+	s.Add(core.Constraint{Rel: core.Exclusive,
+		From: core.PointOf("a", core.Run), To: core.PointOf("b", core.Run), Cond: cond.True()})
+	return s
+}
+
+// dpeSet is dec →[T] x → y: on the F branch both x and y must be
+// skipped and the run still completes.
+func dpeSet() *core.ConstraintSet {
+	p := core.NewProcess("dpe")
+	p.MustAddActivity(&core.Activity{ID: "dec", Kind: core.KindDecision})
+	p.MustAddActivity(&core.Activity{ID: "x", Kind: core.KindOpaque})
+	p.MustAddActivity(&core.Activity{ID: "y", Kind: core.KindOpaque})
+	s := core.NewConstraintSet(p)
+	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("dec", core.Finish),
+		To: core.PointOf("x", core.Start), Cond: cond.Lit("dec", "T"), Origins: []core.Dimension{core.Control}})
+	s.Before("x", "y", core.Data)
+	return s
+}
+
+// overlapSet is S(b) → F(a): b must start before a may finish
+// (overlapping life spans, the collectSurvey/closeOrder pattern).
+func overlapSet() *core.ConstraintSet {
+	p := core.NewProcess("overlap")
+	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
+	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
+	s := core.NewConstraintSet(p)
+	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("b", core.Start),
+		To: core.PointOf("a", core.Finish), Cond: cond.True(), Origins: []core.Dimension{core.Cooperation}})
+	return s
+}
+
+// nestedDecisionSet nests two decisions: outer=F skips inner, and a
+// guard on inner's branch must read the skipped color.
+func nestedDecisionSet() *core.ConstraintSet {
+	p := core.NewProcess("nested")
+	p.MustAddActivity(&core.Activity{ID: "outer", Kind: core.KindDecision})
+	p.MustAddActivity(&core.Activity{ID: "inner", Kind: core.KindDecision})
+	p.MustAddActivity(&core.Activity{ID: "leaf", Kind: core.KindOpaque})
+	s := core.NewConstraintSet(p)
+	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("outer", core.Finish),
+		To: core.PointOf("inner", core.Start), Cond: cond.Lit("outer", "T"), Origins: []core.Dimension{core.Control}})
+	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("inner", core.Finish),
+		To: core.PointOf("leaf", core.Start), Cond: cond.Lit("inner", "T"), Origins: []core.Dimension{core.Control}})
+	return s
+}
+
+func TestCyclicConstraintsDeadlock(t *testing.T) {
+	s := cyclicSet()
 	// The optimizer rejects cyclic sets; the net-level check must also
 	// catch them (the paper's "infinite synchronization sequence").
 	rep, err := Validate(context.Background(), s, nil)
@@ -83,20 +144,12 @@ func TestCyclicConstraintsDeadlock(t *testing.T) {
 }
 
 func TestExclusiveConstraintEnforcedInNet(t *testing.T) {
-	p := core.NewProcess("excl")
-	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
-	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
-	s := core.NewConstraintSet(p)
-	s.Add(core.Constraint{Rel: core.Exclusive,
-		From: core.PointOf("a", core.Run), To: core.PointOf("b", core.Run), Cond: cond.True()})
+	s := exclusiveSet()
 	n, m, err := Build(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := n.Explore(context.Background(), ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := n.exploreRef(1<<20, nil)
 	if ss.States == 0 {
 		t.Fatal("no states explored")
 	}
@@ -123,31 +176,19 @@ func TestExclusiveConstraintEnforcedInNet(t *testing.T) {
 	}
 	// Without the mutex both could run concurrently: sanity-check the
 	// state count shrinks versus the unconstrained net.
-	s2 := core.NewConstraintSet(p)
+	s2 := core.NewConstraintSet(s.Proc)
 	n2, _, err := Build(s2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss2, err := n2.Explore(context.Background(), ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss2 := n2.exploreRef(1<<20, nil)
 	if ss.States >= ss2.States {
 		t.Errorf("exclusive net has %d states, unconstrained %d; expected fewer", ss.States, ss2.States)
 	}
 }
 
 func TestDeadPathEliminationInNet(t *testing.T) {
-	// dec →[T] x → y: on the F branch both x and y must be skipped and
-	// the run still completes.
-	p := core.NewProcess("dpe")
-	p.MustAddActivity(&core.Activity{ID: "dec", Kind: core.KindDecision})
-	p.MustAddActivity(&core.Activity{ID: "x", Kind: core.KindOpaque})
-	p.MustAddActivity(&core.Activity{ID: "y", Kind: core.KindOpaque})
-	s := core.NewConstraintSet(p)
-	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("dec", core.Finish),
-		To: core.PointOf("x", core.Start), Cond: cond.Lit("dec", "T"), Origins: []core.Dimension{core.Control}})
-	s.Before("x", "y", core.Data)
+	s := dpeSet()
 	// y is control-dependent on dec transitively through x's guard:
 	// derive guards, then the guard of y must follow x's.
 	guards := buildGuards(t, s)
@@ -164,14 +205,7 @@ func TestDeadPathEliminationInNet(t *testing.T) {
 }
 
 func TestStateLevelConstraintInNet(t *testing.T) {
-	// S(b) → F(a): b must start before a may finish (overlapping life
-	// spans, the collectSurvey/closeOrder pattern).
-	p := core.NewProcess("overlap")
-	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
-	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
-	s := core.NewConstraintSet(p)
-	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("b", core.Start),
-		To: core.PointOf("a", core.Finish), Cond: cond.True(), Origins: []core.Dimension{core.Cooperation}})
+	s := overlapSet()
 	n, m, err := Build(s, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -204,17 +238,7 @@ func TestStateLevelConstraintInNet(t *testing.T) {
 }
 
 func TestGuardedDecisionSkipPropagation(t *testing.T) {
-	// Nested decisions: outer=F skips inner; a guard on inner's branch
-	// must read the skipped color and still complete.
-	p := core.NewProcess("nested")
-	p.MustAddActivity(&core.Activity{ID: "outer", Kind: core.KindDecision})
-	p.MustAddActivity(&core.Activity{ID: "inner", Kind: core.KindDecision})
-	p.MustAddActivity(&core.Activity{ID: "leaf", Kind: core.KindOpaque})
-	s := core.NewConstraintSet(p)
-	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("outer", core.Finish),
-		To: core.PointOf("inner", core.Start), Cond: cond.Lit("outer", "T"), Origins: []core.Dimension{core.Control}})
-	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("inner", core.Finish),
-		To: core.PointOf("leaf", core.Start), Cond: cond.Lit("inner", "T"), Origins: []core.Dimension{core.Control}})
+	s := nestedDecisionSet()
 	rep, err := Validate(context.Background(), s, buildGuards(t, s))
 	if err != nil {
 		t.Fatal(err)
@@ -233,5 +257,22 @@ func TestBuildRejectsHappenTogether(t *testing.T) {
 		From: core.PointOf("a", core.Finish), To: core.PointOf("b", core.Start), Cond: cond.True()})
 	if _, _, err := Build(s, nil); err == nil {
 		t.Error("Build accepted HappenTogether")
+	}
+}
+
+// TestValidateOptLeavesCallerFinalPlaces: ValidateOpt derives its own
+// final places and must not write them into the caller's slice.
+func TestValidateOptLeavesCallerFinalPlaces(t *testing.T) {
+	_, asc, res, err := purchasing.Pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller := []PlaceID{97, 98, 99}
+	rep, err := ValidateOpt(context.Background(), res.Minimal, buildGuards(t, asc), ExploreOptions{FinalPlaces: caller})
+	if err != nil || !rep.Sound {
+		t.Fatalf("ValidateOpt = (%+v, %v), want sound", rep, err)
+	}
+	if want := []PlaceID{97, 98, 99}; !reflect.DeepEqual(caller, want) {
+		t.Errorf("caller's FinalPlaces = %v after ValidateOpt, want %v", caller, want)
 	}
 }

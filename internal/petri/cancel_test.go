@@ -1,7 +1,8 @@
 // Cancellation tests for the state-space kernels: a canceled context
-// aborts Explore, CheckSoundness and Coverability promptly (within one
-// ctxCheckEvery stride) instead of running the exploration out, and a
-// nil or never-fired context leaves the verdicts untouched. Run with
+// aborts CheckSoundness (and the test-side Coverability) promptly
+// (within one ctxCheckEvery stride) instead of running the
+// exploration out, and a nil or never-fired context leaves the
+// verdicts untouched. Run with
 // -race: the concurrent tests cancel from a second goroutine while the
 // kernel explores.
 package petri
@@ -19,8 +20,10 @@ import (
 // independentNet builds n parallel one-shot tasks (ready_i → done_i):
 // 2^n reachable markings with bounded memory per marking, so tests can
 // dial the state-space size without the multi-gigabyte footprint a
-// translated workload of equal size would need.
-func independentNet(n int) (*Net, func(Marking) bool) {
+// translated workload of equal size would need. The net is
+// fastpath-eligible, so the tests that need the exploration set
+// FullGraph.
+func independentNet(n int) (*Net, []PlaceID) {
 	net := New()
 	var done []PlaceID
 	for i := 0; i < n; i++ {
@@ -29,35 +32,27 @@ func independentNet(n int) (*Net, func(Marking) bool) {
 		net.AddTransition("run", In(ready, ""), Out(d, ""))
 		done = append(done, d)
 	}
-	final := func(m Marking) bool {
-		for _, p := range done {
-			if m.Tokens(p) == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return net, final
+	return net, done
 }
 
+// TestExplorePreCanceled: the full-graph exploration checks its
+// context before the first state, so a pre-canceled context never
+// yields a verdict.
 func TestExplorePreCanceled(t *testing.T) {
-	// Explore's first context check lands at state ctxCheckEvery, so a
-	// pre-canceled context needs a state space that reaches it: 2^12
-	// markings.
-	net, final := independentNet(12)
+	net, done := independentNet(12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ss, err := net.Explore(ctx, ExploreOptions{Final: final})
-	if ss != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("Explore = (%v, %v), want (nil, context.Canceled)", ss, err)
+	rep, err := net.CheckSoundness(ctx, ExploreOptions{FinalPlaces: done, FullGraph: true})
+	if rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("full graph = (%v, %v), want (nil, context.Canceled)", rep, err)
 	}
 }
 
 func TestCheckSoundnessPreCanceled(t *testing.T) {
-	net, final := independentNet(2)
+	net, done := independentNet(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := net.CheckSoundness(ctx, ExploreOptions{Final: final})
+	rep, err := net.CheckSoundness(ctx, ExploreOptions{FinalPlaces: done})
 	if rep != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("CheckSoundness = (%v, %v), want (nil, context.Canceled)", rep, err)
 	}
@@ -76,12 +71,12 @@ func TestCoverabilityPreCanceled(t *testing.T) {
 // TestKernelsNilContext: a nil ctx means "no cancellation", matching
 // MinimizeOpt's contract for callers below the pipeline.
 func TestKernelsNilContext(t *testing.T) {
-	net, final := independentNet(4)
-	ss, err := net.Explore(nil, ExploreOptions{Final: final})
-	if err != nil || ss.States != 16 {
-		t.Fatalf("Explore(nil ctx) = (%+v, %v), want 16 states", ss, err)
+	net, done := independentNet(4)
+	full, err := net.CheckSoundness(nil, ExploreOptions{FinalPlaces: done, FullGraph: true})
+	if err != nil || !full.Sound || full.StateSpace.States != 16 {
+		t.Fatalf("full graph (nil ctx) = (%+v, %v), want sound over 16 states", full, err)
 	}
-	rep, err := net.CheckSoundness(nil, ExploreOptions{Final: final})
+	rep, err := net.CheckSoundness(nil, ExploreOptions{FinalPlaces: done})
 	if err != nil || !rep.Sound {
 		t.Fatalf("CheckSoundness(nil ctx) = (%+v, %v), want sound", rep, err)
 	}
@@ -96,14 +91,14 @@ func TestKernelsNilContext(t *testing.T) {
 // prompt — the drain-deadline property the server's Shutdown relies
 // on.
 func TestSoundnessCancelConcurrent(t *testing.T) {
-	net, final := independentNet(18)
+	net, done := independentNet(18)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
 	began := time.Now()
-	rep, err := net.CheckSoundness(ctx, ExploreOptions{Final: final})
+	rep, err := net.CheckSoundness(ctx, ExploreOptions{FinalPlaces: done, FullGraph: true})
 	elapsed := time.Since(began)
 	if err == nil {
 		t.Skipf("exploration outran the cancel on this machine (%v for 2^18 states)", elapsed)
@@ -117,17 +112,17 @@ func TestSoundnessCancelConcurrent(t *testing.T) {
 }
 
 func TestExploreDeadline(t *testing.T) {
-	net, final := independentNet(18)
+	net, done := independentNet(18)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	began := time.Now()
-	ss, err := net.Explore(ctx, ExploreOptions{Final: final})
+	rep, err := net.CheckSoundness(ctx, ExploreOptions{FinalPlaces: done, FullGraph: true})
 	elapsed := time.Since(began)
 	if err == nil {
 		t.Skipf("exploration beat the deadline on this machine (%v for 2^18 states)", elapsed)
 	}
-	if ss != nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Explore = (%v, %v), want (nil, context.DeadlineExceeded)", ss, err)
+	if rep != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("full graph = (%v, %v), want (nil, context.DeadlineExceeded)", rep, err)
 	}
 	if elapsed > 10*time.Second {
 		t.Errorf("deadline abort took %v, want well under the drain deadline", elapsed)

@@ -1,8 +1,10 @@
-// Differential property suite: every optimized kernel — packed full,
+// Differential property suite: every production kernel — packed full,
 // stubborn-reduced and the structural fast path — must return exactly
-// the verdict of the unpacked reference kernel (Sound, NoCompletion
-// and the sorted deadlock diagnostics) on the example corpus and on
-// randomized constraint-set nets. Every kernel is sequential and the
+// the verdict of the unpacked reference kernel in ref_test.go (Sound,
+// NoCompletion and the sorted deadlock diagnostics) on the example
+// corpus and on randomized constraint-set nets. The same corpus
+// carries the 1-boundedness property that keeps Build nets inside the
+// packed slot range. Every kernel is sequential and the
 // suite runs on one goroutine, so -race has nothing to find here; CI
 // runs it under -race only because the package's cancellation tests
 // cancel from a second goroutine.
@@ -10,6 +12,7 @@ package petri
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -35,34 +38,48 @@ func verdictOf(rep *SoundnessReport) verdict {
 
 // diffKernels runs every kernel configuration over the net and fails
 // the test on any verdict that differs from the reference kernel's.
-// It returns the method the default (auto) configuration picked.
+// The reduced configuration calls the packed exploration directly, so
+// fastpath-eligible nets are explored (and reduced) too. It returns
+// the method the default (auto) configuration picked.
 func diffKernels(t *testing.T, name string, n *Net, fp []PlaceID) string {
 	t.Helper()
 	ctx := context.Background()
-	base := ExploreOptions{FinalPlaces: fp, MaxStates: 1 << 20}
-	ref, err := n.checkSoundnessRef(ctx, base)
-	if err != nil {
-		t.Fatalf("%s: reference kernel: %v", name, err)
-	}
+	ref := n.checkSoundnessRef(fp, 1<<20)
 	want := verdictOf(ref)
+	c, err := compile(n)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", name, err)
+	}
+	cfp := c.compileFinalPlaces(fp)
 	configs := []struct {
 		label string
-		opts  ExploreOptions
+		run   func() (*SoundnessReport, error)
 	}{
-		{"full", ExploreOptions{FinalPlaces: fp, NoFastPath: true, ReductionOff: true}},
-		{"reduced", ExploreOptions{FinalPlaces: fp, NoFastPath: true}},
-		{"auto", ExploreOptions{FinalPlaces: fp}},
+		{"full", func() (*SoundnessReport, error) {
+			return n.CheckSoundness(ctx, ExploreOptions{FinalPlaces: fp, FullGraph: true})
+		}},
+		{"reduced", func() (*SoundnessReport, error) {
+			return c.explore(ctx, 1<<20, cfp, c.reductionEligible(cfp))
+		}},
+		{"auto", func() (*SoundnessReport, error) {
+			return n.CheckSoundness(ctx, ExploreOptions{FinalPlaces: fp})
+		}},
 	}
 	autoMethod := ""
 	for _, cfg := range configs {
-		rep, err := n.CheckSoundness(ctx, cfg.opts)
+		rep, err := cfg.run()
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, cfg.label, err)
 		}
 		if got := verdictOf(rep); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s/%s (method=%s): verdict = %+v, want %+v", name, cfg.label, rep.Method, got, want)
 		}
-		if cfg.label == "auto" {
+		switch cfg.label {
+		case "full":
+			if rep.StateSpace.States != ref.StateSpace.States {
+				t.Errorf("%s/full: %d states, reference %d", name, rep.StateSpace.States, ref.StateSpace.States)
+			}
+		case "auto":
 			autoMethod = rep.Method
 		}
 	}
@@ -70,9 +87,8 @@ func diffKernels(t *testing.T, name string, n *Net, fp []PlaceID) string {
 }
 
 // buildFromSet runs the paper pipeline steps (desugar → translate →
-// derive guards → build) and returns the net plus its completion
-// places.
-func buildFromSet(t *testing.T, sc *core.ConstraintSet) (*Net, []PlaceID) {
+// derive guards → build) and returns the net plus its mapping.
+func buildFromSet(t *testing.T, sc *core.ConstraintSet) (*Net, *Mapping) {
 	t.Helper()
 	if err := sc.Desugar(); err != nil {
 		t.Fatal(err)
@@ -89,7 +105,7 @@ func buildFromSet(t *testing.T, sc *core.ConstraintSet) (*Net, []PlaceID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, donePlaces(m)
+	return n, m
 }
 
 func donePlaces(m *Mapping) []PlaceID {
@@ -181,13 +197,7 @@ func TestDifferentialHandcrafted(t *testing.T) {
 }
 
 func TestDifferentialCyclic(t *testing.T) {
-	p := core.NewProcess("cycle")
-	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
-	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
-	s := core.NewConstraintSet(p)
-	s.Before("a", "b", core.Data)
-	s.Before("b", "a", core.Data)
-	n, m, err := Build(s, nil)
+	n, m, err := Build(cyclicSet(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,18 +205,37 @@ func TestDifferentialCyclic(t *testing.T) {
 }
 
 func TestDifferentialExclusive(t *testing.T) {
-	p := core.NewProcess("excl")
-	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
-	p.MustAddActivity(&core.Activity{ID: "b", Kind: core.KindOpaque})
-	p.MustAddActivity(&core.Activity{ID: "c", Kind: core.KindOpaque})
-	s := core.NewConstraintSet(p)
-	s.Add(core.Constraint{Rel: core.Exclusive,
-		From: core.PointOf("a", core.Run), To: core.PointOf("b", core.Run), Cond: cond.True()})
-	n, m, err := Build(s, nil)
+	n, m, err := Build(exclusiveSet(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffKernels(t, "exclusive", n, donePlaces(m))
+}
+
+// randomWorkloadSet is the constraint set of the seed-th randomized
+// layered workload (varying shape, shortcut edges, decisions and
+// services).
+func randomWorkloadSet(t *testing.T, seed int) *core.ConstraintSet {
+	t.Helper()
+	// 3+ layers so WithDecisions has a middle rank to convert.
+	layers := 3 + seed%2
+	width := 2 + seed%2
+	density := 0.25 + 0.1*float64(seed%3)
+	w := workload.Layered(layers, width, density, int64(seed))
+	if seed%3 == 1 {
+		w = w.WithShortcuts(1 + seed%2)
+	}
+	if seed%4 == 2 || seed%4 == 3 {
+		w = w.WithDecisions(1 + seed%2)
+	}
+	if seed%8 == 5 {
+		w = w.WithServices(1)
+	}
+	sc, err := w.Constraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // TestDifferentialRandomNets sweeps ≥64 randomized layered workloads
@@ -219,27 +248,9 @@ func TestDifferentialRandomNets(t *testing.T) {
 	}
 	methods := map[string]int{}
 	for seed := 0; seed < seeds; seed++ {
-		// 3+ layers so WithDecisions has a middle rank to convert.
-		layers := 3 + seed%2
-		width := 2 + seed%2
-		density := 0.25 + 0.1*float64(seed%3)
-		w := workload.Layered(layers, width, density, int64(seed))
-		if seed%3 == 1 {
-			w = w.WithShortcuts(1 + seed%2)
-		}
-		if seed%4 == 2 || seed%4 == 3 {
-			w = w.WithDecisions(1 + seed%2)
-		}
-		if seed%8 == 5 {
-			w = w.WithServices(1)
-		}
-		sc, err := w.Constraints()
-		if err != nil {
-			t.Fatal(err)
-		}
 		name := fmt.Sprintf("seed%d", seed)
-		n, fp := buildFromSet(t, sc)
-		methods[diffKernels(t, name, n, fp)]++
+		n, m := buildFromSet(t, randomWorkloadSet(t, seed))
+		methods[diffKernels(t, name, n, donePlaces(m))]++
 		if t.Failed() {
 			t.Fatalf("verdict divergence at %s", name)
 		}
@@ -257,23 +268,16 @@ func TestDifferentialRandomNets(t *testing.T) {
 	t.Logf("auto methods over %d random nets: %v", seeds, methods)
 }
 
-// TestDifferentialExplore pins the packed Explore statistics to the
-// reference kernel's on full (untruncated) explorations.
+// TestDifferentialExplore pins the full packed graph to the reference
+// explorer's: the same reachable markings, firings and dead markings
+// on untruncated explorations.
 func TestDifferentialExplore(t *testing.T) {
 	nets := []struct {
 		name  string
 		build func() *Net
 	}{
 		{"line", func() *Net { n, _, _ := lineNet(); return n }},
-		{"independent6", func() *Net {
-			n := New()
-			for i := 0; i < 6; i++ {
-				ready := n.AddPlace("ready", "")
-				d := n.AddPlace("done")
-				n.AddTransition("run", In(ready, ""), Out(d, ""))
-			}
-			return n
-		}},
+		{"independent6", func() *Net { n, _ := independentNet(6); return n }},
 		{"colored", func() *Net {
 			n := New()
 			src := n.AddPlace("src", "b", "a", "a")
@@ -283,30 +287,25 @@ func TestDifferentialExplore(t *testing.T) {
 			return n
 		}},
 	}
-	ctx := context.Background()
 	for _, tc := range nets {
 		n := tc.build()
-		opts := ExploreOptions{MaxStates: 1 << 20, Bound: 16}
-		ref, err := n.exploreRef(ctx, opts)
+		ref := n.exploreRef(1<<20, nil)
+		c, err := compile(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := n.Explore(ctx, opts)
+		g, err := c.exploreGraph(context.Background(), 1<<20, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.States != ref.States || got.Transitions != ref.Transitions ||
-			got.MaxTokens != ref.MaxTokens || got.Bounded != ref.Bounded ||
-			got.Truncated != ref.Truncated ||
-			len(got.Deadlocks) != len(ref.Deadlocks) || len(got.Finals) != len(ref.Finals) ||
-			!reflect.DeepEqual(got.DeadTransitions, ref.DeadTransitions) {
-			t.Errorf("%s: packed Explore = %+v, reference = %+v", tc.name, got, ref)
-		}
-		for i := range got.Deadlocks {
-			if got.Deadlocks[i].Key() != ref.Deadlocks[i].Key() {
-				t.Errorf("%s: deadlock %d differs: %s vs %s", tc.name, i,
-					got.Deadlocks[i].Key(), ref.Deadlocks[i].Key())
+		dead := 0
+		for _, d := range g.dead {
+			if d {
+				dead++
 			}
+		}
+		if g.n != ref.States || len(g.edgeTo) != ref.Transitions || dead != len(ref.Deadlocks) || g.truncated || ref.Truncated {
+			t.Errorf("%s: full graph %d states/%d edges/%d dead, reference %+v", tc.name, g.n, len(g.edgeTo), dead, ref)
 		}
 	}
 }
@@ -327,12 +326,9 @@ func TestDifferentialTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ExploreOptions{FinalPlaces: donePlaces(m), MaxStates: 100, NoFastPath: true, ReductionOff: true}
-	ref, err := n.checkSoundnessRef(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := n.CheckSoundness(context.Background(), opts)
+	fp := donePlaces(m)
+	ref := n.checkSoundnessRef(fp, 100)
+	got, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: fp, MaxStates: 100, FullGraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,37 +339,61 @@ func TestDifferentialTruncation(t *testing.T) {
 	}
 }
 
-// TestPackedOverflowFallsBack drives a generator net past the packed
-// 255-token slot range: Explore must transparently deliver the
-// reference kernel's result and count the states it explored.
-func TestPackedOverflowFallsBack(t *testing.T) {
-	build := func() *Net {
-		n := New()
-		seed := n.AddPlace("seed", "")
-		sink := n.AddPlace("sink")
-		n.AddTransition("gen", Read(seed, ""), Out(sink, ""))
-		return n
+// TestPackedOverflowIsTypedError drives nets past the packed 255-token
+// slot range on every kernel path — exploration, fast path and
+// compile — and asserts an *OverflowError comes back instead of a
+// verdict.
+func TestPackedOverflowIsTypedError(t *testing.T) {
+	// gen reads its seed and grows sink without bound; not progressive,
+	// so it is explored.
+	generator := New()
+	seed := generator.AddPlace("seed", "")
+	sink := generator.AddPlace("sink")
+	generator.AddTransition("gen", Read(seed, ""), Out(sink, ""))
+	if ss := generator.exploreRef(400, nil); ss.MaxTokens <= 255 {
+		t.Fatalf("generator did not exceed the packed range (MaxTokens=%d)", ss.MaxTokens)
 	}
-	opts := ExploreOptions{MaxStates: 400, Bound: 8}
-	ref, err := build().exploreRef(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
+
+	// burst fires once and produces 256 tokens: fastpath-eligible.
+	burst := New()
+	start := burst.AddPlace("start", "")
+	heap := burst.AddPlace("heap")
+	arcs := []Arc{In(start, "")}
+	for i := 0; i < 256; i++ {
+		arcs = append(arcs, Out(heap, ""))
 	}
-	reg := obs.NewRegistry()
-	opts.Metrics = reg
-	got, err := build().Explore(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := reg.Counter("petri_states_explored_total").Value(); c != int64(got.States) {
-		t.Errorf("petri_states_explored_total = %d, want States = %d", c, got.States)
-	}
-	if got.States != ref.States || got.Truncated != ref.Truncated || got.Bounded != ref.Bounded ||
-		got.MaxTokens != ref.MaxTokens {
-		t.Errorf("overflow fallback = %+v, reference = %+v", got, ref)
-	}
-	if got.MaxTokens <= 255 {
-		t.Fatalf("net did not exceed the packed range (MaxTokens=%d)", got.MaxTokens)
+	burst.AddTransition("burst", arcs...)
+
+	// full starts with 256 tokens in one place: compile refuses it.
+	full := New()
+	tokens := make([]string, 256)
+	pile := full.AddPlace("pile", tokens...)
+	drained := full.AddPlace("drained")
+	full.AddTransition("drain", In(pile, ""), Out(drained, ""))
+
+	for _, tc := range []struct {
+		name      string
+		n         *Net
+		fp        []PlaceID
+		fullGraph bool
+		place     string
+	}{
+		{"explored", generator, []PlaceID{sink}, false, "sink"},
+		{"fastpath", burst, []PlaceID{heap}, false, "heap"},
+		{"burst/full", burst, []PlaceID{heap}, true, "heap"},
+		{"compile", full, []PlaceID{drained}, false, "pile"},
+	} {
+		reg := obs.NewRegistry()
+		rep, err := tc.n.CheckSoundness(context.Background(), ExploreOptions{
+			FinalPlaces: tc.fp, MaxStates: 400, FullGraph: tc.fullGraph, Metrics: reg})
+		var oe *OverflowError
+		if rep != nil || !errors.As(err, &oe) || oe.Place != tc.place {
+			t.Errorf("%s: CheckSoundness = (%+v, %v), want an *OverflowError in %s", tc.name, rep, err, tc.place)
+			continue
+		}
+		if c := reg.Counter("petri_states_explored_total").Value(); c != 0 {
+			t.Errorf("%s: petri_states_explored_total = %d after an overflow, want 0", tc.name, c)
+		}
 	}
 }
 
@@ -386,22 +406,117 @@ func TestFastpathMethodSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, fp := buildFromSet(t, sc)
+	n, m := buildFromSet(t, sc)
+	fp := donePlaces(m)
 	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Method != "fastpath" {
-		t.Errorf("method = %q, want fastpath (classification %q)", rep.Method, rep.Classification)
+		t.Errorf("method = %q, want fastpath", rep.Method)
 	}
 	if !rep.Sound {
 		t.Errorf("decision-free workload unsound: %v", rep.Deadlocks)
 	}
-	ref, err := n.checkSoundnessRef(context.Background(), ExploreOptions{FinalPlaces: fp, MaxStates: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := n.checkSoundnessRef(fp, 1<<20)
 	if !reflect.DeepEqual(verdictOf(rep), verdictOf(ref)) {
 		t.Errorf("fastpath verdict %+v != reference %+v", verdictOf(rep), verdictOf(ref))
 	}
+}
+
+// TestBuildNetsAreOneBounded is the property the packed kernel's slot
+// range rests on: no place of a Build net ever holds more than one
+// token, so the 255-token overflow is unreachable in production. Over
+// the Build nets of the differential corpus — purchasing (ASC and
+// minimal set), the handcrafted sets, and the random layered
+// workloads with decisions and services — the reference explorer must
+// finish untruncated with at most one token in any place, and Farkas
+// must find wait + running + done = 1 for every activity. Karp–Miller
+// confirms purchasing bounded independently of any state budget.
+func TestBuildNetsAreOneBounded(t *testing.T) {
+	type buildNet struct {
+		name string
+		n    *Net
+		m    *Mapping
+	}
+	var corpus []buildNet
+	_, asc, res, err := purchasing.Pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	guards, err := core.DeriveGuards(asc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sc   *core.ConstraintSet
+	}{{"purchasing/asc", asc}, {"purchasing/minimal", res.Minimal}} {
+		n, m, err := Build(tc.sc, guards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cov, err := n.Coverability(context.Background(), 1<<19)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cov.Bounded || cov.Inconclusive {
+			t.Errorf("%s: coverability %+v", tc.name, cov)
+		}
+		corpus = append(corpus, buildNet{tc.name, n, m})
+	}
+	for _, tc := range []struct {
+		name    string
+		sc      *core.ConstraintSet
+		guarded bool // cyclic sets have no guards to derive
+	}{
+		{"cyclic", cyclicSet(), false}, {"exclusive", exclusiveSet(), false},
+		{"overlap", overlapSet(), false}, {"dpe", dpeSet(), true}, {"nested", nestedDecisionSet(), true},
+	} {
+		var g map[core.Node]cond.Expr
+		if tc.guarded {
+			g = buildGuards(t, tc.sc)
+		}
+		n, m, err := Build(tc.sc, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, buildNet{tc.name, n, m})
+	}
+	seeds := 64
+	if testing.Short() {
+		seeds = 16
+	}
+	for seed := 0; seed < seeds; seed++ {
+		n, m := buildFromSet(t, randomWorkloadSet(t, seed))
+		corpus = append(corpus, buildNet{fmt.Sprintf("seed%d", seed), n, m})
+	}
+
+	states := 0
+	for _, tc := range corpus {
+		ss := tc.n.exploreRef(1<<20, nil)
+		states += ss.States
+		if ss.Truncated || ss.MaxTokens > 1 {
+			t.Errorf("%s: %d states, truncated=%v, max %d tokens in a place; want untruncated and at most 1",
+				tc.name, ss.States, ss.Truncated, ss.MaxTokens)
+		}
+		invs, err := tc.n.PlaceInvariants(0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for id, wait := range tc.m.Wait {
+			want := map[PlaceID]int64{wait: 1, tc.m.Running[id]: 1, tc.m.Done[id]: 1}
+			found := false
+			for _, inv := range invs {
+				if inv.Constant == 1 && reflect.DeepEqual(inv.Weights, want) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: no invariant wait+running+done = 1 for %s", tc.name, id)
+			}
+		}
+	}
+	t.Logf("%d Build nets, %d reachable states, none with a place above 1 token", len(corpus), states)
 }

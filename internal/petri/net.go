@@ -12,19 +12,14 @@
 // is "the same as the extension from basic Petri Nets to Colored Petri
 // Nets".
 //
-// The analysis half of the package (analysis.go) explores the state
-// space to decide the properties the paper's validation stage needs:
-// reachability of proper completion, deadlock freedom, boundedness and
-// dead transitions. The builder (build.go) maps a core.ConstraintSet
-// to a net whose firing sequences are exactly the schedules the
-// runtime engine may produce.
+// The builder (build.go) maps a core.ConstraintSet to a net whose
+// firing sequences are exactly the schedules the runtime engine may
+// produce. The analysis half (analysis.go) decides the one property
+// the paper's validation stage needs — workflow soundness: proper
+// completion stays reachable and no deadlock exists — on a packed,
+// 1-byte-per-slot kernel (packed.go). Build nets are 1-bounded, so
+// the kernel's 255-token slot range is never reached.
 package petri
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // PlaceID indexes a place.
 type PlaceID int
@@ -100,45 +95,9 @@ func Read(p PlaceID, color string) Arc { return Arc{Kind: ArcRead, Place: p, Col
 // Out is a producing-arc constructor.
 func Out(p PlaceID, color string) Arc { return Arc{Kind: ArcOut, Place: p, Color: color} }
 
-// NumPlaces returns the number of places.
-func (n *Net) NumPlaces() int { return len(n.places) }
-
-// NumTransitions returns the number of transitions.
-func (n *Net) NumTransitions() int { return len(n.transitions) }
-
-// PlaceName returns a place's name.
-func (n *Net) PlaceName(p PlaceID) string { return n.places[p].Name }
-
-// TransitionName returns a transition's name.
-func (n *Net) TransitionName(t TransitionID) string { return n.transitions[t].Name }
-
 // Marking assigns each place a multiset of token colors, represented
 // as color → count.
 type Marking []map[string]int
-
-// InitialMarking returns the net's initial marking.
-func (n *Net) InitialMarking() Marking {
-	m := make(Marking, len(n.places))
-	for i, p := range n.places {
-		m[i] = map[string]int{}
-		for _, c := range p.Initial {
-			m[i][c]++
-		}
-	}
-	return m
-}
-
-// Clone deep-copies a marking.
-func (m Marking) Clone() Marking {
-	out := make(Marking, len(m))
-	for i, tokens := range m {
-		out[i] = make(map[string]int, len(tokens))
-		for c, k := range tokens {
-			out[i][c] = k
-		}
-	}
-	return out
-}
 
 // Tokens returns the number of tokens (of all colors) in a place.
 func (m Marking) Tokens(p PlaceID) int {
@@ -147,138 +106,4 @@ func (m Marking) Tokens(p PlaceID) int {
 		total += k
 	}
 	return total
-}
-
-// Has reports whether the place holds at least one token matching the
-// color ("" matches any).
-func (m Marking) Has(p PlaceID, color string) bool {
-	if color == "" {
-		return m.Tokens(p) > 0
-	}
-	return m[p][color] > 0
-}
-
-// Key renders a canonical string for state-space hashing.
-func (m Marking) Key() string {
-	var b strings.Builder
-	for i, tokens := range m {
-		if len(tokens) == 0 {
-			continue
-		}
-		colors := make([]string, 0, len(tokens))
-		for c := range tokens {
-			if tokens[c] > 0 {
-				colors = append(colors, c)
-			}
-		}
-		if len(colors) == 0 {
-			continue
-		}
-		sort.Strings(colors)
-		fmt.Fprintf(&b, "%d:", i)
-		for _, c := range colors {
-			fmt.Fprintf(&b, "%s*%d,", c, tokens[c])
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// enabled reports whether transition t may fire in m. Consuming arcs
-// with empty color pick an arbitrary token; multiple consuming arcs on
-// the same place require that many tokens.
-func (n *Net) enabled(m Marking, t TransitionID) bool {
-	need := map[PlaceID]map[string]int{} // exact-color demands
-	needAny := map[PlaceID]int{}         // wildcard demands
-	for _, a := range n.transitions[t].Arcs {
-		switch a.Kind {
-		case ArcIn:
-			if a.Color == "" {
-				needAny[a.Place]++
-			} else {
-				if need[a.Place] == nil {
-					need[a.Place] = map[string]int{}
-				}
-				need[a.Place][a.Color]++
-			}
-		case ArcRead:
-			if !m.Has(a.Place, a.Color) {
-				return false
-			}
-		}
-	}
-	for p, colors := range need {
-		for c, k := range colors {
-			if m[p][c] < k {
-				return false
-			}
-		}
-	}
-	for p, k := range needAny {
-		exact := 0
-		if colors, ok := need[p]; ok {
-			for _, kk := range colors {
-				exact += kk
-			}
-		}
-		if m.Tokens(p)-exact < k {
-			return false
-		}
-	}
-	return true
-}
-
-// Enabled returns the transitions enabled in m, ascending.
-func (n *Net) Enabled(m Marking) []TransitionID {
-	var out []TransitionID
-	for t := range n.transitions {
-		if n.enabled(m, TransitionID(t)) {
-			out = append(out, TransitionID(t))
-		}
-	}
-	return out
-}
-
-// Fire fires t in m and returns the successor marking. It returns an
-// error if t is not enabled. Wildcard consuming arcs remove an
-// arbitrary token deterministically (smallest color first) — the nets
-// built by this package never rely on which one.
-func (n *Net) Fire(m Marking, t TransitionID) (Marking, error) {
-	if !n.enabled(m, t) {
-		return nil, fmt.Errorf("petri: transition %s not enabled", n.transitions[t].Name)
-	}
-	out := m.Clone()
-	for _, a := range n.transitions[t].Arcs {
-		if a.Kind != ArcIn {
-			continue
-		}
-		if a.Color != "" {
-			out[a.Place][a.Color]--
-			if out[a.Place][a.Color] == 0 {
-				delete(out[a.Place], a.Color)
-			}
-			continue
-		}
-		colors := make([]string, 0, len(out[a.Place]))
-		for c, k := range out[a.Place] {
-			if k > 0 {
-				colors = append(colors, c)
-			}
-		}
-		if len(colors) == 0 {
-			return nil, fmt.Errorf("petri: internal: no token for wildcard arc on %s", n.places[a.Place].Name)
-		}
-		sort.Strings(colors)
-		c := colors[0]
-		out[a.Place][c]--
-		if out[a.Place][c] == 0 {
-			delete(out[a.Place], c)
-		}
-	}
-	for _, a := range n.transitions[t].Arcs {
-		if a.Kind == ArcOut {
-			out[a.Place][a.Color]++
-		}
-	}
-	return out, nil
 }

@@ -7,19 +7,19 @@
 // slot in a flat []uint8 state vector, so a marking is stateLen bytes,
 // firing a transition is a handful of byte increments, and the visited
 // set hashes raw bytes (FNV-1a) into an open-addressing table backed
-// by an arena of fixed-size chunks — no per-state maps, no Marking.Key()
-// strings.
+// by an arena of fixed-size chunks — no per-state maps, no string
+// keys.
 //
 // Token counts are capped at 255 per slot: a count that would
-// overflow aborts the packed run with an overflowError and the caller
-// falls back to the legacy map-based reference kernel (ref.go), which
-// has no such cap.
+// overflow aborts the analysis with an *OverflowError. Build nets
+// never reach it, because every place of a Build net holds at most one
+// token (DESIGN.md); the map-based reference kernel in ref_test.go is
+// the differential oracle, not a fallback.
 package petri
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -29,17 +29,12 @@ import (
 // the per-state flag slices well inside their int32 and memory range.
 const maxPackedStates = 1 << 26
 
-// overflowError reports a packed token count exceeding the uint8 slot
-// range; the analysis falls back to the unpacked reference kernel.
-type overflowError struct{ place string }
+// OverflowError reports a token count exceeding a packed slot's uint8
+// range. CheckSoundness returns it instead of a verdict.
+type OverflowError struct{ Place string }
 
-func (e *overflowError) Error() string {
-	return fmt.Sprintf("petri: packed token count overflow in place %s", e.place)
-}
-
-func isOverflow(err error) bool {
-	var oe *overflowError
-	return errors.As(err, &oe)
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("petri: packed token count overflow in place %s", e.Place)
 }
 
 // slotDemand is an exact-color token demand or production: k tokens on
@@ -61,7 +56,7 @@ type anyDemand struct {
 // consumeOp replays one ArcIn in arc order. slot ≥ 0 removes from that
 // slot; slot < 0 is a wildcard: remove from the first non-empty slot
 // of place (ascending color — the same smallest-color-first choice
-// Net.Fire makes).
+// the reference interpreter's Fire makes).
 type consumeOp struct {
 	slot  int32
 	place int32
@@ -171,7 +166,7 @@ func compile(n *Net) (*compiled, error) {
 		for _, col := range pl.Initial {
 			s, _ := slotOf(PlaceID(i), col) // always present: palette includes initials
 			if c.initial[s] == 255 {
-				return nil, &overflowError{place: pl.Name}
+				return nil, &OverflowError{Place: pl.Name}
 			}
 			c.initial[s]++
 		}
@@ -280,7 +275,9 @@ func (c *compiled) placeTotal(s []byte, p int32) int32 {
 	return tot
 }
 
-// transEnabled mirrors Net.enabled on the packed representation.
+// transEnabled decides whether transition t may fire in s. Consuming
+// arcs with empty color pick an arbitrary token; multiple consuming
+// arcs on the same place require that many tokens.
 func (c *compiled) transEnabled(s []byte, t int32) bool {
 	tr := &c.trans[t]
 	if tr.never {
@@ -321,8 +318,8 @@ func (c *compiled) enabledList(s []byte, buf []int32) []int32 {
 }
 
 // fireTo fires t (which must be enabled) from src into dst. Consuming
-// ops replay in arc order with the same smallest-color wildcard pick
-// as Net.Fire, so packed successors decode to exactly the markings the
+// ops replay in arc order and a wildcard arc removes the smallest
+// color first, so packed successors decode to exactly the markings the
 // reference kernel computes.
 func (c *compiled) fireTo(src []byte, t int32, dst []byte) error {
 	copy(dst, src)
@@ -347,16 +344,15 @@ func (c *compiled) fireTo(src []byte, t int32, dst []byte) error {
 	}
 	for _, d := range tr.prod {
 		if int32(dst[d.slot])+d.k > 255 {
-			return &overflowError{place: c.net.places[c.slotPl[d.slot]].Name}
+			return &OverflowError{Place: c.net.places[c.slotPl[d.slot]].Name}
 		}
 		dst[d.slot] += byte(d.k)
 	}
 	return nil
 }
 
-// decode expands a packed state back to a Marking (diagnostics and
-// generic Final predicates only — never on the exploration hot path
-// for structural finals).
+// decode expands a packed state back to a Marking (deadlock
+// diagnostics only).
 func (c *compiled) decode(s []byte) Marking {
 	m := make(Marking, len(c.palette))
 	for p := range c.palette {
@@ -371,8 +367,8 @@ func (c *compiled) decode(s []byte) Marking {
 	return m
 }
 
-// compileFinalPlaces validates and lowers an ExploreOptions.FinalPlaces
-// list.
+// compileFinalPlaces lowers an ExploreOptions.FinalPlaces list to
+// ascending packed place indexes.
 func (c *compiled) compileFinalPlaces(fp []PlaceID) []int32 {
 	out := make([]int32, 0, len(fp))
 	for _, p := range fp {
@@ -380,6 +376,16 @@ func (c *compiled) compileFinalPlaces(fp []PlaceID) []int32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// isFinal reports whether every final place is marked in s.
+func (c *compiled) isFinal(s []byte, fp []int32) bool {
+	for _, p := range fp {
+		if c.placeTotal(s, p) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // finalMonotone reports whether no final place has a consumer: once a
@@ -522,7 +528,7 @@ type sgraph struct {
 // marking. Node ids are BFS (insertion) order, matching the reference
 // kernel's, so even MaxStates-truncated runs retain the same state
 // prefix. Dead detection always uses the full enabled set.
-func (c *compiled) exploreGraph(ctx context.Context, maxStates int, isFinal func([]byte) bool, reduce bool) (*sgraph, error) {
+func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, reduce bool) (*sgraph, error) {
 	st := newStateTable(c.stateLen, 1024)
 	st.insert(hashState(c.initial), c.initial)
 	g := &sgraph{}
@@ -539,7 +545,7 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, isFinal func
 		}
 		s := st.state(i)
 		enabled := c.enabledList(s, enabledBuf)
-		g.final = append(g.final, isFinal(s))
+		g.final = append(g.final, c.isFinal(s, fp))
 		g.dead = append(g.dead, len(enabled) == 0)
 		expand := enabled
 		if sb != nil && len(enabled) > 1 {
@@ -565,74 +571,4 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, isFinal func
 	g.n = st.count()
 	g.st = st
 	return g, nil
-}
-
-// exploreStats is the packed core of Explore: a full (unreduced) BFS
-// that gathers the StateSpace statistics. Max-token tracking is
-// incremental — only the places the fired transition produced into are
-// rescanned — which observes the same maximum as the reference
-// kernel's all-places scan on every run that is not truncated.
-func (c *compiled) exploreStats(ctx context.Context, opts ExploreOptions, isFinal func([]byte) bool) (*StateSpace, error) {
-	ss := &StateSpace{Bounded: true}
-	st := newStateTable(c.stateLen, 1024)
-	st.insert(hashState(c.initial), c.initial)
-	fired := make([]bool, len(c.trans))
-	for p := range c.palette {
-		if tot := int(c.placeTotal(c.initial, int32(p))); tot > ss.MaxTokens {
-			ss.MaxTokens = tot
-			if tot > opts.Bound {
-				ss.Bounded = false
-			}
-		}
-	}
-	enabledBuf := make([]int32, 0, len(c.trans))
-	dst := make([]byte, c.stateLen)
-	for i := int32(0); int(i) < st.count() && !ss.Truncated; i++ {
-		ss.States++
-		if err := ctxErrEvery(ctx, ss.States); err != nil {
-			return nil, err
-		}
-		s := st.state(i)
-		enabled := c.enabledList(s, enabledBuf)
-		fin := isFinal != nil && isFinal(s)
-		if fin {
-			ss.Finals = append(ss.Finals, c.decode(s))
-		}
-		if len(enabled) == 0 && !fin {
-			ss.Deadlocks = append(ss.Deadlocks, c.decode(s))
-		}
-		for _, t := range enabled {
-			fired[t] = true
-			if err := c.fireTo(s, t, dst); err != nil {
-				return nil, err
-			}
-			h := hashState(dst)
-			if _, ok := st.find(h, dst); ok {
-				ss.Transitions++
-				continue
-			}
-			if st.count() >= opts.MaxStates {
-				// Short-circuit: no further successors are counted once
-				// the cap refuses a state (see StateSpace.Truncated).
-				ss.Truncated = true
-				break
-			}
-			ss.Transitions++
-			st.insert(h, dst)
-			for _, p := range c.trans[t].prodPlaces {
-				if tot := int(c.placeTotal(dst, p)); tot > ss.MaxTokens {
-					ss.MaxTokens = tot
-					if tot > opts.Bound {
-						ss.Bounded = false
-					}
-				}
-			}
-		}
-	}
-	for t, f := range fired {
-		if !f {
-			ss.DeadTransitions = append(ss.DeadTransitions, TransitionID(t))
-		}
-	}
-	return ss, nil
 }

@@ -137,12 +137,11 @@ func TestMarkingKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestExploreLine pins the reference explorer's statistics on a line
+// and checks the packed full graph visits the same markings.
 func TestExploreLine(t *testing.T) {
 	n, ps, _ := lineNet()
-	ss, err := n.Explore(context.Background(), ExploreOptions{Final: func(m Marking) bool { return m.Tokens(ps[2]) == 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := n.exploreRef(1<<20, []PlaceID{ps[2]})
 	if ss.States != 3 {
 		t.Errorf("States = %d, want 3", ss.States)
 	}
@@ -152,11 +151,18 @@ func TestExploreLine(t *testing.T) {
 	if len(ss.Finals) != 1 {
 		t.Errorf("Finals = %d, want 1", len(ss.Finals))
 	}
-	if !ss.Bounded || ss.MaxTokens != 1 {
-		t.Errorf("Bounded=%v MaxTokens=%d", ss.Bounded, ss.MaxTokens)
+	if ss.MaxTokens != 1 {
+		t.Errorf("MaxTokens = %d, want 1", ss.MaxTokens)
 	}
 	if len(ss.DeadTransitions) != 0 {
 		t.Errorf("DeadTransitions = %v", ss.DeadTransitions)
+	}
+	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{ps[2]}, FullGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StateSpace.States != ss.States {
+		t.Errorf("full graph States = %d, reference %d", rep.StateSpace.States, ss.States)
 	}
 }
 
@@ -167,15 +173,19 @@ func TestExploreDetectsDeadlock(t *testing.T) {
 	never := n.AddPlace("never")
 	n.AddTransition("t0", In(p0, ""), Out(p1, ""))
 	dead := n.AddTransition("blocked", In(never, ""), Out(p0, ""))
-	ss, err := n.Explore(context.Background(), ExploreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := n.exploreRef(1<<20, nil)
 	if len(ss.Deadlocks) != 1 {
 		t.Errorf("Deadlocks = %d, want 1", len(ss.Deadlocks))
 	}
 	if len(ss.DeadTransitions) != 1 || ss.DeadTransitions[0] != dead {
 		t.Errorf("DeadTransitions = %v", ss.DeadTransitions)
+	}
+	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{never}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sound || len(rep.Deadlocks) != 1 || rep.Deadlocks[0] != "{p1}" {
+		t.Errorf("rep = %+v, want one deadlock {p1}", rep)
 	}
 }
 
@@ -184,21 +194,25 @@ func TestExploreUnboundedGenerator(t *testing.T) {
 	seed := n.AddPlace("seed", "")
 	sink := n.AddPlace("sink")
 	n.AddTransition("gen", Read(seed, ""), Out(sink, ""))
-	ss, err := n.Explore(context.Background(), ExploreOptions{MaxStates: 64, Bound: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Bounded {
-		t.Error("generator net reported bounded")
+	ss := n.exploreRef(64, nil)
+	if ss.MaxTokens <= 8 {
+		t.Errorf("generator net peaked at %d tokens", ss.MaxTokens)
 	}
 	if !ss.Truncated {
 		t.Error("exploration of unbounded net not truncated")
+	}
+	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{sink}, MaxStates: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sound || !rep.StateSpace.Truncated || rep.StateSpace.States != 64 {
+		t.Errorf("rep = %+v/%+v, want a truncated unsound verdict over 64 states", rep, rep.StateSpace)
 	}
 }
 
 func TestCheckSoundnessSoundNet(t *testing.T) {
 	n, ps, _ := lineNet()
-	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{Final: func(m Marking) bool { return m.Tokens(ps[2]) == 1 }})
+	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{ps[2]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +233,7 @@ func TestCheckSoundnessDeadlock(t *testing.T) {
 	n.AddTransition("trap", In(p0, ""), Out(stuckPre, ""))
 	n.AddTransition("finish", In(good, ""), Out(done, ""))
 	n.AddTransition("blocked", In(stuckPre, ""), In(never, ""), Out(done, ""))
-	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{Final: func(m Marking) bool { return m.Tokens(done) == 1 }})
+	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{done}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +250,8 @@ func TestCheckSoundnessDeadlock(t *testing.T) {
 
 func TestCheckSoundnessNoCompletion(t *testing.T) {
 	n, _, _ := lineNet()
-	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{Final: func(m Marking) bool { return false }})
+	never := n.AddPlace("never")
+	rep, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{never}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +263,9 @@ func TestCheckSoundnessNoCompletion(t *testing.T) {
 func TestCheckSoundnessRequiresFinal(t *testing.T) {
 	n, _, _ := lineNet()
 	if _, err := n.CheckSoundness(context.Background(), ExploreOptions{}); err == nil {
-		t.Error("CheckSoundness accepted nil Final")
+		t.Error("CheckSoundness accepted no FinalPlaces")
+	}
+	if _, err := n.CheckSoundness(context.Background(), ExploreOptions{FinalPlaces: []PlaceID{3}}); err == nil {
+		t.Error("CheckSoundness accepted a final place outside the net")
 	}
 }

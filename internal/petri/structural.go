@@ -36,10 +36,7 @@
 
 package petri
 
-import (
-	"context"
-	"strings"
-)
+import "context"
 
 func (c *compiled) classify() {
 	np := len(c.palette)
@@ -124,27 +121,6 @@ func (c *compiled) classify() {
 	}
 }
 
-// classification renders the structural verdict for SoundnessReport.
-func (c *compiled) classification() string {
-	var parts []string
-	if c.progressive {
-		parts = append(parts, "progressive")
-	}
-	if c.conflictFree {
-		parts = append(parts, "conflict-free")
-	}
-	if c.wildcardSafe {
-		parts = append(parts, "wildcard-safe")
-	}
-	if c.singleColor {
-		parts = append(parts, "uncolored")
-	}
-	if len(parts) == 0 {
-		return "general"
-	}
-	return strings.Join(parts, " ")
-}
-
 // fastpathEligible gates the greedy run on the confluence argument
 // above plus a structural, monotone final predicate.
 func (c *compiled) fastpathEligible(fp []int32) bool {
@@ -163,7 +139,7 @@ func (c *compiled) reductionEligible(fp []int32) bool {
 // fastpath decides soundness via one greedy maximal run. It returns
 // the report directly; StateSpace.States counts the markings along the
 // run (the full interleaving count is never materialized — that is the
-// point). An overflow falls back to the exploration kernels.
+// point).
 func (c *compiled) fastpath(ctx context.Context, fp []int32) (*SoundnessReport, error) {
 	if err := ctxErrEvery(ctx, 0); err != nil {
 		return nil, err
@@ -210,17 +186,12 @@ func (c *compiled) fastpath(ctx context.Context, fp []int32) (*SoundnessReport, 
 			}
 		}
 	}
-	final := true
-	for _, p := range fp {
-		if c.placeTotal(state, p) == 0 {
-			final = false
-			break
-		}
-	}
+	final := c.isFinal(state, fp)
 	rep := &SoundnessReport{
 		Sound:        final,
 		NoCompletion: !final,
-		StateSpace:   &StateSpace{States: fires + 1, Bounded: true},
+		StateSpace:   &StateSpace{States: fires + 1},
+		Method:       "fastpath",
 	}
 	if !final {
 		rep.Deadlocks = []string{c.net.describeMarking(c.decode(state))}
@@ -247,7 +218,7 @@ func (c *compiled) fireInPlace(state []byte, t int32) error {
 	}
 	for _, d := range tr.prod {
 		if int32(state[d.slot])+d.k > 255 {
-			return &overflowError{place: c.net.places[c.slotPl[d.slot]].Name}
+			return &OverflowError{Place: c.net.places[c.slotPl[d.slot]].Name}
 		}
 		state[d.slot] += byte(d.k)
 	}

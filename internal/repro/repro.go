@@ -191,7 +191,7 @@ func Soundness() (Result, error) {
 	// the measurable form of transitive equivalence, and the reduced or
 	// fast-path kernels would hide exactly the quantity this artifact
 	// reports.
-	opts := petri.ExploreOptions{ReductionOff: true, NoFastPath: true}
+	opts := petri.ExploreOptions{FullGraph: true}
 	repASC, err := petri.ValidateOpt(context.Background(), asc, guards, opts)
 	if err != nil {
 		return Result{}, err
