@@ -214,30 +214,6 @@ func (in *Injector) WrapService(cfg services.Config) services.Config {
 	return cfg
 }
 
-// WrapTransport wraps a transport's send path with the seeded
-// injection, keyed per (service, port) like WrapService. Latency
-// spikes delay the invoking goroutine — on the enactment fabric this
-// models network delay on the cross-node note path — while fault
-// draws fail the Invoke itself, modeling an unreachable peer.
-func (in *Injector) WrapTransport(t services.Transport) services.Transport {
-	return &chaosTransport{in: in, t: t}
-}
-
-type chaosTransport struct {
-	in *Injector
-	t  services.Transport
-}
-
-func (c *chaosTransport) Invoke(serviceName, port string, payload any) error {
-	if err := c.in.inject(context.Background(), "transport/"+serviceName+"."+port); err != nil {
-		return err
-	}
-	return c.t.Invoke(serviceName, port, payload)
-}
-
-func (c *chaosTransport) Inbox() <-chan services.Callback { return c.t.Inbox() }
-func (c *chaosTransport) Close()                          { c.t.Close() }
-
 // StageHook returns a weave.Options.StageHook injecting latency and
 // faults at pipeline stage boundaries, keyed per stage name.
 func (in *Injector) StageHook() func(ctx context.Context, stage string) error {

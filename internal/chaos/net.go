@@ -1,5 +1,5 @@
 // Network chaos: a seeded, deterministic fault layer for the
-// enactment fabric, injected at the transport seam. Two wrappers share
+// enactment fabric, injected on the note path. Two wrappers share
 // one fault plan keyed by directed (from, to) host link:
 //
 //   - RoundTripper wraps HTTPTransport.Client for multi-process

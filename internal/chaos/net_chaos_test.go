@@ -25,7 +25,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -308,37 +307,6 @@ func TestChaosNetPartitionHeal(t *testing.T) {
 	}
 }
 
-// memFabric is a direct-dispatch fabric for wrapping with net.Fabric:
-// Send invokes the receiver inline, so every duplicate and delayed
-// delivery the chaos layer injects lands on the board exactly as sent.
-type memFabric struct {
-	mu   sync.Mutex
-	recv map[string]func(enact.Note)
-}
-
-func (m *memFabric) Register(host string, deliver func(enact.Note)) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.recv == nil {
-		m.recv = map[string]func(enact.Note){}
-	}
-	m.recv[host] = deliver
-	return nil
-}
-
-func (m *memFabric) Send(host string, n enact.Note) error {
-	m.mu.Lock()
-	d := m.recv[host]
-	m.mu.Unlock()
-	if d == nil {
-		return fmt.Errorf("memFabric: no receiver for %s", host)
-	}
-	d(n)
-	return nil
-}
-
-func (m *memFabric) Close() {}
-
 // TestChaosNetFabricDupReorder proves exactly-once note application at
 // the board layer: every cross-partition note duplicated (DupP=1) and
 // a quarter of them delayed out of order, yet the merged trace stays
@@ -367,7 +335,7 @@ func TestChaosNetFabricDupReorder(t *testing.T) {
 			{From: "*", To: "*"}: {DupP: 1, DelayP: 0.25, MaxDelay: 5 * time.Millisecond},
 		},
 	})
-	fab := net.Fabric(&memFabric{})
+	fab := net.Fabric(enact.NewLocalFabric())
 	defer fab.Close()
 	reg := obs.NewRegistry()
 	out, err := enact.Run(context.Background(), enact.Options{

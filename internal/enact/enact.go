@@ -3,12 +3,12 @@
 // paper's §5 decentralized-execution connection as a running system
 // rather than a static analysis. Each node owns its partition's
 // activities; cross-partition HappenBefore edges become transport
-// messages (Notes) carried by a pluggable Fabric: an in-process bus by
-// default, HTTP between dscweaverd processes in e2e. Every node's
-// board keeps a Lamport clock, and the per-node note streams merge by
-// stamp into one global trace that must validate against the global
-// pre-minimization constraint set — the same Def. 5 check a single
-// engine faces.
+// messages (Notes) carried by a pluggable Fabric: direct in-process
+// dispatch by default (NewLocalFabric), HTTPTransport calls between
+// dscweaverd processes. Every node's board keeps a Lamport clock, and
+// the per-node note streams merge by stamp into one global trace that
+// must validate against the global pre-minimization constraint set —
+// the same Def. 5 check a single engine faces.
 //
 // Message economics are the point: a successful run sends exactly one
 // note per cross-partition HappenBefore edge (a start-gating edge
@@ -42,7 +42,6 @@ import (
 	"dscweaver/internal/decentral"
 	"dscweaver/internal/obs"
 	"dscweaver/internal/schedule"
-	"dscweaver/internal/services"
 )
 
 // PartitionedPeerError is the crisp failure shape for an unreachable
@@ -109,12 +108,8 @@ type Options struct {
 	// trace.
 	Hosts []string
 	// Fabric carries cross-node notes. Nil (single-process only) uses
-	// an in-process bus fabric.
+	// NewLocalFabric. Run closes only the fabric it built.
 	Fabric Fabric
-	// WrapTransport wraps the in-process fabric's transport — the chaos
-	// seam for latency injection on the note path. Ignored when Fabric
-	// is set.
-	WrapTransport func(services.Transport) services.Transport
 }
 
 // Stats counts the cross-node messages a run actually sent.
@@ -198,12 +193,8 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		if !full {
 			return nil, fmt.Errorf("enact: a partial run needs an external fabric")
 		}
-		bf, err := newBusFabric(opts.WrapTransport)
-		if err != nil {
-			return nil, err
-		}
-		defer bf.Close()
-		fab = bf
+		fab = NewLocalFabric()
+		defer fab.Close()
 	}
 
 	part := plan.Partition
@@ -380,54 +371,42 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// busFabric is the in-process default: one bus, one "node:<host>"
-// service per registered node, notes passed by value (no
-// serialization). The optional transport wrapper is the chaos seam —
-// injected latency delays the publishing engine goroutine, modeling
-// network delay on the note path.
-type busFabric struct {
-	bus   *services.Bus
-	t     services.Transport
-	drain sync.WaitGroup
+// localFabric is the in-process fabric: notes pass by value, with no
+// serialization, straight to the target host's receiver.
+type localFabric struct {
+	mu   sync.Mutex
+	recv map[string]func(Note)
 }
 
-func newBusFabric(wrap func(services.Transport) services.Transport) (*busFabric, error) {
-	bus := services.NewBus(0)
-	var t services.Transport = bus
-	if wrap != nil {
-		t = wrap(bus)
+// NewLocalFabric returns the in-process fabric. Send calls the target
+// host's registered receiver inline, as HTTPTransport.Deliver does on
+// a peer, so a note has landed when Send returns.
+func NewLocalFabric() Fabric {
+	return &localFabric{recv: map[string]func(Note){}}
+}
+
+func (f *localFabric) Register(host string, deliver func(Note)) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, dup := f.recv[host]; dup {
+		return fmt.Errorf("enact: host %s registered twice", host)
 	}
-	f := &busFabric{bus: bus, t: t}
-	f.drain.Add(1)
-	go func() {
-		defer f.drain.Done()
-		for range t.Inbox() {
-		}
-	}()
-	return f, nil
+	f.recv[host] = deliver
+	return nil
 }
 
-func (f *busFabric) Register(host string, deliver func(Note)) error {
-	return f.bus.Register(services.Config{
-		Name:  "node:" + host,
-		Ports: []string{"note"},
-		Handle: func(c *services.Call) ([]services.Emit, error) {
-			if n, ok := c.Payload.(Note); ok {
-				deliver(n)
-			}
-			return nil, nil
-		},
-	})
+func (f *localFabric) Send(host string, n Note) error {
+	f.mu.Lock()
+	deliver := f.recv[host]
+	f.mu.Unlock()
+	if deliver == nil {
+		return fmt.Errorf("enact: no receiver for host %s", host)
+	}
+	deliver(n)
+	return nil
 }
 
-func (f *busFabric) Send(host string, n Note) error {
-	return f.t.Invoke("node:"+host, "note", n)
-}
-
-func (f *busFabric) Close() {
-	f.t.Close()
-	f.drain.Wait()
-}
+func (f *localFabric) Close() {}
 
 // Merge orders all nodes' notes by (Lamport stamp, host, node seq) —
 // causally ordered transitions always carry strictly increasing

@@ -1,5 +1,4 @@
-// The decentralized-enactment property suite — the acceptance check
-// of the transport-seam refactor. For a sweep of random layered
+// The decentralized-enactment property suite. For a sweep of random layered
 // workloads (and the paper's purchasing process, exercised from the
 // server e2e suite), executing the minimal set across one engine per
 // decentral.Place partition must be observationally equivalent to the
@@ -118,14 +117,17 @@ func checkEquivalence(t *testing.T, proc *core.Process, parsed *weave.Parsed, se
 		t.Fatalf("single trace invalid: %v", err)
 	}
 
-	inj := chaos.New(chaos.Config{Seed: seed, LatencyP: 0.5, MaxLatency: 2 * time.Millisecond})
+	fab := chaos.NewNet(chaos.NetConfig{Seed: seed, Links: map[chaos.Link]chaos.LinkFault{
+		{From: "*", To: "*"}: {DelayP: 0.5, MaxDelay: 2 * time.Millisecond},
+	}}).Fabric(enact.NewLocalFabric())
+	defer fab.Close()
 	out, err := enact.Run(ctx, enact.Options{
-		Plan:          plan,
-		Set:           minimal,
-		Guards:        res.Guards,
-		Execs:         execs,
-		Timeout:       30 * time.Second,
-		WrapTransport: inj.WrapTransport,
+		Plan:    plan,
+		Set:     minimal,
+		Guards:  res.Guards,
+		Execs:   execs,
+		Timeout: 30 * time.Second,
+		Fabric:  fab,
 	})
 	if err != nil {
 		t.Fatalf("enact (seed %d, hosts %v): %v", seed, plan.Hosts, err)
@@ -239,5 +241,62 @@ func TestPartialRunNeedsFabric(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("partial run without a fabric did not error")
+	}
+}
+
+// TestLocalFabricDispatchesInline: the in-process fabric hands a note
+// to the target's receiver before Send returns, and refuses a host
+// registered twice or never registered.
+func TestLocalFabricDispatchesInline(t *testing.T) {
+	fab := enact.NewLocalFabric()
+	defer fab.Close()
+	var got []enact.Note
+	if err := fab.Register("a", func(n enact.Note) { got = append(got, n) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := fab.Register("a", func(enact.Note) {}); err == nil {
+		t.Error("second registration of host a accepted")
+	}
+	n := enact.Note{Host: "b", Note: schedule.Note{Activity: "x", Kind: schedule.NoteFinish}}
+	if err := fab.Send("a", n); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Activity != "x" || got[0].Host != "b" {
+		t.Fatalf("receiver saw %+v after Send returned, want the one note", got)
+	}
+	if err := fab.Send("nowhere", n); err == nil {
+		t.Error("send to an unregistered host accepted")
+	}
+}
+
+// TestRunDefaultsToLocalFabric: with no Fabric, a full run enacts over
+// NewLocalFabric and still sends one note per cross edge.
+func TestRunDefaultsToLocalFabric(t *testing.T) {
+	w := workload.Layered(3, 3, 0.35, 7).WithDecisions(1).WithServices(2)
+	res, err := weave.Run(context.Background(),
+		weave.Input{Parsed: &weave.Parsed{Proc: w.Proc, Deps: w.Deps}}, weave.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := decentral.Place(res.Minimize.Minimal, decentral.Pin(w.Proc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Hosts) < 2 {
+		t.Fatal("placement produced one host; pick a seed with pinned services")
+	}
+	out, err := enact.Run(context.Background(), enact.Options{
+		Plan: plan, Set: res.Minimize.Minimal, Guards: res.Guards,
+		Execs:   schedule.NoopExecutors(w.Proc, 0, func(core.ActivityID) string { return "T" }),
+		Timeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Trace.Validate(res.Translated, res.Guards); err != nil {
+		t.Errorf("merged trace fails Def. 5: %v", err)
+	}
+	if out.Stats.EdgeMessages != out.Plan.CrossEdges {
+		t.Errorf("EdgeMessages = %d, plan predicts %d", out.Stats.EdgeMessages, out.Plan.CrossEdges)
 	}
 }

@@ -2,6 +2,7 @@ package pdg
 
 import (
 	"fmt"
+	"slices"
 
 	"dscweaver/internal/cond"
 	"dscweaver/internal/core"
@@ -52,6 +53,10 @@ func ExtractProgram(prog *Program) (*Extraction, error) {
 	if err := proc.Validate(); err != nil {
 		return nil, err
 	}
+	ex.order = make(map[core.ActivityID]int, len(proc.Activities()))
+	for i, a := range proc.Activities() {
+		ex.order[a.ID] = i
+	}
 	if _, err := ex.analyze(prog.Body, defs{}); err != nil {
 		return nil, err
 	}
@@ -96,6 +101,9 @@ func (d defs) merge(other defs) {
 type extractor struct {
 	proc *core.Process
 	deps *core.DependencySet
+	// order is each activity's statement index: use adds a read's
+	// reaching definitions in this order, not in map order.
+	order map[core.ActivityID]int
 }
 
 // declare registers every activity (switch/while predicates become
@@ -170,13 +178,17 @@ func (ex *extractor) declare(s Stmt) error {
 }
 
 // use records def-use dependencies for every variable the activity
-// reads.
+// reads, one per reaching definition in statement order.
 func (ex *extractor) use(a core.ActivityID, reads []string, in defs) {
 	for _, v := range reads {
+		srcs := make([]core.ActivityID, 0, len(in[v]))
 		for def := range in[v] {
-			if def == a {
-				continue
+			if def != a {
+				srcs = append(srcs, def)
 			}
+		}
+		slices.SortFunc(srcs, func(x, y core.ActivityID) int { return ex.order[x] - ex.order[y] })
+		for _, def := range srcs {
 			ex.deps.Add(core.Dependency{
 				From: core.ActivityNode(def), To: core.ActivityNode(a),
 				Dim: core.Data, Label: v,

@@ -309,3 +309,36 @@ func TestSequencingConstraintsOverSpecify(t *testing.T) {
 		t.Fatalf("construct baseline not minimizable: %v", err)
 	}
 }
+
+// TestExtractDependencyOrderDeterministic: replyClient_oi reads oi
+// with two reaching definitions (recPurchase_oi on the T branch,
+// set_oi on the F branch). Their data dependencies are added in
+// statement order, so every extraction of the Figure 2 program lists
+// its dependencies in the same order.
+func TestExtractDependencyOrderDeterministic(t *testing.T) {
+	order := func() []string {
+		ex, err := Extract(PurchasingSeqlang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := ex.Deps.All()
+		out := make([]string, len(all))
+		for i, d := range all {
+			out[i] = d.String()
+		}
+		return out
+	}
+	want := order()
+	pos := map[string]int{}
+	for i, k := range want {
+		pos[k] = i
+	}
+	if pos["recPurchase_oi →d replyClient_oi"] > pos["set_oi →d replyClient_oi"] {
+		t.Errorf("oi definitions out of statement order: %v", want)
+	}
+	for i := 0; i < 24; i++ {
+		if got := order(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("extraction %d: dependency order differs\ngot:  %v\nwant: %v", i+2, got, want)
+		}
+	}
+}

@@ -10,15 +10,14 @@ import (
 	"dscweaver/internal/services"
 )
 
-// Binding wires a process's interaction activities to a transport —
-// the in-process services.Bus or any other services.Transport: invoke
-// activities send their first read variable to the declared service
+// Binding wires a process's interaction activities to a services.Bus:
+// invoke activities send their first read variable to the declared service
 // port; receive activities block until the dispatcher routes a
 // callback with a matching (service, tag) pair, where the tag is the
 // variable the receive writes. A callback carrying an error — an
 // injected fault or a sequential-port violation — fails the run.
 type Binding struct {
-	bus services.Transport
+	bus *services.Bus
 
 	mu      sync.Mutex
 	waiters map[string]chan services.Callback
@@ -27,8 +26,8 @@ type Binding struct {
 	once    sync.Once
 }
 
-// NewBinding starts a dispatcher over the transport's inbox.
-func NewBinding(bus services.Transport) *Binding {
+// NewBinding starts a dispatcher over the bus's inbox.
+func NewBinding(bus *services.Bus) *Binding {
 	b := &Binding{
 		bus:     bus,
 		waiters: map[string]chan services.Callback{},

@@ -85,10 +85,8 @@ func (bs *breakerSet) get(service, port string) *breaker {
 	return br
 }
 
-// breakerTransition reports what a state-machine step did, so the
-// owning transport can emit its own metrics and events for it. The
-// machine itself is transport-agnostic: the Bus and the HTTP transport
-// share it and differ only in this instrumentation glue.
+// breakerTransition reports what a state-machine step did, so the Bus
+// can emit its metrics and events for it.
 type breakerTransition int
 
 const (

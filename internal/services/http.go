@@ -1,13 +1,12 @@
-// The HTTP transport: the same Transport contract as the in-process
-// Bus, carried over JSON-framed HTTP POSTs between processes. Each
-// frame is correlated by run id (a frame for another run is refused)
-// and a per-sender sequence number, which makes retried POSTs
-// idempotent: the receiver caches the result of each (from, seq) and
-// replays it when a lost response causes a retransmit. Reliability
-// machinery sits at this seam, shared with the bus: per-(service,port)
-// circuit breakers reuse the bus's state machine, faults classify via
+// The note RPC between dscweaverd processes: one synchronous Call per
+// enactment note, carried as a JSON-framed HTTP POST to a peer's
+// invoke endpoint and answered in the response body. Each frame is
+// correlated by run id (a frame for another run is refused) and a
+// per-sender sequence number, which makes retried POSTs idempotent:
+// the receiver caches the result of each (from, seq) and replays it
+// when a lost response causes a retransmit. Faults classify via
 // ErrTransient / ErrPermanent, and retries back off exponentially with
-// seeded jitter.
+// seeded jitter inside an optional elapsed budget.
 package services
 
 import (
@@ -68,29 +67,6 @@ type DeliverResult struct {
 	Callbacks []CallbackFrame `json:"callbacks,omitempty"`
 }
 
-// callback rebuilds the in-memory callback, decoding the payload to
-// plain JSON values so engine-side variable reads behave exactly as
-// they do over the in-process bus.
-func (cf CallbackFrame) callback() Callback {
-	cb := Callback{Service: cf.Service, Tag: cf.Tag}
-	if len(cf.Payload) > 0 {
-		var v any
-		if err := json.Unmarshal(cf.Payload, &v); err == nil {
-			cb.Payload = v
-		} else {
-			cb.Payload = cf.Payload
-		}
-	}
-	if cf.Err != "" {
-		if cf.Permanent {
-			cb.Err = Permanent(errors.New(cf.Err))
-		} else {
-			cb.Err = errors.New(cf.Err)
-		}
-	}
-	return cb
-}
-
 // HTTPRetry tunes the transport's send retries (covering network
 // faults, 5xx responses, and the 404/409 warm-up window while a peer
 // has not yet registered the run).
@@ -134,15 +110,10 @@ type HTTPConfig struct {
 	// Routes maps service names to peer base URLs (scheme://host:port).
 	// Services not routed must be registered locally.
 	Routes map[string]string
-	// Path is the invoke endpoint on peers (DefaultInvokePath when "").
-	Path string
 	// Client is the HTTP client (http.DefaultClient when nil).
 	Client *http.Client
 	// Retry tunes send retries.
 	Retry HTTPRetry
-	// Breaker arms per-(service,port) circuit breaking on the send path,
-	// sharing the bus's state machine. Nil leaves it off.
-	Breaker *BreakerConfig
 	// Token, when set, is sent as a bearer token on every outgoing
 	// frame; peers requiring one answer 401 (permanent — a bad secret
 	// must not retry-storm).
@@ -155,8 +126,7 @@ type HTTPConfig struct {
 // localService hosts one handler on this node. Calls are serialized
 // per service, with private state and a 1-based arrival index — the
 // bus's conversation semantics. Payloads are decoded from the wire to
-// plain JSON values before the handler runs, so a handler written for
-// the bus behaves identically when hosted over HTTP.
+// plain JSON values before the handler runs.
 type localService struct {
 	name  string
 	h     Handler
@@ -165,40 +135,28 @@ type localService struct {
 	seq   int
 }
 
-// httpSender serializes outgoing frames for one destination service,
-// preserving per-service invocation order.
-type httpSender struct {
-	ch chan Frame
-}
-
-// HTTPTransport implements Transport over HTTP.
+// HTTPTransport sends notes to peers with Call and serves theirs
+// with Deliver.
 type HTTPTransport struct {
-	cfg      HTTPConfig
-	client   *http.Client
-	retry    HTTPRetry
-	inbox    chan Callback
-	breakers *breakerSet
+	cfg    HTTPConfig
+	client *http.Client
+	retry  HTTPRetry
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu      sync.Mutex
-	closed  bool
-	locals  map[string]*localService
-	senders map[string]*httpSender
-	wg      sync.WaitGroup // sender goroutines
-	seq     atomic.Int64
+	mu     sync.Mutex
+	closed bool
+	locals map[string]*localService
+	seq    atomic.Int64
 
-	inflight sync.WaitGroup // accepted invocations not yet resolved
+	inflight sync.WaitGroup // accepted calls not yet resolved
 
 	seenMu sync.Mutex
 	seen   map[string]DeliverResult // from\x00seq → replayed result
 
-	retries     atomic.Int64
-	retransmits atomic.Int64
+	retries atomic.Int64
 }
-
-var _ Transport = (*HTTPTransport)(nil)
 
 // NewHTTPTransport builds a transport. Register local services with
 // RegisterLocal before traffic flows; mount Deliver behind the peer's
@@ -208,27 +166,18 @@ func NewHTTPTransport(cfg HTTPConfig) *HTTPTransport {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	if cfg.Path == "" {
-		cfg.Path = DefaultInvokePath
+	return &HTTPTransport{
+		cfg:    cfg,
+		client: client,
+		retry:  cfg.Retry.normalize(),
+		rng:    rand.New(rand.NewSource(cfg.Retry.Seed + 1)),
+		locals: map[string]*localService{},
+		seen:   map[string]DeliverResult{},
 	}
-	t := &HTTPTransport{
-		cfg:     cfg,
-		client:  client,
-		retry:   cfg.Retry.normalize(),
-		inbox:   make(chan Callback, 64),
-		rng:     rand.New(rand.NewSource(cfg.Retry.Seed + 1)),
-		locals:  map[string]*localService{},
-		senders: map[string]*httpSender{},
-		seen:    map[string]DeliverResult{},
-	}
-	if cfg.Breaker != nil {
-		t.breakers = newBreakerSet(*cfg.Breaker)
-	}
-	return t
 }
 
 // RegisterLocal hosts a handler on this node, reachable both from
-// peers (via Deliver) and from this node's own Invoke/Call.
+// peers (via Deliver) and from this node's own Call.
 func (t *HTTPTransport) RegisterLocal(name string, h Handler) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -257,152 +206,13 @@ func (t *HTTPTransport) counter(name, service, port string) *obs.Counter {
 	return t.cfg.Metrics.Counter(name, "service", service, "port", port)
 }
 
-func (t *HTTPTransport) gauge(service, port string) *obs.Gauge {
-	if t.cfg.Metrics == nil {
-		return nil
-	}
-	return t.cfg.Metrics.Gauge("transport_breaker_state", "service", service, "port", port)
-}
-
-// Inbox returns the engine-side callback channel.
-func (t *HTTPTransport) Inbox() <-chan Callback { return t.inbox }
-
 // Retries reports how many send attempts were retried.
 func (t *HTTPTransport) Retries() int64 { return t.retries.Load() }
-
-// Retransmits reports how many incoming frames were absorbed as
-// (from, seq) replays instead of re-executed.
-func (t *HTTPTransport) Retransmits() int64 { return t.retransmits.Load() }
-
-func (t *HTTPTransport) deliver(cb Callback) {
-	if cb.Err != nil {
-		t.emit(obs.Event{Kind: obs.EvFault, Service: cb.Service, Port: cb.Tag, Err: cb.Err.Error()})
-	} else {
-		t.emit(obs.Event{Kind: obs.EvCallback, Service: cb.Service, Port: cb.Tag})
-	}
-	t.inbox <- cb
-}
-
-// Invoke sends payload to a service port asynchronously; the outcome
-// arrives on Inbox. Like the bus, it errors only structurally: unknown
-// service, closed transport, unmarshalable payload.
-func (t *HTTPTransport) Invoke(serviceName, port string, payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("transport: invoke %s.%s: %w", serviceName, port, err)
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return fmt.Errorf("transport: invoke %s.%s: %w", serviceName, port, ErrBusClosed)
-	}
-	_, local := t.locals[serviceName]
-	url := t.cfg.Routes[serviceName]
-	if !local && url == "" {
-		t.mu.Unlock()
-		return fmt.Errorf("transport: invoke %s.%s: unknown service", serviceName, port)
-	}
-	snd := t.senders[serviceName]
-	if snd == nil {
-		snd = &httpSender{ch: make(chan Frame, 1024)}
-		t.senders[serviceName] = snd
-		t.wg.Add(1)
-		go t.send(snd, serviceName, url)
-	}
-	t.inflight.Add(1)
-	t.mu.Unlock()
-
-	if c := t.counter("transport_invoke_total", serviceName, port); c != nil {
-		c.Inc()
-	}
-	t.emit(obs.Event{Kind: obs.EvInvoke, Service: serviceName, Port: port})
-	if t.breakers != nil {
-		if ok, trn := t.breakers.get(serviceName, port).admit(t.breakers.cfg); !ok {
-			t.fastFail(serviceName, port)
-			t.inflight.Done()
-			return nil
-		} else if trn == breakerWentHalf {
-			if g := t.gauge(serviceName, port); g != nil {
-				g.Set(breakerHalfOpen)
-			}
-			t.emit(obs.Event{Kind: obs.EvBreakerHalfOpen, Service: serviceName, Port: port})
-		}
-	}
-	snd.ch <- Frame{V: 1, Run: t.cfg.Run, Seq: t.seq.Add(1), From: t.cfg.Node,
-		Service: serviceName, Port: port, Payload: raw}
-	return nil
-}
-
-// fastFail delivers the breaker-open callback for a rejected
-// invocation without a network round trip.
-func (t *HTTPTransport) fastFail(service, port string) {
-	if c := t.counter("transport_breaker_fastfail_total", service, port); c != nil {
-		c.Inc()
-	}
-	t.deliver(Callback{Service: service, Tag: port,
-		Err: fmt.Errorf("transport: %s.%s: %w", service, port, ErrBreakerOpen)})
-}
-
-// send is the per-destination sender goroutine: frames resolve in
-// order, each into callbacks on the inbox plus a breaker verdict.
-func (t *HTTPTransport) send(snd *httpSender, service, url string) {
-	defer t.wg.Done()
-	for f := range snd.ch {
-		var res DeliverResult
-		var err error
-		if url == "" {
-			res, err = t.Deliver(f)
-		} else {
-			res, err = t.post(url, f)
-		}
-		faulted := err != nil
-		if err != nil {
-			t.deliver(Callback{Service: service, Tag: f.Port,
-				Err: fmt.Errorf("transport: %s.%s: %w", service, f.Port, err)})
-		} else {
-			for _, cf := range res.Callbacks {
-				cb := cf.callback()
-				if cb.Err != nil {
-					faulted = true
-				}
-				t.deliver(cb)
-			}
-		}
-		t.recordOutcome(service, f.Port, faulted)
-		t.inflight.Done()
-	}
-}
-
-// recordOutcome feeds one resolved invocation into the port's breaker.
-func (t *HTTPTransport) recordOutcome(service, port string, faulted bool) {
-	if t.breakers == nil {
-		return
-	}
-	switch trn, consec, probeFailed := t.breakers.get(service, port).record(faulted, t.breakers.cfg); trn {
-	case breakerTripped:
-		if c := t.counter("transport_breaker_trips_total", service, port); c != nil {
-			c.Inc()
-		}
-		if g := t.gauge(service, port); g != nil {
-			g.Set(breakerOpen)
-		}
-		ev := obs.Event{Kind: obs.EvBreakerOpen, Service: service, Port: port, Value: float64(consec)}
-		if probeFailed {
-			ev.Detail = "probe failed"
-		}
-		t.emit(ev)
-	case breakerReclosed:
-		if g := t.gauge(service, port); g != nil {
-			g.Set(breakerClosed)
-		}
-		t.emit(obs.Event{Kind: obs.EvBreakerClose, Service: service, Port: port})
-	}
-}
 
 // Call sends one frame synchronously and returns its error — the
 // enactment fabric's primitive for cross-node notes, where the caller
 // needs completion, not a callback. Retries cover transient faults and
-// the peer's registration warm-up; breakers do not apply (a note must
+// the peer's registration warm-up; no breaker applies (a note must
 // eventually land or the run fails).
 func (t *HTTPTransport) Call(serviceName, port string, payload any) error {
 	raw, err := json.Marshal(payload)
@@ -451,7 +261,7 @@ func (t *HTTPTransport) post(url string, f Frame) (DeliverResult, error) {
 	if err != nil {
 		return DeliverResult{}, Permanent(err)
 	}
-	endpoint := url + t.cfg.Path
+	endpoint := url + DefaultInvokePath
 	start := time.Now()
 	var lastErr error
 	for attempt := 0; attempt < t.retry.MaxAttempts; attempt++ {
@@ -545,7 +355,6 @@ func (t *HTTPTransport) Deliver(f Frame) (DeliverResult, error) {
 		// response, or the network duplicated the frame. Either way the
 		// effect already happened — count the absorption and answer the
 		// cached result.
-		t.retransmits.Add(1)
 		if c := t.counter("transport_retransmit_total", f.Service, f.Port); c != nil {
 			c.Inc()
 		}
@@ -596,26 +405,10 @@ func (t *HTTPTransport) runLocal(ls *localService, f Frame) DeliverResult {
 	return DeliverResult{Callbacks: cbs}
 }
 
-// Close tears the transport down: no new invocations are accepted,
-// in-flight sends resolve and deliver their callbacks, then the inbox
-// closes — the bus's drain contract, so bindings shut down
-// identically over either transport.
+// Close stops new calls and waits for in-flight ones to resolve.
 func (t *HTTPTransport) Close() {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
 	t.closed = true
-	senders := make([]*httpSender, 0, len(t.senders))
-	for _, s := range t.senders {
-		senders = append(senders, s)
-	}
 	t.mu.Unlock()
 	t.inflight.Wait()
-	for _, s := range senders {
-		close(s.ch)
-	}
-	t.wg.Wait()
-	close(t.inbox)
 }

@@ -41,66 +41,6 @@ func fastRetry() HTTPRetry {
 	return HTTPRetry{MaxAttempts: 6, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 }
 
-func TestHTTPTransportRoundTrip(t *testing.T) {
-	remote := NewHTTPTransport(HTTPConfig{Run: "r1", Node: "b"})
-	if err := remote.RegisterLocal("echo", func(c *Call) ([]Emit, error) {
-		return []Emit{{Tag: "out", Payload: c.Payload}}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := serveTransport(t, remote)
-
-	local := NewHTTPTransport(HTTPConfig{
-		Run: "r1", Node: "a",
-		Routes: map[string]string{"echo": srv.URL},
-		Retry:  fastRetry(),
-	})
-	if err := local.Invoke("echo", "in", "hello"); err != nil {
-		t.Fatal(err)
-	}
-	cb := <-local.Inbox()
-	if cb.Err != nil {
-		t.Fatalf("callback error: %v", cb.Err)
-	}
-	if cb.Service != "echo" || cb.Tag != "out" || cb.Payload != "hello" {
-		t.Fatalf("callback = %+v, want echo/out/hello", cb)
-	}
-	local.Close()
-	remote.Close()
-	if _, open := <-local.Inbox(); open {
-		t.Fatal("inbox not closed after Close")
-	}
-}
-
-func TestHTTPTransportPreservesPerServiceOrder(t *testing.T) {
-	var got []int
-	remote := NewHTTPTransport(HTTPConfig{Run: "r1", Node: "b"})
-	remote.RegisterLocal("seq", func(c *Call) ([]Emit, error) {
-		got = append(got, int(c.Payload.(float64)))
-		return nil, nil
-	})
-	srv := serveTransport(t, remote)
-	local := NewHTTPTransport(HTTPConfig{
-		Run: "r1", Node: "a", Routes: map[string]string{"seq": srv.URL}, Retry: fastRetry(),
-	})
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := local.Invoke("seq", "p", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	local.Close()
-	remote.Close()
-	if len(got) != n {
-		t.Fatalf("remote saw %d calls, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("call %d arrived as %d: order not preserved (%v)", i, v, got)
-		}
-	}
-}
-
 func TestHTTPDeliverIdempotent(t *testing.T) {
 	var calls atomic.Int64
 	tr := NewHTTPTransport(HTTPConfig{Run: "r1", Node: "b"})
@@ -167,12 +107,8 @@ func TestHTTPRetryThroughWarmup(t *testing.T) {
 	local := NewHTTPTransport(HTTPConfig{
 		Run: "r1", Node: "a", Routes: map[string]string{"late": gate.URL}, Retry: fastRetry(),
 	})
-	if err := local.Invoke("late", "p", nil); err != nil {
-		t.Fatal(err)
-	}
-	cb := <-local.Inbox()
-	if cb.Err != nil {
-		t.Fatalf("callback error after warm-up: %v", cb.Err)
+	if err := local.Call("late", "p", nil); err != nil {
+		t.Fatalf("call failed after warm-up: %v", err)
 	}
 	if local.Retries() < 2 {
 		t.Fatalf("Retries() = %d, want >= 2", local.Retries())
@@ -191,51 +127,13 @@ func TestHTTPPermanentStatusDoesNotRetry(t *testing.T) {
 	local := NewHTTPTransport(HTTPConfig{
 		Run: "r1", Node: "a", Routes: map[string]string{"svc": srv.URL}, Retry: fastRetry(),
 	})
-	if err := local.Invoke("svc", "p", nil); err != nil {
-		t.Fatal(err)
-	}
-	cb := <-local.Inbox()
-	if cb.Err == nil || !errors.Is(cb.Err, ErrPermanent) {
-		t.Fatalf("callback err = %v, want permanent", cb.Err)
+	if err := local.Call("svc", "p", nil); !errors.Is(err, ErrPermanent) {
+		t.Fatalf("call err = %v, want permanent", err)
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("a 4xx response was retried: %d attempts", hits.Load())
 	}
 	local.Close()
-}
-
-func TestHTTPBreakerTripsAndFastFails(t *testing.T) {
-	remote := NewHTTPTransport(HTTPConfig{Run: "r1", Node: "b"})
-	remote.RegisterLocal("flaky", func(c *Call) ([]Emit, error) {
-		return nil, fmt.Errorf("backend down")
-	})
-	srv := serveTransport(t, remote)
-	local := NewHTTPTransport(HTTPConfig{
-		Run: "r1", Node: "a",
-		Routes:  map[string]string{"flaky": srv.URL},
-		Retry:   fastRetry(),
-		Breaker: &BreakerConfig{Threshold: 3, Cooldown: time.Hour},
-	})
-	// Trip: three consecutive handler faults.
-	for i := 0; i < 3; i++ {
-		if err := local.Invoke("flaky", "p", nil); err != nil {
-			t.Fatal(err)
-		}
-		cb := <-local.Inbox()
-		if cb.Err == nil {
-			t.Fatalf("attempt %d: expected faulted callback", i)
-		}
-	}
-	// Now open: the next invocation fast-fails without touching the wire.
-	if err := local.Invoke("flaky", "p", nil); err != nil {
-		t.Fatal(err)
-	}
-	cb := <-local.Inbox()
-	if !errors.Is(cb.Err, ErrBreakerOpen) {
-		t.Fatalf("callback err = %v, want ErrBreakerOpen", cb.Err)
-	}
-	local.Close()
-	remote.Close()
 }
 
 func TestHTTPCallSynchronous(t *testing.T) {
@@ -270,12 +168,15 @@ func TestHTTPCallSynchronous(t *testing.T) {
 
 func TestHTTPInvokeStructuralErrors(t *testing.T) {
 	tr := NewHTTPTransport(HTTPConfig{Run: "r1", Node: "a"})
-	if err := tr.Invoke("nowhere", "p", nil); err == nil {
+	if err := tr.Call("nowhere", "p", nil); err == nil {
 		t.Error("unroutable service accepted")
 	}
+	if err := tr.Call("nowhere", "p", func() {}); err == nil {
+		t.Error("unmarshalable payload accepted")
+	}
 	tr.Close()
-	if err := tr.Invoke("nowhere", "p", nil); !errors.Is(err, ErrBusClosed) {
-		t.Errorf("invoke on closed transport: %v, want ErrBusClosed", err)
+	if err := tr.Call("nowhere", "p", nil); !errors.Is(err, ErrBusClosed) {
+		t.Errorf("call on closed transport: %v, want ErrBusClosed", err)
 	}
 	if err := tr.RegisterLocal("x", nil); !errors.Is(err, ErrBusClosed) {
 		t.Errorf("register on closed transport: %v, want ErrBusClosed", err)
@@ -299,15 +200,12 @@ func TestHTTPFlappingLinkTransientToPermanent(t *testing.T) {
 	local := NewHTTPTransport(HTTPConfig{
 		Run: "r1", Node: "a", Routes: map[string]string{"svc": srv.URL}, Retry: fastRetry(),
 	})
-	if err := local.Invoke("svc", "p", nil); err != nil {
-		t.Fatal(err)
+	err := local.Call("svc", "p", nil)
+	if !errors.Is(err, ErrPermanent) {
+		t.Fatalf("call err = %v, want permanent after the flap", err)
 	}
-	cb := <-local.Inbox()
-	if !errors.Is(cb.Err, ErrPermanent) {
-		t.Fatalf("callback err = %v, want permanent after the flap", cb.Err)
-	}
-	if errors.Is(cb.Err, ErrBudgetExhausted) {
-		t.Fatalf("permanent refusal misclassified as budget exhaustion: %v", cb.Err)
+	if errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("permanent refusal misclassified as budget exhaustion: %v", err)
 	}
 	if hits.Load() != 3 {
 		t.Fatalf("server saw %d attempts, want exactly 3 (2 transient + 1 permanent)", hits.Load())

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// PurchasingConfigs builds the four services of the paper's running
+// purchasingConfigs builds the four services of the paper's running
 // example:
 //
 //   - Credit authorizes purchase orders (port 1 → callback "au");
@@ -19,10 +19,7 @@ import (
 //     purchase order (callbacks "si" and "ss").
 //   - Production consumes the purchase order and shipping schedule and
 //     replies nothing.
-//
-// The configs register on a Bus (RegisterPurchasing) or host on any
-// other transport — an HTTP node serves them with RegisterLocal.
-func PurchasingConfigs(latency time.Duration, approve bool) []Config {
+func purchasingConfigs(latency time.Duration, approve bool) []Config {
 	return []Config{
 		{
 			Name: "Credit", Ports: []string{"1"}, Latency: latency,
@@ -71,7 +68,7 @@ func PurchasingConfigs(latency time.Duration, approve bool) []Config {
 
 // RegisterPurchasing registers the purchasing services on the bus.
 func RegisterPurchasing(b *Bus, latency time.Duration, approve bool) error {
-	for _, cfg := range PurchasingConfigs(latency, approve) {
+	for _, cfg := range purchasingConfigs(latency, approve) {
 		if err := b.Register(cfg); err != nil {
 			return err
 		}

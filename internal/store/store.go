@@ -596,16 +596,9 @@ func (s *Store) Events(id string) ([]json.RawMessage, error) {
 	return out, nil
 }
 
-// Compact applies the retention bound now (it also runs on every
-// rotation): the oldest segments beyond MaxSegments are deleted along
-// with every run recorded in them.
-func (s *Store) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactLocked()
-	s.updateGauges()
-}
-
+// compactLocked applies the retention bound (at open, on rotation and
+// on a healed reprobe): the oldest segments beyond MaxSegments are
+// deleted along with every run recorded in them.
 func (s *Store) compactLocked() {
 	total := len(s.sealed)
 	if s.active != nil {

@@ -12,8 +12,8 @@
 # benchmark into BENCH_weave.json with the per-stage ns/op breakdown,
 # and the soundness-kernel comparison into BENCH_soundness.json with
 # one record per kernel/net pair. Each weave record also carries
-# bytes/op and allocs/op. Each minimize, server, weave and soundness
-# record is stamped with the host that produced it: nproc, the
+# bytes/op and allocs/op. Each minimize, schedule, server, weave and
+# soundness record is stamped with the host that produced it: nproc, the
 # benchmark's GOMAXPROCS, the Go version and the commit (suffixed
 # -dirty when the tree has local changes).
 # dscweaverd's end-to-end load figures come from perfbench instead
@@ -88,9 +88,11 @@ trap 'rm -f "$raw" "$sched_raw"' EXIT
 
 go test -run '^$' -bench 'BenchmarkSchedulerObsOverhead|BenchmarkRetryOverhead' -benchtime "$sched_benchtime" -timeout 0 . | tee "$sched_raw"
 
-awk '
+awk "${stamp[@]}" '
 /^Benchmark(SchedulerObsOverhead|RetryOverhead)\// {
     name = $1
+    gomaxprocs = 1
+    if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
     ns = 0
     for (i = 3; i < NF; i += 2) {
@@ -111,7 +113,8 @@ END {
     printf("  \"overhead_pct\": %.2f,\n  \"budget_pct\": 5,\n", obs_pct)
     printf("  \"retry_benchmark\": \"BenchmarkRetryOverhead\",\n")
     printf("  \"retry_off_ns_per_op\": %.0f,\n  \"retry_on_ns_per_op\": %.0f,\n", retry_off, retry_on)
-    printf("  \"retry_overhead_pct\": %.2f,\n  \"retry_budget_pct\": 5\n}\n", retry_pct)
+    printf("  \"retry_overhead_pct\": %.2f,\n  \"retry_budget_pct\": 5,\n", retry_pct)
+    printf("  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"go_version\": \"%s\",\n  \"commit\": \"%s\"\n}\n", nproc, gomaxprocs, gover, commit)
 }
 ' "$sched_raw" > "$sched_out"
 
