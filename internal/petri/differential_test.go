@@ -144,55 +144,64 @@ func TestDifferentialPurchasing(t *testing.T) {
 	}
 }
 
-func TestDifferentialHandcrafted(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() (*Net, []PlaceID)
-	}{
-		{"line", func() (*Net, []PlaceID) {
-			n, ps, _ := lineNet()
-			return n, []PlaceID{ps[2]}
-		}},
-		{"trap", func() (*Net, []PlaceID) {
-			n := New()
-			p0 := n.AddPlace("p0", "")
-			good := n.AddPlace("good")
-			stuckPre := n.AddPlace("stuckPre")
-			never := n.AddPlace("never")
-			done := n.AddPlace("done")
-			n.AddTransition("ok", In(p0, ""), Out(good, ""))
-			n.AddTransition("trap", In(p0, ""), Out(stuckPre, ""))
-			n.AddTransition("finish", In(good, ""), Out(done, ""))
-			n.AddTransition("blocked", In(stuckPre, ""), In(never, ""), Out(done, ""))
-			return n, []PlaceID{done}
-		}},
-		{"independent8", func() (*Net, []PlaceID) {
-			n := New()
-			var done []PlaceID
-			for i := 0; i < 8; i++ {
-				ready := n.AddPlace("ready", "")
-				d := n.AddPlace("done")
-				n.AddTransition("run", In(ready, ""), Out(d, ""))
-				done = append(done, d)
-			}
-			return n, done
-		}},
-		{"colored-choice", func() (*Net, []PlaceID) {
-			// Colored tokens + a wildcard consumer on a multi-color
-			// place: the reduction gate must refuse this net and the
-			// packed kernels must still agree with the reference.
-			n := New()
-			src := n.AddPlace("src", "b", "a")
-			mid := n.AddPlace("mid")
-			done := n.AddPlace("done")
-			n.AddTransition("take", In(src, ""), Out(mid, ""))
-			n.AddTransition("fin", In(mid, ""), In(mid, ""), Out(done, ""))
-			return n, []PlaceID{done}
-		}},
+// handcraftedNet is a hand-built net with its final places.
+type handcraftedNet struct {
+	name string
+	n    *Net
+	fp   []PlaceID
+}
+
+// handcraftedNets are the traps of the differential corpus: a line, a
+// choice with a dead branch, independent concurrency and a colored
+// choice the reduction gate must refuse.
+func handcraftedNets() []handcraftedNet {
+	var out []handcraftedNet
+	{
+		n, ps, _ := lineNet()
+		out = append(out, handcraftedNet{"line", n, []PlaceID{ps[2]}})
 	}
-	for _, tc := range cases {
-		n, fp := tc.build()
-		diffKernels(t, tc.name, n, fp)
+	{
+		n := New()
+		p0 := n.AddPlace("p0", "")
+		good := n.AddPlace("good")
+		stuckPre := n.AddPlace("stuckPre")
+		never := n.AddPlace("never")
+		done := n.AddPlace("done")
+		n.AddTransition("ok", In(p0, ""), Out(good, ""))
+		n.AddTransition("trap", In(p0, ""), Out(stuckPre, ""))
+		n.AddTransition("finish", In(good, ""), Out(done, ""))
+		n.AddTransition("blocked", In(stuckPre, ""), In(never, ""), Out(done, ""))
+		out = append(out, handcraftedNet{"trap", n, []PlaceID{done}})
+	}
+	{
+		n := New()
+		var done []PlaceID
+		for i := 0; i < 8; i++ {
+			ready := n.AddPlace("ready", "")
+			d := n.AddPlace("done")
+			n.AddTransition("run", In(ready, ""), Out(d, ""))
+			done = append(done, d)
+		}
+		out = append(out, handcraftedNet{"independent8", n, done})
+	}
+	{
+		// Colored tokens + a wildcard consumer on a multi-color
+		// place: the reduction gate must refuse this net and the
+		// packed kernels must still agree with the reference.
+		n := New()
+		src := n.AddPlace("src", "b", "a")
+		mid := n.AddPlace("mid")
+		done := n.AddPlace("done")
+		n.AddTransition("take", In(src, ""), Out(mid, ""))
+		n.AddTransition("fin", In(mid, ""), In(mid, ""), Out(done, ""))
+		out = append(out, handcraftedNet{"colored-choice", n, []PlaceID{done}})
+	}
+	return out
+}
+
+func TestDifferentialHandcrafted(t *testing.T) {
+	for _, tc := range handcraftedNets() {
+		diffKernels(t, tc.name, tc.n, tc.fp)
 	}
 }
 
@@ -434,11 +443,58 @@ func TestFastpathMethodSurfaced(t *testing.T) {
 // must find wait + running + done = 1 for every activity. Karp–Miller
 // confirms purchasing bounded independently of any state budget.
 func TestBuildNetsAreOneBounded(t *testing.T) {
-	type buildNet struct {
-		name string
-		n    *Net
-		m    *Mapping
+	corpus := buildCorpus(t)
+	for _, tc := range corpus[:2] { // purchasing ASC and minimal set
+		cov, err := tc.n.Coverability(context.Background(), 1<<19)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cov.Bounded || cov.Inconclusive {
+			t.Errorf("%s: coverability %+v", tc.name, cov)
+		}
 	}
+	states := 0
+	for _, tc := range corpus {
+		ss := tc.n.exploreRef(1<<20, nil)
+		states += ss.States
+		if ss.Truncated || ss.MaxTokens > 1 {
+			t.Errorf("%s: %d states, truncated=%v, max %d tokens in a place; want untruncated and at most 1",
+				tc.name, ss.States, ss.Truncated, ss.MaxTokens)
+		}
+		invs, err := tc.n.PlaceInvariants(0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for id, wait := range tc.m.Wait {
+			want := map[PlaceID]int64{wait: 1, tc.m.Running[id]: 1, tc.m.Done[id]: 1}
+			found := false
+			for _, inv := range invs {
+				if inv.Constant == 1 && reflect.DeepEqual(inv.Weights, want) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: no invariant wait+running+done = 1 for %s", tc.name, id)
+			}
+		}
+	}
+	t.Logf("%d Build nets, %d reachable states, none with a place above 1 token", len(corpus), states)
+}
+
+// buildNet is a Build net of the differential corpus with its mapping.
+type buildNet struct {
+	name string
+	n    *Net
+	m    *Mapping
+}
+
+// buildCorpus builds the differential corpus's Build nets: purchasing
+// (ASC and minimal set), the handcrafted constraint sets, and the
+// random layered workloads with decisions and services (16 under
+// -short, else 64).
+func buildCorpus(t *testing.T) []buildNet {
+	t.Helper()
 	var corpus []buildNet
 	_, asc, res, err := purchasing.Pipeline()
 	if err != nil {
@@ -455,13 +511,6 @@ func TestBuildNetsAreOneBounded(t *testing.T) {
 		n, m, err := Build(tc.sc, guards)
 		if err != nil {
 			t.Fatal(err)
-		}
-		cov, err := n.Coverability(context.Background(), 1<<19)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cov.Bounded || cov.Inconclusive {
-			t.Errorf("%s: coverability %+v", tc.name, cov)
 		}
 		corpus = append(corpus, buildNet{tc.name, n, m})
 	}
@@ -491,32 +540,5 @@ func TestBuildNetsAreOneBounded(t *testing.T) {
 		n, m := buildFromSet(t, randomWorkloadSet(t, seed))
 		corpus = append(corpus, buildNet{fmt.Sprintf("seed%d", seed), n, m})
 	}
-
-	states := 0
-	for _, tc := range corpus {
-		ss := tc.n.exploreRef(1<<20, nil)
-		states += ss.States
-		if ss.Truncated || ss.MaxTokens > 1 {
-			t.Errorf("%s: %d states, truncated=%v, max %d tokens in a place; want untruncated and at most 1",
-				tc.name, ss.States, ss.Truncated, ss.MaxTokens)
-		}
-		invs, err := tc.n.PlaceInvariants(0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for id, wait := range tc.m.Wait {
-			want := map[PlaceID]int64{wait: 1, tc.m.Running[id]: 1, tc.m.Done[id]: 1}
-			found := false
-			for _, inv := range invs {
-				if inv.Constant == 1 && reflect.DeepEqual(inv.Weights, want) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("%s: no invariant wait+running+done = 1 for %s", tc.name, id)
-			}
-		}
-	}
-	t.Logf("%d Build nets, %d reachable states, none with a place above 1 token", len(corpus), states)
+	return corpus
 }

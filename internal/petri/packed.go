@@ -6,9 +6,9 @@
 // ArcOut color targeting it). Each (place, color) pair becomes one
 // slot in a flat []uint8 state vector, so a marking is stateLen bytes,
 // firing a transition is a handful of byte increments, and the visited
-// set hashes raw bytes (FNV-1a) into an open-addressing table backed
-// by an arena of fixed-size chunks — no per-state maps, no string
-// keys.
+// set hashes raw bytes (hash/maphash) into an open-addressing table
+// backed by an arena of fixed-size chunks — no per-state maps, no
+// string keys.
 //
 // Token counts are capped at 255 per slot: a count that would
 // overflow aborts the analysis with an *OverflowError. Build nets
@@ -21,6 +21,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 )
 
@@ -306,15 +308,108 @@ func (c *compiled) transEnabled(s []byte, t int32) bool {
 	return true
 }
 
-// enabledList appends the enabled transitions (ascending) to buf[:0].
-func (c *compiled) enabledList(s []byte, buf []int32) []int32 {
-	out := buf[:0]
+// enabledList appends the transitions enabled in s to out, ascending,
+// testing every transition of the net.
+func (c *compiled) enabledList(out []int32, s []byte) []int32 {
 	for t := range c.trans {
 		if c.transEnabled(s, int32(t)) {
 			out = append(out, int32(t))
 		}
 	}
 	return out
+}
+
+// affectedSets returns, per transition t, the ascending transitions
+// whose enabledness firing t can change: every consumer and reader of
+// a place t consumes from or produces into. Firing t changes only
+// those places' slots, and an enabling test reads only the slots of
+// the places its transition consumes from or reads.
+func (c *compiled) affectedSets() [][]int32 {
+	nt := len(c.trans)
+	stamp := make([]int32, nt)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	ends := make([]int, nt)
+	var flat []int32
+	for t := range c.trans {
+		start := len(flat)
+		tr := &c.trans[t]
+		for _, places := range [2][]int32{tr.inPlaces, tr.prodPlaces} {
+			for _, p := range places {
+				for _, users := range [2][]int32{c.consPlace[p], c.readPlace[p]} {
+					for _, u := range users {
+						if stamp[u] != int32(t) {
+							stamp[u] = int32(t)
+							flat = append(flat, u)
+						}
+					}
+				}
+			}
+		}
+		slices.Sort(flat[start:])
+		ends[t] = len(flat)
+	}
+	out := make([][]int32, nt)
+	start := 0
+	for t, end := range ends {
+		out[t] = flat[start:end:end]
+		start = end
+	}
+	return out
+}
+
+// appendDerivedEnabled appends the enabled list of s = fire(p, t) to
+// out, ascending, from p's enabled list parent and aff = affected(t):
+// transitions outside aff keep their verdict at p, and only the
+// members of aff are tested on s.
+func (c *compiled) appendDerivedEnabled(out, parent, aff []int32, s []byte) []int32 {
+	i := 0
+	for _, u := range aff {
+		for i < len(parent) && parent[i] < u {
+			out = append(out, parent[i])
+			i++
+		}
+		if i < len(parent) && parent[i] == u {
+			i++
+		}
+		if c.transEnabled(s, u) {
+			out = append(out, u)
+		}
+	}
+	return append(out, parent[i:]...)
+}
+
+// enabledQueue holds the enabled lists of inserted, not yet expanded
+// states, in insertion order, in one flat buffer: each list is its
+// length followed by its members. The explorer expands states in
+// insertion order, so the head is always the list of the state it
+// expands next.
+type enabledQueue struct {
+	buf  []int32
+	head int
+}
+
+// pushDerived enqueues appendDerivedEnabled(parent, aff, s). parent
+// may alias the buffer: appends write only past its end.
+func (q *enabledQueue) pushDerived(c *compiled, parent, aff []int32, s []byte) {
+	at := len(q.buf)
+	q.buf = c.appendDerivedEnabled(append(q.buf, 0), parent, aff, s)
+	q.buf[at] = int32(len(q.buf) - at - 1)
+}
+
+// pop dequeues the head list. The list stays valid until the next pop,
+// which first moves the live lists to the front once the consumed
+// prefix is the larger half of the buffer.
+func (q *enabledQueue) pop() []int32 {
+	if q.head > len(q.buf)/2 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	start := q.head + 1
+	end := start + int(q.buf[q.head])
+	q.head = end
+	return q.buf[start:end:end]
 }
 
 // fireTo fires t (which must be enabled) from src into dst. Consuming
@@ -402,19 +497,12 @@ func (c *compiled) finalMonotone(fp []int32) bool {
 
 // --- visited-state table -------------------------------------------------
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// stateSeed keys hashState. The hash picks only where a state is
+// probed in the table, never its id, so a per-process seed leaves every
+// exploration's ids and edges unchanged.
+var stateSeed = maphash.MakeSeed()
 
-func hashState(s []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range s {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
+func hashState(s []byte) uint64 { return maphash.Bytes(stateSeed, s) }
 
 // stateChunkBytes is the target size of one arena chunk.
 const stateChunkBytes = 16 << 10
@@ -528,6 +616,12 @@ type sgraph struct {
 // marking. Node ids are BFS (insertion) order, matching the reference
 // kernel's, so even MaxStates-truncated runs retain the same state
 // prefix. Dead detection always uses the full enabled set.
+//
+// Only the initial state's enabled set is a scan of the whole net.
+// Every inserted state derives its set from the state it was first
+// reached from (appendDerivedEnabled), so a successor costs work
+// proportional to the transition that fired, and the list comes out
+// ascending: reduce sees exactly the list a full scan would give.
 func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, reduce bool) (*sgraph, error) {
 	st := newStateTable(c.stateLen, 1024)
 	st.insert(hashState(c.initial), c.initial)
@@ -537,14 +631,17 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, 
 		c.ensureDisablers()
 		sb = newStubbornCtx(c)
 	}
-	enabledBuf := make([]int32, 0, len(c.trans))
+	affected := c.affectedSets()
+	q := enabledQueue{buf: make([]int32, 1, 1+len(c.trans))}
+	q.buf = c.enabledList(q.buf, c.initial)
+	q.buf[0] = int32(len(q.buf) - 1)
 	dst := make([]byte, c.stateLen)
 	for i := int32(0); int(i) < st.count(); i++ {
 		if err := ctxErrEvery(ctx, int(i)); err != nil {
 			return nil, err
 		}
 		s := st.state(i)
-		enabled := c.enabledList(s, enabledBuf)
+		enabled := q.pop()
 		g.final = append(g.final, c.isFinal(s, fp))
 		g.dead = append(g.dead, len(enabled) == 0)
 		expand := enabled
@@ -563,6 +660,7 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, 
 					continue
 				}
 				id = st.insert(h, dst)
+				q.pushDerived(c, enabled, affected[t], dst)
 			}
 			g.edgeFrom = append(g.edgeFrom, i)
 			g.edgeTo = append(g.edgeTo, id)

@@ -104,6 +104,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if !strings.Contains(wv.BPEL, "<process") || !strings.Contains(wv.BPEL, "sequence") {
 		t.Errorf("structured BPEL missing: %q", wv.BPEL)
 	}
+	// The body is compact JSON, and the BPEL's markup is not escaped to
+	// \u003c/\u003e.
+	if strings.Count(raw, "\n") != 1 || !strings.Contains(raw, `"bpel":"<?xml`) || strings.Contains(raw, `\u003c`) {
+		t.Errorf("weave body is not compact, unescaped JSON: %.200s", raw)
+	}
 
 	// 2. Weave via the seqlang front end.
 	var sv server.WeaveResponse

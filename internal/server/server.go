@@ -415,12 +415,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON renders v with a status code.
+// writeJSON renders v with a status code as compact JSON. HTML
+// escaping is off: a weave response carries BPEL, and escaping would
+// turn every < and > of it into a six-byte \u003c or \u003e.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
 

@@ -70,8 +70,8 @@ type WeaveResponse struct {
 	// set was NOT certified sound (Sound is false) but no conflict was
 	// exhibited either — the exploration simply ran out of budget.
 	// ValidateMethod names the kernel that produced the verdict
-	// (fastpath, reduced, full or reference), so /metrics rates have
-	// per-response ground truth.
+	// (fastpath, reduced or full), so /metrics rates have per-response
+	// ground truth.
 	Sound          *bool    `json:"sound,omitempty"`
 	States         int      `json:"states,omitempty"`
 	Truncated      bool     `json:"truncated,omitempty"`

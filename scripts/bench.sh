@@ -24,9 +24,12 @@
 #                    [soundness-output.json]
 #
 # BENCHTIME (default 1x) is passed to -benchtime; set DSCW_BENCH_LARGE=1
-# to include the n=4096 stretch rows (the n=1024 rows always run). SCHED_BENCHTIME (default
-# 20x) controls the scheduler overhead runs, which need repetitions for
-# a stable ratio. WEAVE_BENCHTIME (default 1x) controls the pipeline
+# to include the n=4096 stretch rows (the n=1024 rows always run).
+# OBS_BENCHTIME (default 2000x) controls the observability-overhead
+# run: each iteration times one obs=off and one obs=on engine run of
+# about 0.6 ms each, so 2000 pairs hold the ratio to about a percentage
+# point. SCHED_BENCHTIME (default 20x) controls the retry-overhead run,
+# whose activities sleep 200 µs. WEAVE_BENCHTIME (default 1x) controls the pipeline
 # stage runs, whose layered row is seconds per op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,6 +41,7 @@ weave_out="${4:-BENCH_weave.json}"
 soundness_out="${5:-BENCH_soundness.json}"
 benchtime="${BENCHTIME:-1x}"
 sched_benchtime="${SCHED_BENCHTIME:-20x}"
+obs_benchtime="${OBS_BENCHTIME:-2000x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -86,10 +90,11 @@ echo "wrote $out ($(grep -c '"name"' "$out") records)"
 sched_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkSchedulerObsOverhead|BenchmarkRetryOverhead' -benchtime "$sched_benchtime" -timeout 0 . | tee "$sched_raw"
+go test -run '^$' -bench '^BenchmarkSchedulerObsOverhead$' -benchtime "$obs_benchtime" -timeout 0 . | tee "$sched_raw"
+go test -run '^$' -bench '^BenchmarkRetryOverhead$' -benchtime "$sched_benchtime" -timeout 0 . | tee -a "$sched_raw"
 
 awk "${stamp[@]}" '
-/^Benchmark(SchedulerObsOverhead|RetryOverhead)\// {
+/^Benchmark(SchedulerObsOverhead|RetryOverhead)[-\/ \t]/ {
     name = $1
     gomaxprocs = 1
     if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
@@ -97,9 +102,9 @@ awk "${stamp[@]}" '
     ns = 0
     for (i = 3; i < NF; i += 2) {
         if ($(i+1) == "ns/op") ns = $i
+        if ($(i+1) == "off-ns/op") obs_off = $i
+        if ($(i+1) == "on-ns/op")  obs_on = $i
     }
-    if (name ~ /obs=off/)   obs_off = ns
-    if (name ~ /obs=on/)    obs_on = ns
     if (name ~ /retry=off/) retry_off = ns
     if (name ~ /retry=on/)  retry_on = ns
 }
