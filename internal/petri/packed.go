@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
 )
 
 // maxPackedStates caps MaxStates for every kernel. State ids are dense
@@ -111,36 +110,25 @@ func compile(n *Net) (*compiled, error) {
 	np := len(n.places)
 	c := &compiled{net: n}
 
-	palSets := make([]map[string]bool, np)
-	add := func(p PlaceID, col string) {
-		if palSets[p] == nil {
-			palSets[p] = map[string]bool{}
-		}
-		palSets[p][col] = true
-	}
+	// A place's palette: its initial colors and every color an arc
+	// produces into it, sorted and deduplicated.
+	c.palette = make([][]string, np)
 	for i, pl := range n.places {
-		for _, col := range pl.Initial {
-			add(PlaceID(i), col)
-		}
+		c.palette[i] = append(c.palette[i], pl.Initial...)
 	}
 	for _, tr := range n.transitions {
 		for _, a := range tr.Arcs {
 			if a.Kind == ArcOut {
-				add(a.Place, a.Color)
+				c.palette[a.Place] = append(c.palette[a.Place], a.Color)
 			}
 		}
 	}
-
 	c.offset = make([]int32, np)
 	c.width = make([]int32, np)
-	c.palette = make([][]string, np)
 	slot := int32(0)
-	for p := 0; p < np; p++ {
-		cols := make([]string, 0, len(palSets[p]))
-		for col := range palSets[p] {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
+	for p, cols := range c.palette {
+		slices.Sort(cols)
+		cols = slices.Compact(cols)
 		c.palette[p] = cols
 		c.offset[p] = slot
 		c.width[p] = int32(len(cols))
@@ -155,9 +143,7 @@ func compile(n *Net) (*compiled, error) {
 	}
 
 	slotOf := func(p PlaceID, col string) (int32, bool) {
-		cols := c.palette[p]
-		i := sort.SearchStrings(cols, col)
-		if i < len(cols) && cols[i] == col {
+		if i, ok := slices.BinarySearch(c.palette[p], col); ok {
 			return c.offset[p] + int32(i), true
 		}
 		return -1, false
@@ -189,29 +175,23 @@ func compile(n *Net) (*compiled, error) {
 	c.trans = make([]ctrans, len(n.transitions))
 	for ti, tr := range n.transitions {
 		ct := &c.trans[ti]
-		exactCount := map[int32]int32{}
-		anyCount := map[int32]int32{}
-		prodCount := map[int32]int32{}
-		inSet := map[int32]bool{}
-		rdSet := map[int32]bool{}
-		prodSet := map[int32]bool{}
 		for _, a := range tr.Arcs {
 			p := int32(a.Place)
 			switch a.Kind {
 			case ArcIn:
-				inSet[p] = true
+				ct.inPlaces = append(ct.inPlaces, p)
 				c.consPlace[p] = appendOnce(c.consPlace[p], int32(ti))
 				if a.Color == "" {
-					anyCount[p]++
+					ct.any = append(ct.any, anyDemand{place: p, k: 1})
 					ct.ops = append(ct.ops, consumeOp{slot: -1, place: p})
 				} else if s, ok := slotOf(a.Place, a.Color); ok {
-					exactCount[s]++
+					ct.exact = append(ct.exact, slotDemand{slot: s, k: 1})
 					ct.ops = append(ct.ops, consumeOp{slot: s, place: p})
 				} else {
 					ct.never = true
 				}
 			case ArcRead:
-				rdSet[p] = true
+				ct.rdPlaces = append(ct.rdPlaces, p)
 				c.readPlace[p] = appendOnce(c.readPlace[p], int32(ti))
 				if a.Color == "" {
 					ct.readPlaces = append(ct.readPlaces, p)
@@ -221,50 +201,67 @@ func compile(n *Net) (*compiled, error) {
 					ct.never = true
 				}
 			case ArcOut:
-				prodSet[p] = true
+				ct.prodPlaces = append(ct.prodPlaces, p)
 				c.prodPlace[p] = appendOnce(c.prodPlace[p], int32(ti))
 				s, _ := slotOf(a.Place, a.Color) // always present: palette includes productions
-				prodCount[s]++
+				ct.prod = append(ct.prod, slotDemand{slot: s, k: 1})
 				c.prodSlot[s] = appendOnce(c.prodSlot[s], int32(ti))
 			}
 		}
-		exactPerPlace := map[int32]int32{}
-		for s, k := range exactCount {
-			exactPerPlace[c.slotPl[s]] += k
+		ct.exact = sumDemands(ct.exact)
+		ct.prod = sumDemands(ct.prod)
+		ct.any = sumAnyDemands(ct.any)
+		for i := range ct.any {
+			for _, d := range ct.exact {
+				if c.slotPl[d.slot] == ct.any[i].place {
+					ct.any[i].exact += d.k
+				}
+			}
 		}
-		for s, k := range exactCount {
-			ct.exact = append(ct.exact, slotDemand{slot: s, k: k})
-		}
-		sort.Slice(ct.exact, func(i, j int) bool { return ct.exact[i].slot < ct.exact[j].slot })
-		sort.Slice(ct.readSlots, func(i, j int) bool { return ct.readSlots[i] < ct.readSlots[j] })
-		sort.Slice(ct.readPlaces, func(i, j int) bool { return ct.readPlaces[i] < ct.readPlaces[j] })
-		for p, k := range anyCount {
-			ct.any = append(ct.any, anyDemand{place: p, k: k, exact: exactPerPlace[p]})
-		}
-		sort.Slice(ct.any, func(i, j int) bool { return ct.any[i].place < ct.any[j].place })
-		for s, k := range prodCount {
-			ct.prod = append(ct.prod, slotDemand{slot: s, k: k})
-		}
-		sort.Slice(ct.prod, func(i, j int) bool { return ct.prod[i].slot < ct.prod[j].slot })
-		ct.inPlaces = sortedKeys(inSet)
-		ct.rdPlaces = sortedKeys(rdSet)
-		ct.prodPlaces = sortedKeys(prodSet)
+		slices.Sort(ct.readSlots)
+		slices.Sort(ct.readPlaces)
+		ct.inPlaces = sortedUnique(ct.inPlaces)
+		ct.rdPlaces = sortedUnique(ct.rdPlaces)
+		ct.prodPlaces = sortedUnique(ct.prodPlaces)
 	}
 
 	c.classify()
 	return c, nil
 }
 
-func sortedKeys(set map[int32]bool) []int32 {
-	if len(set) == 0 {
-		return nil
+// sumDemands sorts demands by slot and merges each slot's demands into
+// one, summing k.
+func sumDemands(ds []slotDemand) []slotDemand {
+	slices.SortFunc(ds, func(a, b slotDemand) int { return int(a.slot - b.slot) })
+	out := ds[:0]
+	for _, d := range ds {
+		if k := len(out); k > 0 && out[k-1].slot == d.slot {
+			out[k-1].k += d.k
+			continue
+		}
+		out = append(out, d)
 	}
-	out := make([]int32, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// sumAnyDemands sorts wildcard demands by place and merges each
+// place's demands into one, summing k.
+func sumAnyDemands(ds []anyDemand) []anyDemand {
+	slices.SortFunc(ds, func(a, b anyDemand) int { return int(a.place - b.place) })
+	out := ds[:0]
+	for _, d := range ds {
+		if k := len(out); k > 0 && out[k-1].place == d.place {
+			out[k-1].k += d.k
+			continue
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+func sortedUnique(xs []int32) []int32 {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 // placeTotal sums a place's slots (all colors).
@@ -469,7 +466,7 @@ func (c *compiled) compileFinalPlaces(fp []PlaceID) []int32 {
 	for _, p := range fp {
 		out = append(out, int32(p))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
