@@ -144,21 +144,22 @@ func TestDifferentialPurchasing(t *testing.T) {
 	}
 }
 
-// handcraftedNet is a hand-built net with its final places.
-type handcraftedNet struct {
+// netCase is a corpus net with its final places.
+type netCase struct {
 	name string
 	n    *Net
 	fp   []PlaceID
 }
 
 // handcraftedNets are the traps of the differential corpus: a line, a
-// choice with a dead branch, independent concurrency and a colored
-// choice the reduction gate must refuse.
-func handcraftedNets() []handcraftedNet {
-	var out []handcraftedNet
+// choice with a dead branch, independent concurrency, a colored choice
+// the reduction gate must refuse and colored consumers competing for
+// one place.
+func handcraftedNets() []netCase {
+	var out []netCase
 	{
 		n, ps, _ := lineNet()
-		out = append(out, handcraftedNet{"line", n, []PlaceID{ps[2]}})
+		out = append(out, netCase{"line", n, []PlaceID{ps[2]}})
 	}
 	{
 		n := New()
@@ -171,7 +172,7 @@ func handcraftedNets() []handcraftedNet {
 		n.AddTransition("trap", In(p0, ""), Out(stuckPre, ""))
 		n.AddTransition("finish", In(good, ""), Out(done, ""))
 		n.AddTransition("blocked", In(stuckPre, ""), In(never, ""), Out(done, ""))
-		out = append(out, handcraftedNet{"trap", n, []PlaceID{done}})
+		out = append(out, netCase{"trap", n, []PlaceID{done}})
 	}
 	{
 		n := New()
@@ -182,7 +183,7 @@ func handcraftedNets() []handcraftedNet {
 			n.AddTransition("run", In(ready, ""), Out(d, ""))
 			done = append(done, d)
 		}
-		out = append(out, handcraftedNet{"independent8", n, done})
+		out = append(out, netCase{"independent8", n, done})
 	}
 	{
 		// Colored tokens + a wildcard consumer on a multi-color
@@ -194,7 +195,17 @@ func handcraftedNets() []handcraftedNet {
 		done := n.AddPlace("done")
 		n.AddTransition("take", In(src, ""), Out(mid, ""))
 		n.AddTransition("fin", In(mid, ""), In(mid, ""), Out(done, ""))
-		out = append(out, handcraftedNet{"colored-choice", n, []PlaceID{done}})
+		out = append(out, netCase{"colored-choice", n, []PlaceID{done}})
+	}
+	{
+		// A wildcard and an exact-color consumer compete for a
+		// two-color place.
+		n := New()
+		src := n.AddPlace("src", "b", "a", "a")
+		dst := n.AddPlace("dst")
+		n.AddTransition("any", In(src, ""), Out(dst, "x"))
+		n.AddTransition("exact", In(src, "a"), Out(dst, "y"))
+		out = append(out, netCase{"colored", n, []PlaceID{dst}})
 	}
 	return out
 }

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// exploreGraphFullScan is the exploration loop exploreGraph replaced,
-// kept as its oracle: it scans every transition of the net for the
-// enabled list of every explored state. check, when non-nil, sees each
-// firing: the full-scan enabled list of the state fired from, the
-// transition and the successor marking.
+// exploreGraphFullScan is exploreGraph with a scan of every transition
+// of the net for each explored state's enabled list: the oracle for
+// the derived lists. check, when non-nil, sees each firing: the
+// full-scan enabled list of the state fired from, the transition and
+// the successor marking.
 func (c *compiled) exploreGraphFullScan(maxStates int, fp []int32, reduce bool, check func(parent []int32, t int32, succ []byte)) (*sgraph, error) {
 	st := newStateTable(c.stateLen, 1024)
 	st.insert(hashState(c.initial), c.initial)
@@ -89,25 +89,9 @@ func diffGraphs(got, want *sgraph) []string {
 // firing's derived enabled list must equal the full scan of the
 // successor.
 func TestExploreGraphMatchesFullScan(t *testing.T) {
-	type net struct {
-		name string
-		n    *Net
-		fp   []PlaceID
-	}
-	var nets []net
-	for _, tc := range handcraftedNets() {
-		nets = append(nets, net{tc.name, tc.n, tc.fp})
-	}
-	{
-		n := New()
-		src := n.AddPlace("src", "b", "a", "a")
-		dst := n.AddPlace("dst")
-		n.AddTransition("any", In(src, ""), Out(dst, "x"))
-		n.AddTransition("exact", In(src, "a"), Out(dst, "y"))
-		nets = append(nets, net{"colored", n, []PlaceID{dst}})
-	}
+	nets := handcraftedNets()
 	for _, tc := range buildCorpus(t) {
-		nets = append(nets, net{tc.name, tc.n, donePlaces(tc.m)})
+		nets = append(nets, netCase{tc.name, tc.n, donePlaces(tc.m)})
 	}
 
 	firings, truncated := 0, 0

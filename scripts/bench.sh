@@ -27,10 +27,11 @@
 # to include the n=4096 stretch rows (the n=1024 rows always run).
 # OBS_BENCHTIME (default 2000x) controls the observability-overhead
 # run: each iteration times one obs=off and one obs=on engine run of
-# about 0.6 ms each, so 2000 pairs hold the ratio to about a percentage
-# point. SCHED_BENCHTIME (default 20x) controls the retry-overhead run,
-# whose activities sleep 200 µs. WEAVE_BENCHTIME (default 1x) controls the pipeline
-# stage runs, whose layered row is seconds per op.
+# about 0.6 ms each, and at 2000 pairs three runs in a row agreed within
+# 2 percentage points on 2 cores. SCHED_BENCHTIME (default 20x) controls
+# the retry-overhead run, whose activities sleep 200 µs. WEAVE_BENCHTIME
+# (default 1x) controls the pipeline stage runs, whose layered row is
+# seconds per op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
