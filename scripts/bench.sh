@@ -25,13 +25,9 @@
 #
 # BENCHTIME (default 1x) is passed to -benchtime; set DSCW_BENCH_LARGE=1
 # to include the n=4096 stretch rows (the n=1024 rows always run).
-# OBS_BENCHTIME (default 2000x) controls the observability-overhead
-# run: each iteration times one obs=off and one obs=on engine run of
-# about 0.6 ms each, and at 2000 pairs three runs in a row agreed within
-# 2 percentage points on 2 cores. SCHED_BENCHTIME (default 20x) controls
-# the retry-overhead run, whose activities sleep 200 µs. WEAVE_BENCHTIME
-# (default 1x) controls the pipeline stage runs, whose layered row is
-# seconds per op.
+# SCHED_BENCHTIME (default 20x) controls the retry-overhead run, whose
+# activities sleep 200 µs. WEAVE_BENCHTIME (default 1x) controls the
+# pipeline stage runs, whose layered row is seconds per op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +38,6 @@ weave_out="${4:-BENCH_weave.json}"
 soundness_out="${5:-BENCH_soundness.json}"
 benchtime="${BENCHTIME:-1x}"
 sched_benchtime="${SCHED_BENCHTIME:-20x}"
-obs_benchtime="${OBS_BENCHTIME:-2000x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -91,7 +86,10 @@ echo "wrote $out ($(grep -c '"name"' "$out") records)"
 sched_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw"' EXIT
 
-go test -run '^$' -bench '^BenchmarkSchedulerObsOverhead$' -benchtime "$obs_benchtime" -timeout 0 . | tee "$sched_raw"
+# Each obs-overhead iteration times one obs=off and one obs=on engine
+# run of about 0.6 ms each; at 2000 pairs three runs in a row agreed
+# within 2 percentage points on 2 cores.
+go test -run '^$' -bench '^BenchmarkSchedulerObsOverhead$' -benchtime 2000x -timeout 0 . | tee "$sched_raw"
 go test -run '^$' -bench '^BenchmarkRetryOverhead$' -benchtime "$sched_benchtime" -timeout 0 . | tee -a "$sched_raw"
 
 awk "${stamp[@]}" '
