@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -521,70 +522,24 @@ func BenchmarkSchedulerMinimalVsOverspecified(b *testing.B) {
 // same layered workload as BenchmarkSchedulerMinimalVsOverspecified,
 // with zero-latency activities so that only the engine's own work is
 // timed, executed with observability off and with a live registry plus
-// no-op event sink. Each iteration runs both, alternating which goes
-// first, so a noisy neighbour slows both sides alike. The row reports
-// each side's mean as off-ns/op and on-ns/op and their ratio as
-// overhead-%, the bound recorded in BENCH_schedule.json (target: <5%).
+// no-op event sink. The row's overhead-% is the bound recorded in
+// BENCH_schedule.json (target: <5%).
 func BenchmarkSchedulerObsOverhead(b *testing.B) {
-	const width = 8
-	w := workload.Layered(4, width, 0.25, int64(width))
-	merged, err := w.Constraints()
-	if err != nil {
-		b.Fatal(err)
-	}
-	minRes, err := core.MinimizeUnconditional(merged)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(opts schedule.Options) time.Duration {
-		began := time.Now()
-		eng, err := schedule.New(minRes.Minimal, schedule.NoopExecutors(minRes.Minimal.Proc, 0, nil), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(began)
-	}
 	off := schedule.Options{Timeout: time.Minute}
 	on := schedule.Options{Timeout: time.Minute, Metrics: obs.NewRegistry(), Events: obs.NopSink{}}
-	var offTime, onTime time.Duration
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			offTime += run(off)
-			onTime += run(on)
-		} else {
-			onTime += run(on)
-			offTime += run(off)
-		}
-	}
-	b.ReportMetric(float64(offTime.Nanoseconds())/float64(b.N), "off-ns/op")
-	b.ReportMetric(float64(onTime.Nanoseconds())/float64(b.N), "on-ns/op")
-	b.ReportMetric((float64(onTime)/float64(offTime)-1)*100, "overhead-%")
+	overheadPairs(b, off, on)
 }
 
 // BenchmarkRetryOverhead measures the no-fault retry tax: the same
-// layered workload as BenchmarkSchedulerObsOverhead executed with no
-// retry policies and with a full policy (classified, jittered,
+// zero-latency workload as BenchmarkSchedulerObsOverhead executed with
+// no retry policies and with a full policy (classified, jittered,
 // per-attempt timeout, max-elapsed budget) on every activity. No
-// executor ever fails, so the retry=on/retry=off delta is pure
-// bookkeeping — the per-attempt context and classification plumbing —
-// recorded in BENCH_schedule.json.
+// executor ever fails, so the on/off delta is pure bookkeeping — the
+// per-attempt context and classification plumbing — recorded in
+// BENCH_schedule.json (target: <5%).
 func BenchmarkRetryOverhead(b *testing.B) {
-	const work = 200 * time.Microsecond
-	const width = 8
-	w := workload.Layered(4, width, 0.25, int64(width))
-	merged, err := w.Constraints()
-	if err != nil {
-		b.Fatal(err)
-	}
-	minRes, err := core.MinimizeUnconditional(merged)
-	if err != nil {
-		b.Fatal(err)
-	}
-	retries := make(map[core.ActivityID]schedule.RetryPolicy, len(minRes.Minimal.Proc.Activities()))
-	for _, act := range minRes.Minimal.Proc.Activities() {
+	retries := map[core.ActivityID]schedule.RetryPolicy{}
+	for _, act := range overheadWorkload(b).Proc.Activities() {
 		retries[act.ID] = schedule.RetryPolicy{
 			MaxAttempts: 3,
 			Backoff:     time.Millisecond,
@@ -594,25 +549,66 @@ func BenchmarkRetryOverhead(b *testing.B) {
 			MaxElapsed:  time.Second,
 		}
 	}
-	for _, variant := range []struct {
-		name string
-		opts schedule.Options
-	}{
-		{"off", schedule.Options{Timeout: time.Minute}},
-		{"on", schedule.Options{Timeout: time.Minute, Retry: retries, RetrySeed: 1}},
-	} {
-		b.Run("retry="+variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := schedule.New(minRes.Minimal, schedule.NoopExecutors(minRes.Minimal.Proc, work, nil), variant.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	off := schedule.Options{Timeout: time.Minute}
+	on := schedule.Options{Timeout: time.Minute, Retry: retries, RetrySeed: 1}
+	overheadPairs(b, off, on)
+}
+
+// overheadWorkload is the minimal set of the 4x8 layered workload the
+// overhead benchmarks execute.
+func overheadWorkload(b *testing.B) *core.ConstraintSet {
+	const width = 8
+	w := workload.Layered(4, width, 0.25, int64(width))
+	merged, err := w.Constraints()
+	if err != nil {
+		b.Fatal(err)
 	}
+	minRes, err := core.MinimizeUnconditional(merged)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return minRes.Minimal
+}
+
+// overheadPairs runs the overhead workload with zero-latency
+// activities once under off and once under on per iteration,
+// alternating which goes first, so a noisy neighbour slows both sides
+// alike. It reports each side's mean as off-ns/op and on-ns/op, and
+// the median over pairs of on/off as overhead-%: a pause that lands on
+// one run moves only its own pair's ratio, where it would move the
+// ratio of the two sums by its whole length.
+func overheadPairs(b *testing.B, off, on schedule.Options) {
+	sc := overheadWorkload(b)
+	run := func(opts schedule.Options) time.Duration {
+		began := time.Now()
+		eng, err := schedule.New(sc, schedule.NoopExecutors(sc.Proc, 0, nil), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(began)
+	}
+	var offTime, onTime time.Duration
+	ratios := make([]float64, b.N)
+	for i := 0; i < b.N; i++ {
+		var o, n time.Duration
+		if i%2 == 0 {
+			o = run(off)
+			n = run(on)
+		} else {
+			n = run(on)
+			o = run(off)
+		}
+		offTime += o
+		onTime += n
+		ratios[i] = float64(n) / float64(o)
+	}
+	slices.Sort(ratios)
+	b.ReportMetric(float64(offTime.Nanoseconds())/float64(b.N), "off-ns/op")
+	b.ReportMetric(float64(onTime.Nanoseconds())/float64(b.N), "on-ns/op")
+	b.ReportMetric((ratios[b.N/2]-1)*100, "overhead-%")
 }
 
 // BenchmarkConstraintMaintenance measures the engine-side cost of

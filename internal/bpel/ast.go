@@ -3,10 +3,13 @@
 // with <links>, per-activity <source>/<target> link attachments,
 // transitionCondition expressions on branch outcomes, and dead-path
 // elimination via suppressJoinFailure. Generate lowers an optimized
-// constraint set to a Process document; Marshal/Parse round-trip the
-// XML with encoding/xml; Validate performs the static checks a BPEL
-// engine would reject a document for (duplicate names, dangling or
-// multiply-attached links, cyclic control flow).
+// constraint set to a Process document; Marshal writes it as indented
+// XML in one direct pass over the AST (write.go), byte for byte what
+// encoding/xml's reflection marshaller writes, which stays in test code
+// as the oracle; Parse reads documents back with encoding/xml;
+// Validate performs the static checks a BPEL engine would reject a
+// document for (duplicate names, dangling or multiply-attached links,
+// cyclic control flow).
 package bpel
 
 import (
@@ -151,43 +154,10 @@ type Empty struct {
 
 // Sequence executes its items in document order. Items are pointers to
 // Receive, Invoke, Reply, Assign or Empty; mixed kinds keep their
-// order through custom XML marshalling.
+// order through Marshal and UnmarshalXML.
 type Sequence struct {
 	Name  string
 	Items []any
-}
-
-// MarshalXML writes the sequence with its items in order.
-func (s *Sequence) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
-	start.Name.Local = "sequence"
-	start.Attr = nil
-	if s.Name != "" {
-		start.Attr = append(start.Attr, xml.Attr{Name: xml.Name{Local: "name"}, Value: s.Name})
-	}
-	if err := e.EncodeToken(start); err != nil {
-		return err
-	}
-	for _, item := range s.Items {
-		var local string
-		switch item.(type) {
-		case *Receive:
-			local = "receive"
-		case *Invoke:
-			local = "invoke"
-		case *Reply:
-			local = "reply"
-		case *Assign:
-			local = "assign"
-		case *Empty:
-			local = "empty"
-		default:
-			return fmt.Errorf("bpel: sequence %q holds unsupported item %T", s.Name, item)
-		}
-		if err := e.EncodeElement(item, xml.StartElement{Name: xml.Name{Local: local}}); err != nil {
-			return err
-		}
-	}
-	return e.EncodeToken(start.End())
 }
 
 // UnmarshalXML reads the items back in document order.
@@ -231,32 +201,41 @@ func (s *Sequence) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 
 // activities returns the items' common headers in order.
 func (s *Sequence) activities() []*Common {
-	var out []*Common
+	out := make([]*Common, 0, len(s.Items))
 	for _, item := range s.Items {
-		switch a := item.(type) {
-		case *Receive:
-			out = append(out, &a.Common)
-		case *Invoke:
-			out = append(out, &a.Common)
-		case *Reply:
-			out = append(out, &a.Common)
-		case *Assign:
-			out = append(out, &a.Common)
-		case *Empty:
-			out = append(out, &a.Common)
+		if c := common(item); c != nil {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// Marshal renders the document with an XML header and two-space
-// indentation.
-func Marshal(p *Process) ([]byte, error) {
-	body, err := xml.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bpel: %w", err)
+// common returns an activity's common header, or nil for anything
+// that is not one of the five activity kinds.
+func common(item any) *Common {
+	switch a := item.(type) {
+	case *Receive:
+		if a != nil {
+			return &a.Common
+		}
+	case *Invoke:
+		if a != nil {
+			return &a.Common
+		}
+	case *Reply:
+		if a != nil {
+			return &a.Common
+		}
+	case *Assign:
+		if a != nil {
+			return &a.Common
+		}
+	case *Empty:
+		if a != nil {
+			return &a.Common
+		}
 	}
-	return append([]byte(xml.Header), append(body, '\n')...), nil
+	return nil
 }
 
 // Parse reads a document produced by Marshal (or hand-written in the
@@ -271,26 +250,39 @@ func Parse(data []byte) (*Process, error) {
 
 // activities returns every activity of a flow with its common header,
 // in declaration order per element kind, including activities nested
-// inside sequences.
+// inside sequences. Nil entries, which Marshal skips, are left out.
 func (f *Flow) activities() []*Common {
-	var out []*Common
+	n := len(f.Receives) + len(f.Invokes) + len(f.Replies) + len(f.Assigns) + len(f.Empties)
 	for _, s := range f.Sequences {
-		out = append(out, s.activities()...)
+		if s != nil {
+			n += len(s.Items)
+		}
+	}
+	out := make([]*Common, 0, n)
+	add := func(item any) {
+		if c := common(item); c != nil {
+			out = append(out, c)
+		}
+	}
+	for _, s := range f.Sequences {
+		if s != nil {
+			out = append(out, s.activities()...)
+		}
 	}
 	for _, a := range f.Receives {
-		out = append(out, &a.Common)
+		add(a)
 	}
 	for _, a := range f.Invokes {
-		out = append(out, &a.Common)
+		add(a)
 	}
 	for _, a := range f.Replies {
-		out = append(out, &a.Common)
+		add(a)
 	}
 	for _, a := range f.Assigns {
-		out = append(out, &a.Common)
+		add(a)
 	}
 	for _, a := range f.Empties {
-		out = append(out, &a.Common)
+		add(a)
 	}
 	return out
 }

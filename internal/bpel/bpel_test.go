@@ -164,6 +164,16 @@ func TestGenerateRejectsExclusive(t *testing.T) {
 	}
 }
 
+func TestGenerateRejectsUnknownActivity(t *testing.T) {
+	p := core.NewProcess("ua")
+	p.MustAddActivity(&core.Activity{ID: "a", Kind: core.KindOpaque})
+	s := core.NewConstraintSet(p)
+	s.Before("a", "ghost", core.Data)
+	if _, err := Generate(s); err == nil || !strings.Contains(err.Error(), "outside process ua") {
+		t.Errorf("err = %v, want unknown-activity rejection", err)
+	}
+}
+
 func TestValidateCatchesBrokenDocuments(t *testing.T) {
 	base := func() *Process {
 		return &Process{
@@ -232,6 +242,63 @@ func TestValidateCatchesBrokenDocuments(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+}
+
+// TestValidateReportsFirstFault requires one message from repeated
+// calls on documents with several faults: the first in declaration
+// order.
+func TestValidateReportsFirstFault(t *testing.T) {
+	empty := func(name string, sources, targets []string) *Empty {
+		e := &Empty{Common: Common{Name: name}}
+		for _, l := range sources {
+			e.Sources = append(e.Sources, Source{LinkName: l})
+		}
+		for _, l := range targets {
+			e.Targets = append(e.Targets, Target{LinkName: l})
+		}
+		return e
+	}
+	links := func(names ...string) *Links {
+		ls := &Links{}
+		for _, n := range names {
+			ls.Items = append(ls.Items, Link{Name: n})
+		}
+		return ls
+	}
+	cases := []struct {
+		name string
+		doc  *Process
+		want string
+	}{
+		{"two target-less links", &Process{Name: "t", Flow: &Flow{
+			Links:   links("x1", "x2"),
+			Empties: []*Empty{empty("a", []string{"x1", "x2"}, nil)},
+		}}, `bpel: link "x1" has no target`},
+		{"two cycles", &Process{Name: "t", Flow: &Flow{
+			Links: links("ab", "bc", "ca", "cd", "da"),
+			Empties: []*Empty{
+				empty("a", []string{"ab"}, []string{"ca", "da"}),
+				empty("b", []string{"bc"}, []string{"ab"}),
+				empty("c", []string{"ca", "cd"}, []string{"bc"}),
+				empty("d", []string{"da"}, []string{"cd"}),
+			},
+		}}, "bpel: links form a control cycle: [a b c a]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := map[string]int{}
+			for range 200 {
+				err := Validate(tc.doc)
+				if err == nil {
+					t.Fatal("Validate accepted the document")
+				}
+				seen[err.Error()]++
+			}
+			if len(seen) != 1 || seen[tc.want] != 200 {
+				t.Errorf("messages over 200 calls = %v, want only %q", seen, tc.want)
+			}
+		})
+	}
 }
 
 func TestVariablesIncludeDecisionOutcomes(t *testing.T) {

@@ -3,7 +3,7 @@ package bpel
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dscweaver/internal/core"
 )
@@ -35,6 +35,7 @@ func Generate(sc *core.ConstraintSet) (*Process, error) {
 		return nil, fmt.Errorf("bpel: constraint set mentions external nodes; translate first")
 	}
 	proc := sc.Proc
+	acts := proc.Activities()
 
 	doc := &Process{
 		Name:                proc.Name,
@@ -46,42 +47,59 @@ func Generate(sc *core.ConstraintSet) (*Process, error) {
 
 	// Partner links: one per service.
 	if svcs := proc.Services(); len(svcs) > 0 {
-		doc.PartnerLinks = &PartnerLinks{}
-		for _, s := range svcs {
-			doc.PartnerLinks.Items = append(doc.PartnerLinks.Items, PartnerLink{
+		doc.PartnerLinks = &PartnerLinks{Items: make([]PartnerLink, len(svcs))}
+		for i, s := range svcs {
+			doc.PartnerLinks.Items[i] = PartnerLink{
 				Name: s.Name, PartnerRole: s.Name + "Provider", MyRole: proc.Name + "Client",
-			})
+			}
 		}
 	}
 
-	// Variables: union of reads/writes.
-	varSet := map[string]bool{}
-	for _, a := range proc.Activities() {
-		for _, v := range append(append([]string{}, a.Reads...), a.Writes...) {
-			varSet[v] = true
-		}
-		if a.Kind == core.KindDecision {
-			varSet[decisionVar(a)] = true
-		}
-	}
-	if len(varSet) > 0 {
-		doc.Variables = &Variables{}
-		names := make([]string, 0, len(varSet))
-		for v := range varSet {
+	// Variables: union of reads/writes and decision outcomes, sorted.
+	seen := map[string]bool{}
+	var names []string
+	add := func(v string) {
+		if !seen[v] {
+			seen[v] = true
 			names = append(names, v)
 		}
+	}
+	for _, a := range acts {
+		for _, v := range a.Reads {
+			add(v)
+		}
+		for _, v := range a.Writes {
+			add(v)
+		}
+		if a.Kind == core.KindDecision {
+			add(decisionVar(a))
+		}
+	}
+	if len(names) > 0 {
 		sort.Strings(names)
-		for _, v := range names {
-			doc.Variables.Items = append(doc.Variables.Items, Variable{Name: v, Type: "xsd:anyType"})
+		doc.Variables = &Variables{Items: make([]Variable, len(names))}
+		for i, v := range names {
+			doc.Variables.Items[i] = Variable{Name: v, Type: "xsd:anyType"}
 		}
 	}
 
-	// Links and attachments.
-	commons := map[core.ActivityID]*Common{}
-	for _, a := range proc.Activities() {
-		commons[a.ID] = &Common{Name: string(a.ID)}
+	// Links: constraint i becomes link i. A first pass checks every
+	// constraint is a link, resolves its endpoints to activity indexes,
+	// counts each activity's degree and writes the link names into one
+	// buffer.
+	index := make(map[core.ActivityID]int, len(acts))
+	idBytes := 0
+	for i, a := range acts {
+		index[a.ID] = i
+		idBytes += len(a.ID)
 	}
-	for i := 0; i < sc.Len(); i++ {
+	m := sc.Len()
+	ends := make([][2]int, m)
+	nameEnd := make([]int, m)
+	srcStart := make([]int, len(acts)+1)
+	dstStart := make([]int, len(acts)+1)
+	buf := make([]byte, 0, m*(16+2*idBytes/max(1, len(acts))))
+	for i := 0; i < m; i++ {
 		c := sc.At(i)
 		switch c.Rel {
 		case core.Exclusive:
@@ -92,55 +110,109 @@ func Generate(sc *core.ConstraintSet) (*Process, error) {
 		if c.From.State != core.Finish || c.To.State != core.Start {
 			return nil, fmt.Errorf("bpel: state-level constraint %s cannot be expressed as a BPEL link", c)
 		}
-		src, dst := c.From.Node.Activity, c.To.Node.Activity
-		name := fmt.Sprintf("l%d_%s_to_%s", i, src, dst)
-		doc.Flow.Links.Items = append(doc.Flow.Links.Items, Link{Name: name})
-		commons[src].Sources = append(commons[src].Sources, Source{
-			LinkName:            name,
-			TransitionCondition: transitionCondition(proc, c),
-		})
-		commons[dst].Targets = append(commons[dst].Targets, Target{LinkName: name})
+		src, ok1 := index[c.From.Node.Activity]
+		dst, ok2 := index[c.To.Node.Activity]
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("bpel: constraint %s names an activity outside process %s", c, proc.Name)
+		}
+		ends[i] = [2]int{src, dst}
+		srcStart[src+1]++
+		dstStart[dst+1]++
+		buf = appendLinkName(buf, i, c.From.Node.Activity, c.To.Node.Activity)
+		nameEnd[i] = len(buf)
+	}
+	for v := range acts {
+		srcStart[v+1] += srcStart[v]
+		dstStart[v+1] += dstStart[v]
+	}
+
+	// Attachments: each activity's sources and targets are a window of
+	// one flat slice each, filled in constraint order.
+	all := string(buf)
+	links := make([]Link, m)
+	sources := make([]Source, m)
+	targets := make([]Target, m)
+	srcNext := append([]int(nil), srcStart[:len(acts)]...)
+	dstNext := append([]int(nil), dstStart[:len(acts)]...)
+	for i, e := range ends {
+		lo := 0
+		if i > 0 {
+			lo = nameEnd[i-1]
+		}
+		name := all[lo:nameEnd[i]]
+		links[i] = Link{Name: name}
+		sources[srcNext[e[0]]] = Source{LinkName: name, TransitionCondition: transitionCondition(proc, sc.At(i))}
+		srcNext[e[0]]++
+		targets[dstNext[e[1]]] = Target{LinkName: name}
+		dstNext[e[1]]++
+	}
+	doc.Flow.Links.Items = links
+	common := func(v int) Common {
+		return Common{
+			Name:    string(acts[v].ID),
+			Sources: window(sources, srcStart[v], srcStart[v+1]),
+			Targets: window(targets, dstStart[v], dstStart[v+1]),
+		}
 	}
 
 	// Materialize activities.
-	for _, a := range proc.Activities() {
-		common := *commons[a.ID]
+	for v, a := range acts {
 		switch a.Kind {
 		case core.KindReceive:
 			doc.Flow.Receives = append(doc.Flow.Receives, &Receive{
-				Common:      common,
+				Common:      common(v),
 				PartnerLink: partnerLinkFor(a),
 				Operation:   operationFor(a),
 				Variable:    firstOr(a.Writes, ""),
 			})
 		case core.KindInvoke:
 			doc.Flow.Invokes = append(doc.Flow.Invokes, &Invoke{
-				Common:        common,
+				Common:        common(v),
 				PartnerLink:   partnerLinkFor(a),
 				Operation:     operationFor(a),
 				InputVariable: firstOr(a.Reads, ""),
 			})
 		case core.KindReply:
 			doc.Flow.Replies = append(doc.Flow.Replies, &Reply{
-				Common:      common,
+				Common:      common(v),
 				PartnerLink: "client",
 				Operation:   "reply",
 				Variable:    firstOr(a.Reads, ""),
 			})
 		case core.KindDecision:
 			doc.Flow.Assigns = append(doc.Flow.Assigns, &Assign{
-				Common: common,
+				Common: common(v),
 				Copies: []Copy{{
 					From: Expr{Expression: "evaluate(" + predicateVar(a) + ")"},
 					To:   Expr{Variable: decisionVar(a)},
 				}},
 			})
 		default:
-			doc.Flow.Empties = append(doc.Flow.Empties, &Empty{Common: common})
+			doc.Flow.Empties = append(doc.Flow.Empties, &Empty{Common: common(v)})
 		}
 	}
 
 	return doc, nil
+}
+
+// appendLinkName appends the name Generate gives link idx from one
+// activity to another: l<idx>_<from>_to_<to>.
+func appendLinkName(b []byte, idx int, from, to core.ActivityID) []byte {
+	b = append(b, 'l')
+	b = strconv.AppendInt(b, int64(idx), 10)
+	b = append(b, '_')
+	b = append(b, from...)
+	b = append(b, "_to_"...)
+	return append(b, to...)
+}
+
+// window returns s[lo:hi] capped at hi, so appending to one activity's
+// attachments never overwrites the next one's; nil when empty.
+func window[T any](s []T, lo, hi int) []T {
+	if lo == hi {
+		return nil
+	}
+	return s[lo:hi:hi]
 }
 
 // transitionCondition renders a constraint's condition as a BPEL
@@ -150,22 +222,34 @@ func transitionCondition(proc *core.Process, c core.Constraint) string {
 	if c.Cond.IsTrue() {
 		return ""
 	}
-	var terms []string
-	for _, t := range c.Cond.Terms() {
-		var lits []string
-		for _, l := range t {
-			v := "$" + l.Decision
-			if a, ok := proc.Activity(core.ActivityID(l.Decision)); ok {
-				v = "$" + decisionVar(a)
-			}
-			lits = append(lits, fmt.Sprintf("%s = '%s'", v, l.Value))
+	terms := c.Cond.Terms()
+	var b []byte
+	if len(terms) != 1 {
+		b = append(b, '(')
+	}
+	for i, t := range terms {
+		if i > 0 {
+			b = append(b, ") or ("...)
 		}
-		terms = append(terms, strings.Join(lits, " and "))
+		for j, l := range t {
+			if j > 0 {
+				b = append(b, " and "...)
+			}
+			b = append(b, '$')
+			if a, ok := proc.Activity(core.ActivityID(l.Decision)); ok {
+				b = append(b, decisionVar(a)...)
+			} else {
+				b = append(b, l.Decision...)
+			}
+			b = append(b, " = '"...)
+			b = append(b, l.Value...)
+			b = append(b, '\'')
+		}
 	}
-	if len(terms) == 1 {
-		return terms[0]
+	if len(terms) != 1 {
+		b = append(b, ')')
 	}
-	return "(" + strings.Join(terms, ") or (") + ")"
+	return string(b)
 }
 
 // decisionVar names the variable a decision's outcome is stored in:

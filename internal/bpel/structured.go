@@ -137,7 +137,7 @@ func GenerateStructured(sc *core.ConstraintSet, guards map[core.Node]cond.Expr) 
 
 // linkName mirrors Generate's naming scheme.
 func linkName(idx int, from, to core.ActivityID) string {
-	return fmt.Sprintf("l%d_%s_to_%s", idx, from, to)
+	return string(appendLinkName(nil, idx, from, to))
 }
 
 // takeActivity removes the named activity from the flow's top-level

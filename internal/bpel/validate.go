@@ -15,13 +15,15 @@ import (
 //   - the link graph is acyclic (a BPEL static-analysis requirement:
 //     links must not create control cycles).
 //
-// It returns nil when the document is well-formed.
+// It returns nil when the document is well-formed. A document with
+// several faults reports the first in declaration order: activities
+// in flow order, links in <links> order.
 func Validate(p *Process) error {
 	if p.Flow == nil {
 		return fmt.Errorf("bpel: process %s has no flow", p.Name)
 	}
 	acts := p.Flow.activities()
-	byName := map[string]int{}
+	byName := make(map[string]int, len(acts))
 	for i, a := range acts {
 		if a.Name == "" {
 			return fmt.Errorf("bpel: unnamed activity at index %d", i)
@@ -32,77 +34,126 @@ func Validate(p *Process) error {
 		byName[a.Name] = i
 	}
 
-	declared := map[string]bool{}
+	var links []Link
 	if p.Flow.Links != nil {
-		for _, l := range p.Flow.Links.Items {
-			if l.Name == "" {
-				return fmt.Errorf("bpel: unnamed link")
-			}
-			if declared[l.Name] {
-				return fmt.Errorf("bpel: duplicate link %q", l.Name)
-			}
-			declared[l.Name] = true
+		links = p.Flow.Links.Items
+	}
+	pos := make(map[string]int, len(links))
+	for i, l := range links {
+		if l.Name == "" {
+			return fmt.Errorf("bpel: unnamed link")
 		}
+		if _, dup := pos[l.Name]; dup {
+			return fmt.Errorf("bpel: duplicate link %q", l.Name)
+		}
+		pos[l.Name] = i
 	}
 
-	srcOf := map[string]string{}
-	dstOf := map[string]string{}
-	for _, a := range acts {
+	// src[i] and dst[i] are the activities attached to link i, or -1.
+	ends := make([]int, 2*len(links))
+	for i := range ends {
+		ends[i] = -1
+	}
+	src, dst := ends[:len(links)], ends[len(links):]
+	for v, a := range acts {
 		for _, s := range a.Sources {
-			if !declared[s.LinkName] {
+			i, ok := pos[s.LinkName]
+			if !ok {
 				return fmt.Errorf("bpel: activity %q sources undeclared link %q", a.Name, s.LinkName)
 			}
-			if prev, dup := srcOf[s.LinkName]; dup {
-				return fmt.Errorf("bpel: link %q has two sources (%q, %q)", s.LinkName, prev, a.Name)
+			if src[i] >= 0 {
+				return fmt.Errorf("bpel: link %q has two sources (%q, %q)", s.LinkName, acts[src[i]].Name, a.Name)
 			}
-			srcOf[s.LinkName] = a.Name
+			src[i] = v
 		}
 		for _, t := range a.Targets {
-			if !declared[t.LinkName] {
+			i, ok := pos[t.LinkName]
+			if !ok {
 				return fmt.Errorf("bpel: activity %q targets undeclared link %q", a.Name, t.LinkName)
 			}
-			if prev, dup := dstOf[t.LinkName]; dup {
-				return fmt.Errorf("bpel: link %q has two targets (%q, %q)", t.LinkName, prev, a.Name)
+			if dst[i] >= 0 {
+				return fmt.Errorf("bpel: link %q has two targets (%q, %q)", t.LinkName, acts[dst[i]].Name, a.Name)
 			}
-			dstOf[t.LinkName] = a.Name
+			dst[i] = v
 		}
 	}
-	for l := range declared {
-		if _, ok := srcOf[l]; !ok {
-			return fmt.Errorf("bpel: link %q has no source", l)
-		}
-		if _, ok := dstOf[l]; !ok {
-			return fmt.Errorf("bpel: link %q has no target", l)
-		}
-		if srcOf[l] == dstOf[l] {
-			return fmt.Errorf("bpel: link %q loops on activity %q", l, srcOf[l])
+	for i, l := range links {
+		switch {
+		case src[i] < 0:
+			return fmt.Errorf("bpel: link %q has no source", l.Name)
+		case dst[i] < 0:
+			return fmt.Errorf("bpel: link %q has no target", l.Name)
+		case src[i] == dst[i]:
+			return fmt.Errorf("bpel: link %q loops on activity %q", l.Name, acts[src[i]].Name)
 		}
 	}
 
 	// Acyclicity of the control graph: links plus the implicit order
 	// of nested sequences.
+	edges := make([][2]int, len(links), len(links)+len(acts))
+	for i := range links {
+		edges[i] = [2]int{src[i], dst[i]}
+	}
+	for _, s := range p.Flow.Sequences {
+		if s == nil {
+			continue
+		}
+		items := s.activities()
+		for i := 0; i+1 < len(items); i++ {
+			edges = append(edges, [2]int{byName[items[i].Name], byName[items[i+1].Name]})
+		}
+	}
+	if acyclic(len(acts), edges) {
+		return nil
+	}
 	g := graph.New(len(acts))
 	for range acts {
 		g.AddNode()
 	}
-	for l, src := range srcOf {
-		g.AddEdge(byName[src], byName[dstOf[l]])
+	for _, e := range edges {
+		g.AddEdge(e[0], e[1])
 	}
-	for _, s := range p.Flow.Sequences {
-		items := s.activities()
-		for i := 0; i+1 < len(items); i++ {
-			g.AddEdge(byName[items[i].Name], byName[items[i+1].Name])
+	cyc := g.FindCycle()
+	names := make([]string, len(cyc))
+	for i, v := range cyc {
+		names[i] = acts[v].Name
+	}
+	return fmt.Errorf("bpel: links form a control cycle: %v", names)
+}
+
+// acyclic reports whether the graph over nodes 0..n-1 with the given
+// edges has no cycle (Kahn's algorithm over a flat successor array).
+func acyclic(n int, edges [][2]int) bool {
+	start := make([]int, n+1)
+	indeg := make([]int, n)
+	for _, e := range edges {
+		start[e[0]+1]++
+		indeg[e[1]]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	succ := make([]int, len(edges))
+	next := append([]int(nil), start[:n]...)
+	for _, e := range edges {
+		succ[next[e[0]]] = e[1]
+		next[e[0]]++
+	}
+	ready := next[:0] // next is spent; reuse it as the queue
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			ready = append(ready, v)
 		}
 	}
-	if _, err := g.TopoSort(); err != nil {
-		cyc := g.FindCycle()
-		names := make([]string, len(cyc))
-		for i, v := range cyc {
-			names[i] = acts[v].Name
+	for k := 0; k < len(ready); k++ {
+		u := ready[k]
+		for _, v := range succ[start[u]:start[u+1]] {
+			if indeg[v]--; indeg[v] == 0 {
+				ready = append(ready, v)
+			}
 		}
-		return fmt.Errorf("bpel: links form a control cycle: %v", names)
 	}
-	return nil
+	return len(ready) == n
 }
 
 // Stats summarizes a document for reporting.

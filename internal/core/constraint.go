@@ -253,7 +253,12 @@ func (s *ConstraintSet) ServiceNodes() []Node {
 // HasServiceNodes reports whether any constraint touches an external
 // node (i.e. the set has not yet been service-translated).
 func (s *ConstraintSet) HasServiceNodes() bool {
-	return len(s.ServiceNodes()) > 0
+	for _, c := range s.constraints {
+		if c.From.Node.IsService() || c.To.Node.IsService() {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone returns a deep copy sharing the process reference.

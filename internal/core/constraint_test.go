@@ -73,6 +73,9 @@ func TestNodePartition(t *testing.T) {
 	p := testProcess(t)
 	s := NewConstraintSet(p)
 	s.Before("a", "b", Data)
+	if s.HasServiceNodes() {
+		t.Error("HasServiceNodes = true on an activity-only set")
+	}
 	s.Add(Constraint{Rel: HappenBefore, From: PointOf("b", Finish),
 		To: Point{Node: ServiceNode("Svc", "1"), State: Start}, Cond: cond.True(), Origins: []Dimension{ServiceDim}})
 	if got := len(s.ActivityNodes()); got != 2 {
@@ -83,6 +86,9 @@ func TestNodePartition(t *testing.T) {
 	}
 	if !s.HasServiceNodes() {
 		t.Error("HasServiceNodes = false")
+	}
+	if n := testing.AllocsPerRun(10, func() { s.HasServiceNodes() }); n != 0 {
+		t.Errorf("HasServiceNodes allocates %v times", n)
 	}
 }
 

@@ -153,8 +153,8 @@ type netCase struct {
 
 // handcraftedNets are the traps of the differential corpus: a line, a
 // choice with a dead branch, independent concurrency, a colored choice
-// the reduction gate must refuse and colored consumers competing for
-// one place.
+// the reduction gate must refuse, colored consumers competing for one
+// place and a final place that is emptied again.
 func handcraftedNets() []netCase {
 	var out []netCase
 	{
@@ -206,6 +206,18 @@ func handcraftedNets() []netCase {
 		n.AddTransition("any", In(src, ""), Out(dst, "x"))
 		n.AddTransition("exact", In(src, "a"), Out(dst, "y"))
 		out = append(out, netCase{"colored", n, []PlaceID{dst}})
+	}
+	{
+		// A final place a later transition empties again: the
+		// explorer's derived final count must fall as well as rise.
+		n := New()
+		p0 := n.AddPlace("p0", "")
+		done := n.AddPlace("done")
+		other := n.AddPlace("other", "")
+		after := n.AddPlace("after")
+		n.AddTransition("finish", In(p0, ""), Out(done, ""))
+		n.AddTransition("undo", In(done, ""), In(other, ""), Out(after, ""))
+		out = append(out, netCase{"final-consumed", n, []PlaceID{done, other, done}})
 	}
 	return out
 }

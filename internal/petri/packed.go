@@ -480,6 +480,65 @@ func (c *compiled) isFinal(s []byte, fp []int32) bool {
 	return true
 }
 
+// finalTouched returns the distinct final places and, per transition,
+// the distinct final places among its input and output places: the
+// only final places a firing can mark or empty.
+func (c *compiled) finalTouched(fp []int32) (finals []int32, touched [][]int32) {
+	isFinal := make([]bool, len(c.offset))
+	for _, p := range fp {
+		if !isFinal[p] {
+			isFinal[p] = true
+			finals = append(finals, p)
+		}
+	}
+	touched = make([][]int32, len(c.trans))
+	if len(finals) == 0 {
+		return nil, touched
+	}
+	var flat []int32
+	for t := range c.trans {
+		start := len(flat)
+		tr := &c.trans[t]
+		for _, places := range [2][]int32{tr.inPlaces, tr.prodPlaces} {
+			for _, p := range places {
+				if isFinal[p] && !slices.Contains(flat[start:], p) {
+					flat = append(flat, p)
+				}
+			}
+		}
+		touched[t] = flat[start:len(flat):len(flat)]
+	}
+	return finals, touched
+}
+
+// markedFinal counts the places of finals marked in s.
+func (c *compiled) markedFinal(s []byte, finals []int32) int32 {
+	n := int32(0)
+	for _, p := range finals {
+		if c.placeTotal(s, p) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// finalDelta is the change in marked final places when firing a
+// transition whose touched final places are touched takes src to dst.
+func (c *compiled) finalDelta(src, dst []byte, touched []int32) int32 {
+	d := int32(0)
+	for _, p := range touched {
+		was, now := c.placeTotal(src, p) > 0, c.placeTotal(dst, p) > 0
+		if was != now {
+			if now {
+				d++
+			} else {
+				d--
+			}
+		}
+	}
+	return d
+}
+
 // finalMonotone reports whether no final place has a consumer: once a
 // marking is final, every successor is final. The reduction and
 // fast-path verdict arguments need this (see DESIGN.md).
@@ -614,11 +673,13 @@ type sgraph struct {
 // kernel's, so even MaxStates-truncated runs retain the same state
 // prefix. Dead detection always uses the full enabled set.
 //
-// Only the initial state's enabled set is a scan of the whole net.
-// Every inserted state derives its set from the state it was first
-// reached from (appendDerivedEnabled), so a successor costs work
-// proportional to the transition that fired, and the list comes out
-// ascending: reduce sees exactly the list a full scan would give.
+// Only the initial state's enabled set and marked-final count are
+// scans of the whole net. Every inserted state derives its set from
+// the state it was first reached from (appendDerivedEnabled), and its
+// count from the final places the fired transition touches
+// (finalDelta), so a successor costs work proportional to the
+// transition that fired. The list comes out ascending: reduce sees
+// exactly the list a full scan would give.
 func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, reduce bool) (*sgraph, error) {
 	st := newStateTable(c.stateLen, 1024)
 	st.insert(hashState(c.initial), c.initial)
@@ -632,6 +693,9 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, 
 	q := enabledQueue{buf: make([]int32, 1, 1+len(c.trans))}
 	q.buf = c.enabledList(q.buf, c.initial)
 	q.buf[0] = int32(len(q.buf) - 1)
+	finals, touched := c.finalTouched(fp)
+	need := int32(len(finals))
+	marked := []int32{c.markedFinal(c.initial, finals)} // by state id
 	dst := make([]byte, c.stateLen)
 	for i := int32(0); int(i) < st.count(); i++ {
 		if err := ctxErrEvery(ctx, int(i)); err != nil {
@@ -639,7 +703,7 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, 
 		}
 		s := st.state(i)
 		enabled := q.pop()
-		g.final = append(g.final, c.isFinal(s, fp))
+		g.final = append(g.final, marked[i] == need)
 		g.dead = append(g.dead, len(enabled) == 0)
 		expand := enabled
 		if sb != nil && len(enabled) > 1 {
@@ -658,6 +722,7 @@ func (c *compiled) exploreGraph(ctx context.Context, maxStates int, fp []int32, 
 				}
 				id = st.insert(h, dst)
 				q.pushDerived(c, enabled, affected[t], dst)
+				marked = append(marked, marked[i]+c.finalDelta(s, dst, touched[t]))
 			}
 			g.edgeFrom = append(g.edgeFrom, i)
 			g.edgeTo = append(g.edgeTo, id)

@@ -5,9 +5,9 @@
 # annotated-closure pair comparisons, closure-cache hits and the
 # cross-run verdict-cache hit rate. Also runs the scheduler
 # observability-overhead and no-fault retry-overhead benchmarks and
-# writes BENCH_schedule.json with the obs=off/obs=on and
-# retry=off/retry=on ns/op pairs and their overhead percentages. Finally
-# runs the dscweaverd weave-throughput benchmark and writes
+# writes BENCH_schedule.json with each one's off/on mean ns/op and
+# median per-pair overhead percentage. Finally runs the dscweaverd
+# weave-throughput benchmark and writes
 # BENCH_server.json with its req/sec, the weave pipeline stage
 # benchmark into BENCH_weave.json with the per-stage ns/op breakdown,
 # and the soundness-kernel comparison into BENCH_soundness.json with
@@ -25,9 +25,8 @@
 #
 # BENCHTIME (default 1x) is passed to -benchtime; set DSCW_BENCH_LARGE=1
 # to include the n=4096 stretch rows (the n=1024 rows always run).
-# SCHED_BENCHTIME (default 20x) controls the retry-overhead run, whose
-# activities sleep 200 µs. WEAVE_BENCHTIME (default 1x) controls the
-# pipeline stage runs, whose layered row is seconds per op.
+# WEAVE_BENCHTIME (default 1x) controls the pipeline stage runs, whose
+# layered row is seconds per op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +36,6 @@ server_out="${3:-BENCH_server.json}"
 weave_out="${4:-BENCH_weave.json}"
 soundness_out="${5:-BENCH_soundness.json}"
 benchtime="${BENCHTIME:-1x}"
-sched_benchtime="${SCHED_BENCHTIME:-20x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -86,32 +84,30 @@ echo "wrote $out ($(grep -c '"name"' "$out") records)"
 sched_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw"' EXIT
 
-# Each obs-overhead iteration times one obs=off and one obs=on engine
-# run of about 0.6 ms each; at 2000 pairs three runs in a row agreed
-# within 2 percentage points on 2 cores.
-go test -run '^$' -bench '^BenchmarkSchedulerObsOverhead$' -benchtime 2000x -timeout 0 . | tee "$sched_raw"
-go test -run '^$' -bench '^BenchmarkRetryOverhead$' -benchtime "$sched_benchtime" -timeout 0 . | tee -a "$sched_raw"
+# Each overhead iteration times one off and one on engine run of about
+# 0.5 ms each, and the overhead is the median of the per-pair ratios.
+# At 5000 pairs three runs in a row of each benchmark agreed within 2
+# percentage points on 2 cores.
+go test -run '^$' -bench '^Benchmark(SchedulerObsOverhead|RetryOverhead)$' -benchtime 5000x -timeout 0 . | tee "$sched_raw"
 
 awk "${stamp[@]}" '
-/^Benchmark(SchedulerObsOverhead|RetryOverhead)[-\/ \t]/ {
+/^Benchmark(SchedulerObsOverhead|RetryOverhead)[- \t]/ {
     name = $1
     gomaxprocs = 1
     if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
-    ns = 0
+    off = 0; on = 0; pct = ""
     for (i = 3; i < NF; i += 2) {
-        if ($(i+1) == "ns/op") ns = $i
-        if ($(i+1) == "off-ns/op") obs_off = $i
-        if ($(i+1) == "on-ns/op")  obs_on = $i
+        if ($(i+1) == "off-ns/op")  off = $i
+        if ($(i+1) == "on-ns/op")   on = $i
+        if ($(i+1) == "overhead-%") pct = $i
     }
-    if (name ~ /retry=off/) retry_off = ns
-    if (name ~ /retry=on/)  retry_on = ns
+    if (name == "BenchmarkSchedulerObsOverhead") { obs_off = off; obs_on = on; obs_pct = pct }
+    if (name == "BenchmarkRetryOverhead")        { retry_off = off; retry_on = on; retry_pct = pct }
 }
 END {
-    if (obs_off == 0 || obs_on == 0) { print "missing obs benchmark rows" > "/dev/stderr"; exit 1 }
-    if (retry_off == 0 || retry_on == 0) { print "missing retry benchmark rows" > "/dev/stderr"; exit 1 }
-    obs_pct = (obs_on - obs_off) / obs_off * 100
-    retry_pct = (retry_on - retry_off) / retry_off * 100
+    if (obs_off == 0 || obs_on == 0 || obs_pct == "") { print "missing obs benchmark rows" > "/dev/stderr"; exit 1 }
+    if (retry_off == 0 || retry_on == 0 || retry_pct == "") { print "missing retry benchmark rows" > "/dev/stderr"; exit 1 }
     printf("{\n  \"benchmark\": \"BenchmarkSchedulerObsOverhead\",\n")
     printf("  \"obs_off_ns_per_op\": %.0f,\n  \"obs_on_ns_per_op\": %.0f,\n", obs_off, obs_on)
     printf("  \"overhead_pct\": %.2f,\n  \"budget_pct\": 5,\n", obs_pct)
