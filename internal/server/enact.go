@@ -178,6 +178,23 @@ type EnactResponse struct {
 // enactTransport registry: POST /v1/transport/invoke resolves frames
 // to the live enactment they belong to by run id.
 
+// framePark bounds how long POST /v1/transport/invoke holds a frame
+// whose run, or whose receiver within the run, has not registered on
+// this server yet. A peer's first notes routinely outrun the join that
+// registers their run here; parking them turns that race into a
+// rendezvous instead of a 404 and a sender backoff. Past the bound the
+// frame is refused as before and the sender's retry budget takes over.
+const framePark = time.Second
+
+// parkedRun is the rendezvous for frames naming one unregistered run:
+// releaseParked closes ready. Only the registry lock touches waiters,
+// and the last waiter to give up deletes the entry, so none outlives
+// its requests.
+type parkedRun struct {
+	ready   chan struct{}
+	waiters int
+}
+
 func (s *Server) registerEnactTransport(id string, t *services.HTTPTransport) error {
 	s.enactMu.Lock()
 	defer s.enactMu.Unlock()
@@ -186,7 +203,53 @@ func (s *Server) registerEnactTransport(id string, t *services.HTTPTransport) er
 	}
 	s.enactTransports[id] = t
 	delete(s.enactDone, id)
+	s.releaseParked(id)
 	return nil
+}
+
+// releaseParked wakes every frame parked on run id. Callers hold
+// enactMu.
+func (s *Server) releaseParked(id string) {
+	if p := s.enactParked[id]; p != nil {
+		close(p.ready)
+		delete(s.enactParked, id)
+	}
+}
+
+// awaitEnactTransport resolves a frame's run: the live transport, or
+// finished for a tombstoned run. A run that is neither parks the
+// caller until the run registers or is abandoned here, or until ctx
+// ends, and then resolves it once more.
+func (s *Server) awaitEnactTransport(ctx context.Context, id string) (t *services.HTTPTransport, finished bool) {
+	s.enactMu.Lock()
+	t = s.enactTransports[id]
+	_, finished = s.enactDone[id]
+	if t != nil || finished {
+		s.enactMu.Unlock()
+		return t, finished
+	}
+	p := s.enactParked[id]
+	if p == nil {
+		p = &parkedRun{ready: make(chan struct{})}
+		s.enactParked[id] = p
+	}
+	p.waiters++
+	s.enactMu.Unlock()
+	s.reg.Counter("transport_invoke_parked_total", "reason", "no_run").Inc()
+
+	select {
+	case <-p.ready:
+	case <-ctx.Done():
+	}
+
+	s.enactMu.Lock()
+	defer s.enactMu.Unlock()
+	if p.waiters--; p.waiters == 0 && s.enactParked[id] == p {
+		delete(s.enactParked, id)
+	}
+	t = s.enactTransports[id]
+	_, finished = s.enactDone[id]
+	return t, finished
 }
 
 // enactDoneTTL bounds how long a finished enactment keeps
@@ -206,6 +269,29 @@ func (s *Server) dropEnactTransport(id string) {
 	s.enactMu.Unlock()
 }
 
+// abandonEnactJoin retires the run of a join request that failed —
+// shed at admission, or a weave or plan error before it registered
+// here — and ignores every other request. It leaves the tombstone a
+// finished run leaves and wakes the frames parked on the run, which
+// are then acknowledged: the coordinator fails the run on the join's
+// error, so its notes to this peer are moot, and an acknowledgement
+// releases its senders at once instead of after the park bound and a
+// retry budget. A run live under the same id (a duplicate join) is
+// left alone.
+func (s *Server) abandonEnactJoin(q any) {
+	j, ok := q.(*EnactJoinRequest)
+	if !ok {
+		return
+	}
+	s.enactMu.Lock()
+	defer s.enactMu.Unlock()
+	if _, live := s.enactTransports[j.RunID]; live {
+		return
+	}
+	s.enactDone[j.RunID] = time.Now()
+	s.releaseParked(j.RunID)
+}
+
 // sweepEnactDone drops tombstones older than the TTL. Called from the
 // maintenance ticker.
 func (s *Server) sweepEnactDone(now time.Time) {
@@ -219,12 +305,17 @@ func (s *Server) sweepEnactDone(now time.Time) {
 }
 
 // handleTransportInvoke is the shared frame endpoint for every live
-// enactment on this server. An unknown run answers 404 — the sender's
-// transient classification — so frames racing a peer's registration
-// retry through the warm-up window instead of failing the run. Each
-// such refusal counts in transport_invoke_refused_total, by reason:
-// no_run (no transport registered for the run yet) or no_receiver
-// (the run's transport has no receiver for the frame's service yet).
+// enactment on this server. A frame may arrive before its run or its
+// receiver has registered here: a peer's first notes race the join
+// that registers them. Such a frame parks, counted in
+// transport_invoke_parked_total by reason, until the registration
+// happens (then it is delivered) or framePark passes. Only then is it
+// refused with 404 — the sender's transient classification, so its
+// retry budget is the fallback — and counted in
+// transport_invoke_refused_total, by reason: no_run (no transport
+// registered for the run) or no_receiver (the run's transport has no
+// receiver for the frame's service). A frame for a finished run is
+// acknowledged.
 func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 	var f services.Frame
 	dec := json.NewDecoder(r.Body)
@@ -232,10 +323,9 @@ func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode frame: %w", err))
 		return
 	}
-	s.enactMu.Lock()
-	t := s.enactTransports[f.Run]
-	_, finished := s.enactDone[f.Run]
-	s.enactMu.Unlock()
+	ctx, cancel := context.WithTimeout(r.Context(), framePark)
+	defer cancel()
+	t, finished := s.awaitEnactTransport(ctx, f.Run)
 	if t == nil {
 		if finished {
 			// The run completed here and every local engine returned, so
@@ -251,12 +341,18 @@ func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := t.Deliver(f)
+	if errors.Is(err, services.ErrUnknownService) {
+		// The run is live but enact.Run has not registered this node's
+		// receiver yet.
+		s.reg.Counter("transport_invoke_parked_total", "reason", "no_receiver").Inc()
+		if t.WaitLocal(ctx, f.Service) {
+			res, err = t.Deliver(f)
+		}
+	}
 	switch {
 	case errors.Is(err, services.ErrRunMismatch):
 		writeError(w, http.StatusConflict, err)
 	case err != nil:
-		// "unknown service" covers the window before enact.Run registers
-		// the node's receivers; 404 keeps the sender retrying.
 		s.reg.Counter("transport_invoke_refused_total", "reason", "no_receiver").Inc()
 		writeError(w, http.StatusNotFound, err)
 	default:
@@ -265,10 +361,11 @@ func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 }
 
 // fabricRetry tunes note sends: many attempts with short backoff to
-// ride out a peer's registration warm-up, but the total budget stays
-// below the engine timeout so an unreachable peer fails the send —
-// and with it the run, crisply — instead of pinning the publishing
-// engine goroutine past the deadline.
+// ride out network faults and a peer that refuses a frame after its
+// park bound, but the total budget stays below the engine timeout so
+// an unreachable peer fails the send — and with it the run, crisply —
+// instead of pinning the publishing engine goroutine past the
+// deadline.
 func fabricRetry(timeout time.Duration) services.HTTPRetry {
 	return services.HTTPRetry{
 		MaxAttempts: 60,

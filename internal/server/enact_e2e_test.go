@@ -1,14 +1,20 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dscweaver/internal/core"
+	"dscweaver/internal/dscl"
+	"dscweaver/internal/obs"
 	"dscweaver/internal/server"
+	"dscweaver/internal/workload"
 )
 
 func newEnactServer(t *testing.T) (*httptest.Server, *server.Server) {
@@ -249,4 +255,79 @@ func TestEnactRejectsBadMembership(t *testing.T) {
 			}
 		})
 	}
+}
+
+// counterSum sums every sample of one counter family in reg.
+func counterSum(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, name+"{") && !strings.HasPrefix(line, name+" ") {
+			continue
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		total += v
+	}
+	return total
+}
+
+// TestEnactTwoProcessesNoWarmupRetries: fault-free two-process
+// enactment sends exactly one frame per note. Frames that outrun the
+// peer's registration of their run or receiver park until it happens,
+// so across many enactments of layered 8x4 processes with 3 services
+// neither server retries a frame or refuses one — and the parked
+// counter shows the race was really run into.
+func TestEnactTwoProcessesNoWarmupRetries(t *testing.T) {
+	const enacts = 50
+	coord, coordSrv := newEnactServer(t)
+	peer, peerSrv := newEnactServer(t)
+
+	var sources []string
+	for seed := int64(1); seed <= 8; seed++ {
+		w := workload.Layered(8, 4, 0.3, seed).WithShortcuts(4).WithServices(3)
+		sources = append(sources, dscl.PrintDocument(&dscl.Document{Proc: w.Proc, Deps: w.Deps, Extra: core.NewConstraintSet(w.Proc)}))
+	}
+	for i := 0; i < enacts; i++ {
+		req := server.EnactRequest{
+			SimulateRequest: server.SimulateRequest{WeaveRequest: server.WeaveRequest{Source: sources[i%len(sources)]}},
+			Peers:           []string{peer.URL},
+			SelfURL:         coord.URL,
+		}
+		var er server.EnactResponse
+		code, raw := postJSON(t, coord.URL+"/v1/enact", req, &er)
+		if code != http.StatusOK {
+			t.Fatalf("enact %d: %d %s", i, code, raw)
+		}
+		if er.Error != "" || !er.Valid {
+			t.Fatalf("enact %d: valid=%v error=%q", i, er.Valid, er.Error)
+		}
+		if er.EdgeMessages != er.PredictedCrossEdges {
+			t.Errorf("enact %d: sent %d edge messages, plan predicts %d", i, er.EdgeMessages, er.PredictedCrossEdges)
+		}
+	}
+
+	parkedTotal := 0.0
+	for _, srv := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"coordinator", coordSrv.Registry()}, {"peer", peerSrv.Registry()}} {
+		for _, fam := range []string{"transport_retries_total", "transport_invoke_refused_total"} {
+			if v := counterSum(t, srv.reg, fam); v != 0 {
+				t.Errorf("%s: %s = %v over %d fault-free enactments, want 0", srv.name, fam, v, enacts)
+			}
+		}
+		parkedTotal += counterSum(t, srv.reg, "transport_invoke_parked_total")
+	}
+	if parkedTotal == 0 {
+		t.Errorf("no frame parked over %d enactments: the registration race was never run into", enacts)
+	}
+	t.Logf("%d enactments, %v frames parked", enacts, parkedTotal)
 }

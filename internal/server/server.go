@@ -274,6 +274,10 @@ type Server struct {
 	// The maintenance ticker sweeps entries older than enactTTL.
 	enactDone map[string]time.Time
 	enactTTL  time.Duration
+	// enactParked holds frames that named a run before it registered
+	// here, one rendezvous per run id: registration, or a join that
+	// fails before registering, wakes them (see handleTransportInvoke).
+	enactParked map[string]*parkedRun
 
 	// abortCtx is canceled when Shutdown's drain deadline passes: every
 	// in-flight weave context is derived from the request context AND
@@ -337,6 +341,7 @@ func New(cfg Config) (*Server, error) {
 		enactTransports: map[string]*services.HTTPTransport{},
 		enactDone:       map[string]time.Time{},
 		enactTTL:        enactDoneTTL,
+		enactParked:     map[string]*parkedRun{},
 	}
 	if cfg.VerdictCacheSize >= 0 {
 		s.vcache = core.NewVerdictCache(cfg.VerdictCacheSize)
@@ -733,7 +738,8 @@ func decodeRequest[Q any, PQ strictRequest[Q]](body io.Reader) (*Q, error) {
 // serve is the one request path of the four pipeline routes: strict
 // decode (400), pool admission (429/503), a tracked run of the given
 // kind under the drain-aware pipeline context, then exec. A failed exec
-// answers weaveStatus(err); a run that fails in-band (a simulate or
+// answers weaveStatus(err), and a failed join retires its run id
+// (abandonEnactJoin); a run that fails in-band (a simulate or
 // enact response with Error set) still answers 200. The run finishes
 // before the response is encoded: with a store attached finish is the
 // durability boundary, so a client holding the run id can read its
@@ -748,6 +754,7 @@ func serve[Q any, PQ strictRequest[Q], R any](s *Server, kind string,
 		}
 		release, err := s.admit(r.Context())
 		if err != nil {
+			s.abandonEnactJoin(q)
 			s.admitError(w, err)
 			return
 		}
@@ -758,6 +765,7 @@ func serve[Q any, PQ strictRequest[Q], R any](s *Server, kind string,
 		rn := s.runs.New(kind)
 		resp, err := exec(ctx, q, rn, s.sinkFor(rn), r)
 		if err != nil {
+			s.abandonEnactJoin(q)
 			rn.finish(err)
 			writeError(w, weaveStatus(err), err)
 			return

@@ -11,6 +11,7 @@ package services
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +32,10 @@ const DefaultInvokePath = "/v1/transport/invoke"
 // ErrRunMismatch is returned by Deliver for a frame correlated to a
 // different run than the transport serves.
 var ErrRunMismatch = errors.New("transport: frame for different run")
+
+// ErrUnknownService is returned by Deliver for a frame whose service
+// is not registered on this node.
+var ErrUnknownService = errors.New("unknown service")
 
 // ErrBudgetExhausted wraps every send failure caused by running out of
 // retries — the attempt cap or the MaxElapsed budget — against a peer
@@ -68,8 +73,8 @@ type DeliverResult struct {
 }
 
 // HTTPRetry tunes the transport's send retries (covering network
-// faults, 5xx responses, and the 404/409 warm-up window while a peer
-// has not yet registered the run).
+// faults, 5xx responses, and the 404/409 a peer answers when the run
+// or its receiver has not registered there in time).
 type HTTPRetry struct {
 	MaxAttempts int           // default 10
 	Backoff     time.Duration // first delay, default 25ms
@@ -148,7 +153,10 @@ type HTTPTransport struct {
 	mu     sync.Mutex
 	closed bool
 	locals map[string]*localService
-	seq    atomic.Int64
+	// registered is closed and replaced whenever a local service
+	// registers, and closed for good by Close: WaitLocal blocks on it.
+	registered chan struct{}
+	seq        atomic.Int64
 
 	inflight sync.WaitGroup // accepted calls not yet resolved
 
@@ -173,6 +181,8 @@ func NewHTTPTransport(cfg HTTPConfig) *HTTPTransport {
 		rng:    rand.New(rand.NewSource(cfg.Retry.Seed + 1)),
 		locals: map[string]*localService{},
 		seen:   map[string]DeliverResult{},
+
+		registered: make(chan struct{}),
 	}
 }
 
@@ -188,7 +198,33 @@ func (t *HTTPTransport) RegisterLocal(name string, h Handler) error {
 		return fmt.Errorf("transport: register %s: duplicate service", name)
 	}
 	t.locals[name] = &localService{name: name, h: h, state: map[string]any{}}
+	close(t.registered)
+	t.registered = make(chan struct{})
 	return nil
+}
+
+// WaitLocal blocks until name is registered locally (true), or the
+// transport closes or ctx ends first (false). A peer's frame can
+// outrun this node's RegisterLocal; the invoke endpoint parks it here
+// instead of refusing it into the sender's backoff.
+func (t *HTTPTransport) WaitLocal(ctx context.Context, name string) bool {
+	for {
+		t.mu.Lock()
+		_, ok := t.locals[name]
+		closed, registered := t.closed, t.registered
+		t.mu.Unlock()
+		if ok {
+			return true
+		}
+		if closed {
+			return false
+		}
+		select {
+		case <-registered:
+		case <-ctx.Done():
+			return false
+		}
+	}
 }
 
 func (t *HTTPTransport) emit(ev obs.Event) {
@@ -212,8 +248,8 @@ func (t *HTTPTransport) Retries() int64 { return t.retries.Load() }
 // Call sends one frame synchronously and returns its error — the
 // enactment fabric's primitive for cross-node notes, where the caller
 // needs completion, not a callback. Retries cover transient faults and
-// the peer's registration warm-up; no breaker applies (a note must
-// eventually land or the run fails).
+// a peer that has not registered the run in time; no breaker applies
+// (a note must eventually land or the run fails).
 func (t *HTTPTransport) Call(serviceName, port string, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -253,9 +289,9 @@ func (t *HTTPTransport) Call(serviceName, port string, payload any) error {
 	return nil
 }
 
-// post sends one frame with retries. Network faults, 5xx, and the
-// 404/409 registration window classify transient; other 4xx are
-// permanent.
+// post sends one frame with retries. Network faults, 5xx, and a
+// 404/409 (the peer has not registered the run) classify transient;
+// other 4xx are permanent.
 func (t *HTTPTransport) post(url string, f Frame) (DeliverResult, error) {
 	body, err := json.Marshal(f)
 	if err != nil {
@@ -345,7 +381,7 @@ func (t *HTTPTransport) Deliver(f Frame) (DeliverResult, error) {
 	ls := t.locals[f.Service]
 	t.mu.Unlock()
 	if ls == nil {
-		return DeliverResult{}, fmt.Errorf("transport: deliver %s.%s: unknown service", f.Service, f.Port)
+		return DeliverResult{}, fmt.Errorf("transport: deliver %s.%s: %w", f.Service, f.Port, ErrUnknownService)
 	}
 	key := f.From + "\x00" + strconv.FormatInt(f.Seq, 10)
 	t.seenMu.Lock()
@@ -405,10 +441,14 @@ func (t *HTTPTransport) runLocal(ls *localService, f Frame) DeliverResult {
 	return DeliverResult{Callbacks: cbs}
 }
 
-// Close stops new calls and waits for in-flight ones to resolve.
+// Close stops new calls, releases every WaitLocal and waits for
+// in-flight calls to resolve.
 func (t *HTTPTransport) Close() {
 	t.mu.Lock()
-	t.closed = true
+	if !t.closed {
+		t.closed = true
+		close(t.registered)
+	}
 	t.mu.Unlock()
 	t.inflight.Wait()
 }

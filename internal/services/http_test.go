@@ -1,6 +1,7 @@
 package services
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -180,6 +181,53 @@ func TestHTTPInvokeStructuralErrors(t *testing.T) {
 	}
 	if err := tr.RegisterLocal("x", nil); !errors.Is(err, ErrBusClosed) {
 		t.Errorf("register on closed transport: %v, want ErrBusClosed", err)
+	}
+}
+
+// TestHTTPWaitLocal: WaitLocal returns true once the named receiver
+// registers (another registration does not end the wait), false when
+// its context ends first, and false at once after Close. Deliver names
+// a receiver it lacks with ErrUnknownService.
+func TestHTTPWaitLocal(t *testing.T) {
+	tr := NewHTTPTransport(HTTPConfig{Run: "r1", Node: "a"})
+	if _, err := tr.Deliver(Frame{Run: "r1", Service: "svc"}); !errors.Is(err, ErrUnknownService) {
+		t.Errorf("deliver to an unregistered service: %v, want ErrUnknownService", err)
+	}
+	got := make(chan bool, 1)
+	go func() { got <- tr.WaitLocal(context.Background(), "svc") }()
+	if err := tr.RegisterLocal("other", nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ok := <-got:
+		t.Fatalf("WaitLocal returned %v after an unrelated registration", ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := tr.RegisterLocal("svc", nil); err != nil {
+		t.Fatal(err)
+	}
+	if !<-got {
+		t.Error("WaitLocal = false after the receiver registered")
+	}
+	if !tr.WaitLocal(context.Background(), "svc") {
+		t.Error("WaitLocal on a registered receiver = false")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if tr.WaitLocal(ctx, "never") {
+		t.Error("WaitLocal = true for a receiver that never registered")
+	}
+
+	go func() { got <- tr.WaitLocal(context.Background(), "never") }()
+	time.Sleep(5 * time.Millisecond)
+	tr.Close()
+	if <-got {
+		t.Error("WaitLocal = true after Close")
+	}
+	tr.Close() // idempotent
+	if tr.WaitLocal(context.Background(), "never") {
+		t.Error("WaitLocal on a closed transport = true")
 	}
 }
 

@@ -25,8 +25,6 @@
 #
 # BENCHTIME (default 1x) is passed to -benchtime; set DSCW_BENCH_LARGE=1
 # to include the n=4096 stretch rows (the n=1024 rows always run).
-# WEAVE_BENCHTIME (default 1x) controls the pipeline stage runs, whose
-# layered row is seconds per op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -152,9 +150,11 @@ echo "wrote $server_out ($(grep -c '"name"' "$server_out") records)"
 
 weave_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw" "$server_raw" "$weave_raw"' EXIT
-weave_benchtime="${WEAVE_BENCHTIME:-1x}"
 
-go test -run '^$' -bench 'BenchmarkWeavePipelineStages' -benchtime "$weave_benchtime" -benchmem -timeout 0 . | tee "$weave_raw"
+# Each stage row is the mean of 20 weaves: a single weave's stage times
+# spread by up to 2x between runs (the heavy validate stage read 12.6,
+# 6.9 and 7.0 ms at 1x). The three rows together take under a second.
+go test -run '^$' -bench 'BenchmarkWeavePipelineStages' -benchtime 20x -benchmem -timeout 0 . | tee "$weave_raw"
 
 awk "${stamp[@]}" '
 /^BenchmarkWeavePipelineStages\// {

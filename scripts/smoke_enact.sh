@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Two-process decentralized enactment smoke test: boot a coordinator
 # and a peer dscweaverd, run the purchasing example decentralized
-# across them (one engine per partition, notes over
-# POST /v1/transport/invoke), and assert the merged trace passes the
+# across them ten times (one engine per partition, notes over
+# POST /v1/transport/invoke), and assert every merged trace passes the
 # global Definition 5 validation with the live cross-node message
-# count matching the plan's prediction.
+# count matching the plan's prediction. With no fault injected, both
+# daemons' /metrics must then show no retried frame
+# (transport_retries_total) and no refused one
+# (transport_invoke_refused_total): a frame that outruns the peer's
+# registration of its run parks until the run registers.
 #
 # Phase 2 repeats the run through a chaos coordinator whose outgoing
 # fabric is wrapped in a seeded network-fault plan (1.5s partition
@@ -46,32 +50,51 @@ python3 - "$coord" "$peer" <<'PY'
 import json, sys, urllib.request
 
 coord, peer = sys.argv[1], sys.argv[2]
+enacts = 10
+
+def counter_sum(base, name):
+    text = urllib.request.urlopen(base + "/metrics", timeout=10).read().decode()
+    total = 0.0
+    for line in text.splitlines():
+        if line.startswith(name + "{") or line.startswith(name + " "):
+            total += float(line.rsplit(None, 1)[-1])
+    return total
+
 body = json.dumps({
     "source": open("internal/dscl/testdata/purchasing.dscl").read(),
     "branches": {"if_au": "T"},
     "peers": [peer],
     "self_url": coord,
 }).encode()
-req = urllib.request.Request(coord + "/v1/enact", data=body,
-                             headers={"Content-Type": "application/json"})
-resp = json.load(urllib.request.urlopen(req, timeout=60))
+for _ in range(enacts):
+    req = urllib.request.Request(coord + "/v1/enact", data=body,
+                                 headers={"Content-Type": "application/json"})
+    resp = json.load(urllib.request.urlopen(req, timeout=60))
 
-assert not resp.get("error"), f"enactment error: {resp['error']}"
-assert resp["valid"] is True, f"merged trace failed Def. 5 validation: {resp}"
-assert resp["edge_messages"] == resp["predicted_cross_edges"], (
-    f"live edge messages {resp['edge_messages']} != "
-    f"predicted {resp['predicted_cross_edges']}")
-assert resp["message_savings"] > 0, resp
-assert "set_oi" in resp.get("skipped", []), f"T branch did not skip set_oi: {resp}"
-assert len(resp["hosts"]) >= 3, f"placement not multi-host: {resp['hosts']}"
+    assert not resp.get("error"), f"enactment error: {resp['error']}"
+    assert resp["valid"] is True, f"merged trace failed Def. 5 validation: {resp}"
+    assert resp["edge_messages"] == resp["predicted_cross_edges"], (
+        f"live edge messages {resp['edge_messages']} != "
+        f"predicted {resp['predicted_cross_edges']}")
+    assert resp["message_savings"] > 0, resp
+    assert "set_oi" in resp.get("skipped", []), f"T branch did not skip set_oi: {resp}"
+    assert len(resp["hosts"]) >= 3, f"placement not multi-host: {resp['hosts']}"
 
 runs = json.load(urllib.request.urlopen(peer + "/v1/runs", timeout=10))
 joined = [r for r in runs if r["kind"] == "enact_join" and r["status"] == "ok"]
-assert joined, f"peer never tracked a successful enact_join run: {runs}"
+assert len(joined) == enacts, f"peer tracked {len(joined)} successful enact_join runs, want {enacts}: {runs}"
 
-print(f"enact ok: {len(resp['executed'])} executed across {len(resp['hosts'])} hosts, "
+parked = 0.0
+for base in (coord, peer):
+    for fam in ("transport_retries_total", "transport_invoke_refused_total"):
+        v = counter_sum(base, fam)
+        assert v == 0, f"{base}: {fam} = {v:g} after {enacts} fault-free enactments, want 0"
+    parked += counter_sum(base, "transport_invoke_parked_total")
+
+print(f"enact ok x{enacts}: {len(resp['executed'])} executed across {len(resp['hosts'])} hosts, "
       f"{resp['edge_messages']} edge msgs (= plan), "
-      f"{resp['message_savings']} msgs saved vs centralized, valid={resp['valid']}")
+      f"{resp['message_savings']} msgs saved vs centralized, valid={resp['valid']}; "
+      f"0 retried and 0 refused frames, {parked:g} parked")
 PY
 
 # Phase 2: the same decentralized run through the chaos coordinator.
