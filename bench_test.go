@@ -435,8 +435,9 @@ func BenchmarkAnnotatedClosure(b *testing.B) {
 func BenchmarkAdaptationIncrementalVsBatch(b *testing.B) {
 	w := workload.Layered(16, 8, 0.3, 21)
 	newDep := core.Dependency{
-		From: core.ActivityNode(w.Layer(2)[0]),
-		To:   core.ActivityNode(w.Layer(14)[3]),
+		// Layered names rank l's i-th activity a_l_i.
+		From: core.ActivityNode("a_2_0"),
+		To:   core.ActivityNode("a_14_3"),
 		Dim:  core.Cooperation, Label: "late business rule",
 	}
 	b.Run("incremental", func(b *testing.B) {

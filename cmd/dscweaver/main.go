@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -116,9 +117,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	proc := res.Parsed.Proc
-	asc := res.Translated
-	min := res.Minimize
+	proc, asc, min := res.Parsed.Proc, res.Translated, res.Minimize
 
 	if *seqlang {
 		fmt.Printf("extracted %d dependencies from sequencing constructs\n", res.Parsed.Deps.Len())
@@ -240,7 +239,7 @@ func main() {
 		fmt.Printf("executed: %d activities ran, %d skipped, makespan %v, peak parallelism %d\n",
 			len(tr.Executed()), len(tr.SkippedActivities()), tr.Makespan().Round(time.Millisecond), tr.MaxParallel)
 		if *traceOut != "" {
-			data, err := tr.MarshalJSON()
+			data, err := json.MarshalIndent(tr, "", "  ")
 			if err != nil {
 				fail(err)
 			}

@@ -6,16 +6,13 @@
 // constraint set to a Process document; Marshal writes it as indented
 // XML in one direct pass over the AST (write.go), byte for byte what
 // encoding/xml's reflection marshaller writes, which stays in test code
-// as the oracle; Parse reads documents back with encoding/xml;
-// Validate performs the static checks a BPEL engine would reject a
-// document for (duplicate names, dangling or multiply-attached links,
-// cyclic control flow).
+// as the oracle (so is Parse, which reads documents back with
+// encoding/xml for the round-trip tests); Validate performs the static
+// checks a BPEL engine would reject a document for (duplicate names,
+// dangling or multiply-attached links, cyclic control flow).
 package bpel
 
-import (
-	"encoding/xml"
-	"fmt"
-)
+import "encoding/xml"
 
 // Namespace is the BPEL4WS 1.1 namespace the generator stamps on
 // documents.
@@ -154,49 +151,10 @@ type Empty struct {
 
 // Sequence executes its items in document order. Items are pointers to
 // Receive, Invoke, Reply, Assign or Empty; mixed kinds keep their
-// order through Marshal and UnmarshalXML.
+// order through Marshal.
 type Sequence struct {
 	Name  string
 	Items []any
-}
-
-// UnmarshalXML reads the items back in document order.
-func (s *Sequence) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	for _, a := range start.Attr {
-		if a.Name.Local == "name" {
-			s.Name = a.Value
-		}
-	}
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			var item any
-			switch t.Name.Local {
-			case "receive":
-				item = &Receive{}
-			case "invoke":
-				item = &Invoke{}
-			case "reply":
-				item = &Reply{}
-			case "assign":
-				item = &Assign{}
-			case "empty":
-				item = &Empty{}
-			default:
-				return fmt.Errorf("bpel: sequence holds unsupported element <%s>", t.Name.Local)
-			}
-			if err := d.DecodeElement(item, &t); err != nil {
-				return err
-			}
-			s.Items = append(s.Items, item)
-		case xml.EndElement:
-			return nil
-		}
-	}
 }
 
 // activities returns the items' common headers in order.
@@ -236,16 +194,6 @@ func common(item any) *Common {
 		}
 	}
 	return nil
-}
-
-// Parse reads a document produced by Marshal (or hand-written in the
-// same subset).
-func Parse(data []byte) (*Process, error) {
-	var p Process
-	if err := xml.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("bpel: %w", err)
-	}
-	return &p, nil
 }
 
 // activities returns every activity of a flow with its common header,

@@ -96,7 +96,11 @@ func checkHint(t *testing.T, name string, doc *Process) {
 // the minimal set and the guards GenerateStructured folds under.
 func minimalSet(t *testing.T, w *workload.Workload) (*core.ConstraintSet, map[core.Node]cond.Expr) {
 	t.Helper()
-	asc, err := w.TranslatedConstraints()
+	merged, err := w.Constraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	asc, err := core.TranslateServices(merged)
 	if err != nil {
 		t.Fatal(err)
 	}

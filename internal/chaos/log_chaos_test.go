@@ -114,7 +114,7 @@ func TestChaosRotatingLog(t *testing.T) {
 				t.Errorf("seed %d: run %s replays\n%s\nwant\n%s", seed, id, got.Bytes(), want)
 			}
 		}
-		for _, m := range re.List(0) {
+		for _, m := range re.ListRange(time.Time{}, time.Time{}, 0) {
 			if _, ok := acked[m.ID]; m.Done && !ok {
 				t.Errorf("seed %d: run %s reads as finished, but its finish was lost to a fault", seed, m.ID)
 			}

@@ -1,31 +1,29 @@
-// Network chaos: a seeded, deterministic fault layer for the
-// enactment fabric, injected on the note path. Two wrappers share
-// one fault plan keyed by directed (from, to) host link:
+// Package chaos is a deterministic, seed-replayable fault layer for
+// the enactment fabric, injected on the note path; dscweaverd arms it
+// with -chaos-net (ParseNetSpec). RoundTripper wraps
+// HTTPTransport.Client for multi-process enactments, with one fault
+// plan keyed by directed (from, to) host link: drops fail the POST
+// before it leaves (the sender's retry loop classifies them transient),
+// losses deliver the frame but discard the response (forcing a
+// retransmit the receiver's (from, seq) idempotency cache must absorb),
+// duplicates re-send a delivered frame verbatim, delays stall the link,
+// and a partition blackholes it from the first send until the window
+// elapses — never, when the window is negative. The chaos suites drive
+// the same plan through an in-process fabric wrapper and a fault
+// injector for executors, bus handlers, pipeline stages, the minimizer
+// and the store's files; both are test code (export_test.go).
 //
-//   - RoundTripper wraps HTTPTransport.Client for multi-process
-//     enactments: drops fail the POST before it leaves (the sender's
-//     retry loop classifies them transient), losses deliver the frame
-//     but discard the response (forcing a retransmit the receiver's
-//     (from, seq) idempotency cache must absorb), duplicates re-send a
-//     delivered frame verbatim, delays stall the link, and a partition
-//     blackholes it from the first send until the window elapses —
-//     never, when the window is negative.
-//   - Fabric wraps an enact.Fabric for in-process enactments: drops
-//     lose the note outright (the run must fail by engine timeout, not
-//     hang), duplicates deliver it twice (the board's idempotent
-//     applyRemote must absorb the copy), delays deliver it late and
-//     out of order, and a partitioned link fails sends with the typed
-//     enact.PartitionedPeerError.
-//
-// Determinism follows the injector's rule: every decision is a pure
-// function of (seed, domain, link, attempt), so a failing seed replays
-// identically regardless of goroutine interleaving. Budgeted faults
-// (drop-N, lose-N) consume per-link counters under a lock, which keeps
-// the *count* exact even when the draw order races.
+// Determinism: every decision is a pure function of (seed, domain,
+// link, attempt), computed by hashing rather than drawn from a shared
+// PRNG stream, so a failing seed replays identically regardless of
+// goroutine interleaving. Budgeted faults (drop-N, lose-N) consume
+// per-link counters under a lock, which keeps the *count* exact even
+// when the draw order races.
 package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -34,8 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dscweaver/internal/enact"
 )
 
 // Link names one directed fabric link. "*" on either side is a
@@ -81,17 +77,6 @@ type NetConfig struct {
 	Links map[Link]LinkFault
 }
 
-// NetStats counts what the layer actually injected, so tests can
-// assert a chaos run exercised the faults its plan claims.
-type NetStats struct {
-	Dropped     int64 // sends failed before reaching the peer
-	Lost        int64 // responses discarded after delivery
-	Duplicated  int64 // delivered frames re-sent
-	Delayed     int64 // sends stalled
-	Partitioned int64 // sends refused inside a partition window
-	Healed      int64 // links whose partition window elapsed
-}
-
 // linkState is the mutable per-link budget: how many drop/lose tokens
 // remain and when the partition window armed.
 type linkState struct {
@@ -104,15 +89,13 @@ type linkState struct {
 }
 
 // Net implements one NetConfig. Safe for concurrent use; one instance
-// may wrap any number of transports and fabrics so a plan spans every
-// link of a run.
+// may wrap any number of transports so a plan spans every link of a
+// run.
 type Net struct {
 	cfg NetConfig
 
 	mu    sync.Mutex
 	links map[Link]*linkState
-
-	async sync.WaitGroup // delayed fabric deliveries in flight
 
 	dropped     atomic.Int64
 	lost        atomic.Int64
@@ -130,18 +113,6 @@ func NewNet(cfg NetConfig) *Net {
 // Seed returns the plan's seed (tests print it on failure).
 func (n *Net) Seed() int64 { return n.cfg.Seed }
 
-// Stats snapshots the injection counters.
-func (n *Net) Stats() NetStats {
-	return NetStats{
-		Dropped:     n.dropped.Load(),
-		Lost:        n.lost.Load(),
-		Duplicated:  n.duplicated.Load(),
-		Delayed:     n.delayed.Load(),
-		Partitioned: n.partitioned.Load(),
-		Healed:      n.healed.Load(),
-	}
-}
-
 // resolve finds the fault plan for one directed link, most specific
 // match first.
 func (n *Net) resolve(from, to string) (LinkFault, bool) {
@@ -153,6 +124,24 @@ func (n *Net) resolve(from, to string) (LinkFault, bool) {
 		}
 	}
 	return LinkFault{}, false
+}
+
+// unitDraw is every injector's determinism rule: a uniform [0, 1)
+// float that is a pure function of its inputs. FNV-1a stirs a trailing
+// byte into the low bits only, and the [0, 1) scaling keeps the high
+// 53 — without a finalizer every attempt on one key would draw the
+// same value. One splitmix64 round pushes the attempt counter through
+// the whole word.
+func unitDraw(seed int64, domain, key string, attempt int) float64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d", seed, domain, key, attempt)
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11) / float64(uint64(1)<<53)
 }
 
 // netDraw is unitDraw for the network layer, keyed by link. The
@@ -307,65 +296,6 @@ func (rt *netRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) 
 		return nil, fmt.Errorf("chaos: link %s>%s lost response (seed %d)", rt.from, req.URL.Host, seed)
 	}
 	return resp, nil
-}
-
-// Fabric wraps an enact.Fabric with this plan's faults. The sending
-// side of a link is the note's committing host, the receiving side the
-// Send target. Close waits for delayed deliveries before closing the
-// inner fabric, so a reordered note is late, never leaked.
-func (n *Net) Fabric(inner enact.Fabric) enact.Fabric {
-	return &netFabric{net: n, inner: inner}
-}
-
-type netFabric struct {
-	net   *Net
-	inner enact.Fabric
-}
-
-func (f *netFabric) Register(host string, deliver func(enact.Note)) error {
-	return f.inner.Register(host, deliver)
-}
-
-func (f *netFabric) Send(host string, note enact.Note) error {
-	v, ok := f.net.decide(note.Host, host)
-	if !ok {
-		return f.inner.Send(host, note)
-	}
-	switch {
-	case v.partition:
-		return &enact.PartitionedPeerError{Host: host,
-			Err: fmt.Errorf("chaos: link %s>%s partitioned (seed %d)", note.Host, host, f.net.cfg.Seed)}
-	case v.drop:
-		// The note is gone; the gated engine must fail by its timeout,
-		// not hang past it.
-		return nil
-	}
-	if v.delay > 0 {
-		f.net.delayed.Add(1)
-		f.net.async.Add(1)
-		go func() {
-			defer f.net.async.Done()
-			time.Sleep(v.delay)
-			f.inner.Send(host, note)
-		}()
-		return nil
-	}
-	if err := f.inner.Send(host, note); err != nil {
-		return err
-	}
-	if v.dup || v.lose {
-		// Either fault makes the note arrive twice: a duplicate is an
-		// extra delivery, a lost ack is a retransmit. The receiving
-		// board's applyRemote must absorb the copy.
-		f.net.duplicated.Add(1)
-		return f.inner.Send(host, note)
-	}
-	return nil
-}
-
-func (f *netFabric) Close() {
-	f.net.async.Wait()
-	f.inner.Close()
 }
 
 // ParseNetSpec parses the -chaos-net CLI syntax into a plan:

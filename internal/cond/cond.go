@@ -78,16 +78,6 @@ func Lit(decision, value string) Expr {
 	return Expr{terms: []term{{Literal{Decision: decision, Value: value}}}}
 }
 
-// FromLiterals returns the conjunction of the given literals. It
-// returns False if the literals are contradictory.
-func FromLiterals(lits []Literal) Expr {
-	t, ok := normalizeTerm(lits)
-	if !ok {
-		return False()
-	}
-	return Expr{terms: []term{t}}
-}
-
 // IsTrue reports whether the expression is syntactically the canonical
 // True (a single empty term). Expressions built by And/Or are
 // absorption-normalized, so tautologies that require domain knowledge
@@ -226,38 +216,6 @@ func And(es ...Expr) Expr {
 		acc = next
 	}
 	return normalize(acc)
-}
-
-// AndLit returns e ∧ decision=value.
-func AndLit(e Expr, decision, value string) Expr {
-	return And(e, Lit(decision, value))
-}
-
-// Assume returns the cofactor of e under the given partial assignment:
-// literals satisfied by the assignment are dropped from their terms,
-// and terms contradicted by it are removed. Decisions not mentioned in
-// the assignment are untouched.
-func (e Expr) Assume(assign map[string]string) Expr {
-	var ts []term
-	for _, t := range e.terms {
-		keep := true
-		var reduced []Literal
-		for _, l := range t {
-			if v, ok := assign[l.Decision]; ok {
-				if v != l.Value {
-					keep = false
-					break
-				}
-				continue // satisfied, drop
-			}
-			reduced = append(reduced, l)
-		}
-		if keep {
-			nt, _ := normalizeTerm(reduced)
-			ts = append(ts, nt)
-		}
-	}
-	return normalize(ts)
 }
 
 // Eval reports whether the expression is satisfied by the (total, with
@@ -458,12 +416,6 @@ func Implies(a, b Expr, doms Domains) (bool, error) {
 	return enumerate(unionDecisions(a, b), doms, func(assign map[string]string) bool {
 		return !a.Eval(assign) || b.Eval(assign)
 	})
-}
-
-// Tautology reports whether e is satisfied by every assignment over
-// the branch domains.
-func Tautology(e Expr, doms Domains) (bool, error) {
-	return Equal(e, True(), doms)
 }
 
 // Simplify folds full-domain disjunctions: whenever the expression

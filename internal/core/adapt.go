@@ -30,11 +30,6 @@ type Adapter struct {
 	full    *ConstraintSet // merged + translated catalog
 	minimal *ConstraintSet
 	guards  map[Node]cond.Expr
-	// opts carries the minimization engine option NoCache into every
-	// re-minimization and incremental redundancy check. The Guards
-	// field is ignored: the adapter always derives guards from its own
-	// catalog.
-	opts MinimizeOptions
 }
 
 // ChangeResult reports what one adaptation did.
@@ -57,16 +52,7 @@ type ChangeResult struct {
 
 // NewAdapter builds the initial minimal view of the catalog.
 func NewAdapter(proc *Process, deps *DependencySet) (*Adapter, error) {
-	return NewAdapterOpt(proc, deps, MinimizeOptions{})
-}
-
-// NewAdapterOpt is NewAdapter with explicit minimization engine
-// options. NoCache applies to the initial minimization and to every
-// subsequent Add/Remove; the Guards override is ignored (the adapter
-// derives guards from its catalog, which changes under adaptation).
-func NewAdapterOpt(proc *Process, deps *DependencySet, opts MinimizeOptions) (*Adapter, error) {
-	opts.Guards = nil
-	a := &Adapter{proc: proc, deps: NewDependencySet(), opts: opts}
+	a := &Adapter{proc: proc, deps: NewDependencySet()}
 	a.deps.AddAll(deps)
 	if err := a.recompute(); err != nil {
 		return nil, err
@@ -83,7 +69,7 @@ func (a *Adapter) recompute() error {
 	if err != nil {
 		return err
 	}
-	res, err := MinimizeOpt(context.Background(), full, a.opts)
+	res, err := MinimizeOpt(context.Background(), full, MinimizeOptions{})
 	if err != nil {
 		return err
 	}
@@ -96,16 +82,6 @@ func (a *Adapter) recompute() error {
 // Minimal returns the current minimal constraint set (shared; do not
 // mutate).
 func (a *Adapter) Minimal() *ConstraintSet { return a.minimal }
-
-// Guards returns the current execution guards.
-func (a *Adapter) Guards() map[Node]cond.Expr { return a.guards }
-
-// Dependencies returns a copy of the current catalog.
-func (a *Adapter) Dependencies() *DependencySet {
-	out := NewDependencySet()
-	out.AddAll(a.deps)
-	return out
-}
 
 // Add inserts a dependency into the catalog and updates the minimal
 // view incrementally where possible.
@@ -164,9 +140,6 @@ func (a *Adapter) Add(dep Dependency) (*ChangeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg.cache.disabled = a.opts.NoCache
-	pg.cacheTo.disabled = a.opts.NoCache
-	pg.memo.disabled = a.opts.NoCache
 	for n, g := range a.guards {
 		pg.guards[n] = g
 	}
@@ -295,9 +268,6 @@ func (a *Adapter) Remove(dep Dependency) (*ChangeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg.cache.disabled = a.opts.NoCache
-	pg.cacheTo.disabled = a.opts.NoCache
-	pg.memo.disabled = a.opts.NoCache
 	res := &ChangeResult{}
 	allRedundant := true
 	var noCancel atomic.Bool // Adapter checks run to completion

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -40,8 +41,8 @@ func TestAdapterAddImplied(t *testing.T) {
 		t.Error("minimal set changed by an implied addition")
 	}
 	// The catalog still records the dependency.
-	if a.Dependencies().Len() != 4 {
-		t.Errorf("catalog = %d deps, want 4", a.Dependencies().Len())
+	if a.deps.Len() != 4 {
+		t.Errorf("catalog = %d deps, want 4", a.deps.Len())
 	}
 }
 
@@ -129,8 +130,8 @@ func TestAdapterRemoveRedundant(t *testing.T) {
 	if a.Minimal().String() != before {
 		t.Error("minimal set changed by removing a redundant dependency")
 	}
-	if a.Dependencies().Len() != 3 {
-		t.Errorf("catalog = %d, want 3 after the removal", a.Dependencies().Len())
+	if a.deps.Len() != 3 {
+		t.Errorf("catalog = %d, want 3 after the removal", a.deps.Len())
 	}
 }
 
@@ -220,7 +221,7 @@ func TestQuickAdapterMatchesBatch(t *testing.T) {
 			}
 		}
 		// From-scratch pipeline over the same catalog.
-		batch, err := NewAdapter(p, a.Dependencies())
+		batch, err := NewAdapter(p, a.deps)
 		if err != nil {
 			return false
 		}
@@ -229,7 +230,7 @@ func TestQuickAdapterMatchesBatch(t *testing.T) {
 			return false
 		}
 		// Incremental result is itself minimal.
-		res, err := MinimizeWithGuards(a.Minimal(), a.Guards())
+		res, err := MinimizeOpt(context.Background(), a.Minimal(), MinimizeOptions{Guards: a.guards})
 		if err != nil {
 			return false
 		}

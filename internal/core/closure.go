@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dscweaver/internal/cond"
@@ -154,7 +155,7 @@ func buildPointGraph(sc *ConstraintSet) (*pointGraph, error) {
 //
 // Guards are a property of the process's control structure, not of
 // whichever constraints happen to survive optimization: DeriveGuards
-// on a pre-minimization set is the authoritative source, and Covers
+// on a pre-minimization set is the authoritative source, and covers
 // derives guards from the union of both sets it compares so that a
 // minimized set (which may have shed redundant control edges) is
 // judged in the same execution context as its original.
@@ -442,32 +443,17 @@ func TransitiveClosure(sc *ConstraintSet, a ActivityID) ([]AnnotatedMember, erro
 	for n, c := range best {
 		out = append(out, AnnotatedMember{Node: n, Cond: c})
 	}
-	SortNodes2(out)
+	slices.SortFunc(out, func(a, b AnnotatedMember) int { return compareNodes(a.Node, b.Node) })
 	return out, nil
 }
 
-// SortNodes2 orders annotated members by node name.
-func SortNodes2(ms []AnnotatedMember) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && compareNodes(ms[j].Node, ms[j-1].Node) < 0; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
-
-// Covers reports whether constraint set p covers q (Definition 4):
+// covers reports whether constraint set p covers q (Definition 4):
 // for every pair of points (a, b), reachability under q implies
 // reachability under p with at least as weak a condition, compared in
-// the guard context of the endpoints. Both sets must be over the same
-// process.
-func Covers(p, q *ConstraintSet) (bool, error) {
-	return CoversWithGuards(p, q, nil)
-}
-
-// CoversWithGuards is Covers under an explicit guard context; a nil
-// map derives guards from the union of both sets' control-origin
-// constraints (see deriveGuards on why the union).
-func CoversWithGuards(p, q *ConstraintSet, guards map[Node]cond.Expr) (bool, error) {
+// the guard context of the endpoints. Guards are derived from the union
+// of both sets' control-origin constraints (see deriveGuards on why the
+// union). Both sets must be over the same process.
+func covers(p, q *ConstraintSet) (bool, error) {
 	if p.Proc != q.Proc {
 		return false, fmt.Errorf("covers: constraint sets over different processes")
 	}
@@ -479,19 +465,12 @@ func CoversWithGuards(p, q *ConstraintSet, guards map[Node]cond.Expr) (bool, err
 	if err != nil {
 		return false, err
 	}
-	if guards == nil {
-		union := append(append([]Constraint(nil), p.constraints...), q.constraints...)
-		if err := pgP.deriveGuardsFrom(union); err != nil {
-			return false, err
-		}
-		if err := pgQ.deriveGuardsFrom(union); err != nil {
-			return false, err
-		}
-	} else {
-		for n, g := range guards {
-			pgP.guards[n] = g
-			pgQ.guards[n] = g
-		}
+	union := append(append([]Constraint(nil), p.constraints...), q.constraints...)
+	if err := pgP.deriveGuardsFrom(union); err != nil {
+		return false, err
+	}
+	if err := pgQ.deriveGuardsFrom(union); err != nil {
+		return false, err
 	}
 	doms := p.Proc.Domains()
 	for _, a := range q.Proc.Activities() {
@@ -529,14 +508,9 @@ func CoversWithGuards(p, q *ConstraintSet, guards map[Node]cond.Expr) (bool, err
 // Equivalent reports transitive equivalence of two constraint sets
 // (Definition 5): each covers the other.
 func Equivalent(p, q *ConstraintSet) (bool, error) {
-	return EquivalentWithGuards(p, q, nil)
-}
-
-// EquivalentWithGuards is Equivalent under an explicit guard context.
-func EquivalentWithGuards(p, q *ConstraintSet, guards map[Node]cond.Expr) (bool, error) {
-	ok, err := CoversWithGuards(p, q, guards)
+	ok, err := covers(p, q)
 	if err != nil || !ok {
 		return ok, err
 	}
-	return CoversWithGuards(q, p, guards)
+	return covers(q, p)
 }

@@ -52,20 +52,6 @@ func (p Point) String() string {
 	return p.State.String() + "(" + p.Node.String() + ")"
 }
 
-func comparePoints(a, b Point) int {
-	if c := compareNodes(a.Node, b.Node); c != 0 {
-		return c
-	}
-	switch {
-	case a.State < b.State:
-		return -1
-	case a.State > b.State:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Relation is one of DSCL's three synchronization relations (§4.1).
 type Relation int
 

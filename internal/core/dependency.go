@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -236,15 +235,4 @@ func (s *DependencySet) Validate(p *Process) error {
 		}
 	}
 	return nil
-}
-
-// SortedKeys renders each dependency and sorts the strings; useful for
-// golden comparisons in tests.
-func (s *DependencySet) SortedKeys() []string {
-	out := make([]string, len(s.deps))
-	for i, d := range s.deps {
-		out[i] = d.String()
-	}
-	sort.Strings(out)
-	return out
 }

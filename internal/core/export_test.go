@@ -48,3 +48,11 @@ func PairSweepMismatches(sc *ConstraintSet) (compared, nonFalse int, mismatches 
 	}
 	return compared, nonFalse, mismatches, nil
 }
+
+// Len returns the number of cached entries; the eviction and key
+// tests count them.
+func (vc *VerdictCache) Len() int {
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	return len(vc.entries)
+}

@@ -116,9 +116,9 @@ type MinimizeResult struct {
 // The input is not mutated. Guards are derived from the input set's
 // control-origin constraints; when minimizing a set whose control
 // structure lives elsewhere (e.g. re-minimizing an already-minimal
-// set), use MinimizeWithGuards with the original guards.
+// set), pass the original guards in MinimizeOptions.Guards.
 func Minimize(sc *ConstraintSet) (*MinimizeResult, error) {
-	return MinimizeWithGuards(sc, nil)
+	return MinimizeOpt(context.Background(), sc, MinimizeOptions{})
 }
 
 // ErrCanceled reports whether err is a cancellation (a *CancelError or
@@ -175,12 +175,6 @@ type MinimizeOptions struct {
 // CandidateHook observes (and may veto) every candidate evaluation
 // attempt; see MinimizeOptions.CandidateHook.
 type CandidateHook func(ctx context.Context, c Constraint) error
-
-// MinimizeWithGuards is Minimize with an explicit guard context. A nil
-// guards map derives guards from the set itself.
-func MinimizeWithGuards(sc *ConstraintSet, guards map[Node]cond.Expr) (*MinimizeResult, error) {
-	return MinimizeOpt(context.Background(), sc, MinimizeOptions{Guards: guards})
-}
 
 // MinimizeOpt is Minimize with full options and cooperative
 // cancellation: ctx is checked before every candidate and inside every
@@ -279,12 +273,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		if removedIdx, ok := opts.VerdictCache.lookup(vcKey); ok {
 			replayed = pg.replayRemovals(cands, removedIdx, res)
 		}
-		if replayed {
-			res.VerdictCacheHit = true
-			opts.VerdictCache.hits.Add(1)
-		} else {
-			opts.VerdictCache.misses.Add(1)
-		}
+		res.VerdictCacheHit = replayed
 		if r := opts.Metrics; r != nil {
 			if replayed {
 				r.Counter("minimize_verdict_cache_hits_total").Inc()

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dscweaver/internal/core"
+	"dscweaver/internal/obs"
 )
 
 // TestMinimizeDeterminismMatrix sweeps the engine matrix on the
@@ -39,11 +40,12 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 			}
 
 			vc := core.NewVerdictCache(0)
+			reg := obs.NewRegistry()
 			vcRuns := 0
 			for run := 1; run <= 3; run++ {
 				for _, cache := range []*core.VerdictCache{nil, vc} {
 					name := fmt.Sprintf("run=%d/vcache=%v", run, cache != nil)
-					res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{VerdictCache: cache})
+					res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{VerdictCache: cache, Metrics: reg})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -73,9 +75,7 @@ func TestMinimizeDeterminismMatrix(t *testing.T) {
 					}
 				}
 			}
-			if hits, misses := vc.Hits(), vc.Misses(); hits != int64(vcRuns-1) || misses != 1 {
-				t.Errorf("verdict cache hits/misses = %d/%d, want %d/1", hits, misses, vcRuns-1)
-			}
+			requireVerdictCounters(t, reg, int64(vcRuns-1), 1)
 			if n <= 64 {
 				// Closure-cache-off axis (the naive Def. 6 engine).
 				res, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{NoCache: true})

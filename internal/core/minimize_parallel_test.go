@@ -125,35 +125,3 @@ func TestMinimizeParallelPurchasing(t *testing.T) {
 		t.Errorf("cached: minimal = %d constraints, want 17", res.Minimal.Len())
 	}
 }
-
-// TestAdapterParallelMatchesSequential checks that the adapter's
-// incremental updates are engine-configuration-independent too.
-func TestAdapterParallelMatchesSequential(t *testing.T) {
-	w := workload.Layered(8, 4, 0.3, 5).WithShortcuts(8).WithDecisions(1)
-	dep := core.Dependency{
-		From: core.ActivityNode(w.Layer(1)[0]),
-		To:   core.ActivityNode(w.Layer(6)[2]),
-		Dim:  core.Cooperation, Label: "late rule",
-	}
-	minimals := map[string]string{}
-	for _, cfg := range []struct {
-		name string
-		opts core.MinimizeOptions
-	}{
-		{"nocache", core.MinimizeOptions{NoCache: true}},
-		{"cached", core.MinimizeOptions{}},
-	} {
-		a, err := core.NewAdapterOpt(w.Proc, w.Deps, cfg.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Add(dep); err != nil {
-			t.Fatal(err)
-		}
-		minimals[cfg.name] = a.Minimal().String()
-	}
-	if minimals["nocache"] != minimals["cached"] {
-		t.Errorf("adapter minimal views diverge:\nnocache:\n%s\ncached:\n%s",
-			minimals["nocache"], minimals["cached"])
-	}
-}

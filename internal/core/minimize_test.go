@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -316,7 +317,7 @@ func TestQuickMinimizeEquivalentAndMinimal(t *testing.T) {
 		// No further removal possible — judged under the original
 		// guards, since the minimal set may have shed control edges
 		// (guards do not survive DeriveGuards on a minimized set).
-		res2, err := MinimizeWithGuards(res.Minimal, res.Guards)
+		res2, err := MinimizeOpt(context.Background(), res.Minimal, MinimizeOptions{Guards: res.Guards})
 		if err != nil {
 			return false
 		}
@@ -339,13 +340,13 @@ func TestCoversAsymmetry(t *testing.T) {
 	partial := NewConstraintSet(p)
 	partial.Before("a0", "a1", Data)
 
-	if ok, err := Covers(withShortcut, chainOnly); err != nil || !ok {
+	if ok, err := covers(withShortcut, chainOnly); err != nil || !ok {
 		t.Errorf("withShortcut covers chainOnly = %v, %v", ok, err)
 	}
-	if ok, err := Covers(chainOnly, withShortcut); err != nil || !ok {
+	if ok, err := covers(chainOnly, withShortcut); err != nil || !ok {
 		t.Errorf("chainOnly covers withShortcut = %v, %v (transitivity)", ok, err)
 	}
-	if ok, err := Covers(partial, chainOnly); err != nil || ok {
+	if ok, err := covers(partial, chainOnly); err != nil || ok {
 		t.Errorf("partial covers chainOnly = %v, %v, want false", ok, err)
 	}
 	if eq, err := Equivalent(withShortcut, chainOnly); err != nil || !eq {

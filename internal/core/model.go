@@ -190,15 +190,6 @@ func (p *Process) Activities() []*Activity { return p.activities }
 // Services returns the services in insertion order.
 func (p *Process) Services() []*Service { return p.services }
 
-// ActivityIDs returns all activity ids in insertion order.
-func (p *Process) ActivityIDs() []ActivityID {
-	out := make([]ActivityID, len(p.activities))
-	for i, a := range p.activities {
-		out[i] = a.ID
-	}
-	return out
-}
-
 // Decisions returns the decision activities in insertion order.
 func (p *Process) Decisions() []*Activity {
 	var out []*Activity

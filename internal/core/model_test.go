@@ -160,8 +160,8 @@ func TestActivityAccessors(t *testing.T) {
 	if _, ok := p.Service("Svc"); !ok {
 		t.Error("Service(Svc) not found")
 	}
-	if got := len(p.ActivityIDs()); got != 4 {
-		t.Errorf("ActivityIDs len = %d", got)
+	if got := len(p.Activities()); got != 4 {
+		t.Errorf("Activities len = %d", got)
 	}
 	if got := len(p.Decisions()); got != 1 {
 		t.Errorf("Decisions len = %d", got)

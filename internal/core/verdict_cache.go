@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dscweaver/internal/cond"
 )
@@ -35,9 +34,6 @@ type VerdictCache struct {
 	cap     int
 	entries map[[32]byte][]int
 	order   [][32]byte // insertion order, evicted oldest-first
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // NewVerdictCache returns a verdict cache holding up to capacity
@@ -79,22 +75,6 @@ func (vc *VerdictCache) store(key [32]byte, removed []int) {
 		delete(vc.entries, vc.order[0])
 		vc.order = vc.order[1:]
 	}
-}
-
-// Hits returns the number of runs served by replaying a cached verdict
-// sequence.
-func (vc *VerdictCache) Hits() int64 { return vc.hits.Load() }
-
-// Misses returns the number of runs that had to perform the Def. 6
-// work (including the vanishing case of an entry failing replay
-// validation).
-func (vc *VerdictCache) Misses() int64 { return vc.misses.Load() }
-
-// Len returns the number of cached entries.
-func (vc *VerdictCache) Len() int {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	return len(vc.entries)
 }
 
 // verdictCacheKey derives the canonical content hash of one

@@ -17,7 +17,11 @@ func planFrom(t *testing.T, seed int64) (*core.ConstraintSet, *Plan) {
 	w := workload.Layered(3+rng.Intn(3), 3+rng.Intn(4), 0.2+0.3*rng.Float64(), seed).
 		WithShortcuts(rng.Intn(5)).
 		WithServices(1 + rng.Intn(4))
-	sc, err := w.TranslatedConstraints()
+	merged, err := w.Constraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := core.TranslateServices(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,11 @@ func TestComparePropertySavingsNonNegative(t *testing.T) {
 			w := workload.Layered(3+rng.Intn(3), 3+rng.Intn(4), 0.2+0.3*rng.Float64(), seed).
 				WithShortcuts(rng.Intn(5)).
 				WithServices(1 + rng.Intn(4))
-			sc, err := w.TranslatedConstraints()
+			merged, err := w.Constraints()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := core.TranslateServices(merged)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package dscl
 
 import (
-	"context"
 	"fmt"
 
 	"dscweaver/internal/cond"
@@ -226,47 +225,8 @@ func declErr(line int, err error) error {
 	return &Error{Line: line, Msg: err.Error()}
 }
 
-// ConstraintSet merges the document's dependency catalog (§4.2) and
-// folds in the raw DSCL constraints, producing the full
-// pre-translation synchronization constraint set.
-func (d *Document) ConstraintSet() (*core.ConstraintSet, error) {
-	sc, err := core.Merge(d.Proc, d.Deps)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < d.Extra.Len(); i++ {
-		sc.Add(d.Extra.At(i))
-	}
-	return sc, nil
-}
-
 // Parsed adapts the document to the weave pipeline's pre-parsed input
 // shape.
 func (d *Document) Parsed() *weave.Parsed {
 	return &weave.Parsed{Proc: d.Proc, Deps: d.Deps, Extra: d.Extra}
-}
-
-// Weave runs the document through the full optimization pipeline:
-// merge, desugar, service translation, minimization. It returns the
-// translated ASC and the minimization result. Both Weave and WeaveOpt
-// are thin wrappers over internal/weave — the one canonical pipeline.
-func (d *Document) Weave() (*core.ConstraintSet, *core.MinimizeResult, error) {
-	return d.WeaveOpt(core.MinimizeOptions{})
-}
-
-// WeaveOpt is Weave with explicit minimization options (cache
-// configuration, observability); the minimal set is identical for
-// every engine configuration.
-func (d *Document) WeaveOpt(opts core.MinimizeOptions) (*core.ConstraintSet, *core.MinimizeResult, error) {
-	res, err := weave.Run(context.Background(), weave.Input{Parsed: d.Parsed()}, weave.Options{
-		Guards:            opts.Guards,
-		NoCache:           opts.NoCache,
-		StrictAnnotations: opts.StrictAnnotations,
-		Metrics:           opts.Metrics,
-		Events:            opts.Events,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Translated, res.Minimize, nil
 }

@@ -1,13 +1,52 @@
 package dscl
 
 import (
-	"dscweaver/internal/cond"
+	"context"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
+	"dscweaver/internal/cond"
 	"dscweaver/internal/core"
+	"dscweaver/internal/weave"
 )
+
+// sortedDeps renders each dependency and sorts the strings.
+func sortedDeps(s *core.DependencySet) []string {
+	var out []string
+	for _, d := range s.All() {
+		out = append(out, d.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// weaveDoc runs a document through the weave pipeline's optimization
+// stages (merge, desugar, service translation, minimization), as
+// dscweaver does, and returns the translated set and the minimization
+// result.
+func weaveDoc(doc *Document) (*core.ConstraintSet, *core.MinimizeResult, error) {
+	res, err := weave.Run(context.Background(), weave.Input{Parsed: doc.Parsed()}, weave.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Translated, res.Minimize, nil
+}
+
+// constraintSet merges the document's dependency catalog (§4.2) and
+// folds in the raw DSCL constraints, as the weave pipeline's merge
+// stage does, without desugaring.
+func constraintSet(d *Document) (*core.ConstraintSet, error) {
+	sc, err := core.Merge(d.Proc, d.Deps)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < d.Extra.Len(); i++ {
+		sc.Add(d.Extra.At(i))
+	}
+	return sc, nil
+}
 
 const tinyDoc = `
 process Tiny {
@@ -198,7 +237,7 @@ func TestPurchasingWeaveReproducesFigure9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asc, res, err := doc.Weave()
+	asc, res, err := weaveDoc(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +283,8 @@ func TestRoundTripPurchasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := doc.Deps.SortedKeys()
-	got := doc2.Deps.SortedKeys()
+	want := sortedDeps(doc.Deps)
+	got := sortedDeps(doc2.Deps)
 	if len(want) != len(got) {
 		t.Fatalf("round trip: %d deps vs %d", len(got), len(want))
 	}
@@ -261,7 +300,7 @@ func TestPrintConstraintsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := doc.ConstraintSet()
+	sc, err := constraintSet(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +452,7 @@ process P {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asc, res, err := doc.Weave()
+	asc, res, err := weaveDoc(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +476,7 @@ process Cyclic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := doc.Weave(); err == nil {
+	if _, _, err := weaveDoc(doc); err == nil {
 		t.Error("Weave accepted a cyclic catalog")
 	}
 }
@@ -454,7 +493,7 @@ process HT {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asc, res, err := doc.Weave()
+	asc, res, err := weaveDoc(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +512,7 @@ func TestFormatConstraintShorthand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := doc.ConstraintSet()
+	sc, err := constraintSet(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

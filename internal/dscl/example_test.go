@@ -1,9 +1,11 @@
 package dscl_test
 
 import (
+	"context"
 	"fmt"
 
 	"dscweaver/internal/dscl"
+	"dscweaver/internal/weave"
 )
 
 // ExampleLoad parses a DSCL document and runs the weaver pipeline.
@@ -26,12 +28,12 @@ process Handover {
 	if err != nil {
 		panic(err)
 	}
-	asc, res, err := doc.Weave()
+	res, err := weave.Run(context.Background(), weave.Input{Parsed: doc.Parsed()}, weave.Options{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("merged %d constraints, minimal %d\n", asc.Len(), res.Minimal.Len())
-	fmt.Println(dscl.PrintConstraints(res.Minimal))
+	fmt.Printf("merged %d constraints, minimal %d\n", res.Translated.Len(), res.Minimize.Minimal.Len())
+	fmt.Println(dscl.PrintConstraints(res.Minimize.Minimal))
 	// Output:
 	// merged 4 constraints, minimal 3
 	// check ->[F] refuse

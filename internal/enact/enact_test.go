@@ -7,7 +7,7 @@
 // partition and every decision outcome match, and the cross-node
 // message count equals the plan's predicted CrossEdges — the
 // decentral.Comparison numbers measured live instead of statically.
-// Latency-only chaos on the note fabric must not change any of it.
+// Delaying and reordering notes on the fabric must not change any of it.
 package enact_test
 
 import (
@@ -16,10 +16,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
-	"dscweaver/internal/chaos"
 	"dscweaver/internal/core"
 	"dscweaver/internal/decentral"
 	"dscweaver/internal/enact"
@@ -86,9 +86,42 @@ func TestDecentralEquivalence(t *testing.T) {
 	}
 }
 
+// delayFabric delivers about half the notes late, up to 2 ms, from a
+// goroutine of their own, so notes arrive out of order. Close waits for
+// the late ones before closing the inner fabric.
+type delayFabric struct {
+	enact.Fabric
+	mu   sync.Mutex
+	rng  *rand.Rand
+	late sync.WaitGroup
+}
+
+func (f *delayFabric) Send(host string, note enact.Note) error {
+	f.mu.Lock()
+	delay := time.Duration(f.rng.Int63n(int64(4 * time.Millisecond)))
+	f.mu.Unlock()
+	if delay > 2*time.Millisecond {
+		return f.Fabric.Send(host, note)
+	}
+	f.late.Add(1)
+	go func() {
+		defer f.late.Done()
+		time.Sleep(delay)
+		// A late note has no caller left to fail; a lost one shows as
+		// a run that times out or a trace that does not validate.
+		_ = f.Fabric.Send(host, note)
+	}()
+	return nil
+}
+
+func (f *delayFabric) Close() {
+	f.late.Wait()
+	f.Fabric.Close()
+}
+
 // checkEquivalence runs the pipeline, executes the minimal set once on
-// a single engine and once decentralized under latency-only transport
-// chaos, and asserts the equivalence properties.
+// a single engine and once decentralized with notes delayed and
+// reordered, and asserts the equivalence properties.
 func checkEquivalence(t *testing.T, proc *core.Process, parsed *weave.Parsed, seed int64) {
 	t.Helper()
 	ctx := context.Background()
@@ -117,9 +150,7 @@ func checkEquivalence(t *testing.T, proc *core.Process, parsed *weave.Parsed, se
 		t.Fatalf("single trace invalid: %v", err)
 	}
 
-	fab := chaos.NewNet(chaos.NetConfig{Seed: seed, Links: map[chaos.Link]chaos.LinkFault{
-		{From: "*", To: "*"}: {DelayP: 0.5, MaxDelay: 2 * time.Millisecond},
-	}}).Fabric(enact.NewLocalFabric())
+	fab := &delayFabric{Fabric: enact.NewLocalFabric(), rng: rand.New(rand.NewSource(seed))}
 	defer fab.Close()
 	out, err := enact.Run(ctx, enact.Options{
 		Plan:    plan,

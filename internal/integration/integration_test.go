@@ -29,6 +29,7 @@ import (
 	"dscweaver/internal/schedule"
 	"dscweaver/internal/services"
 	"dscweaver/internal/sim"
+	"dscweaver/internal/weave"
 	"dscweaver/internal/wscl"
 )
 
@@ -70,11 +71,11 @@ func TestAllFrontEndsAgreeOnFigure9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res2, err := doc.Weave()
+	res2, err := weave.Run(context.Background(), weave.Input{Parsed: doc.Parsed()}, weave.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := minimalEdgeSet(res2.Minimal); !equalStrings(got, want) {
+	if got := minimalEdgeSet(res2.Minimize.Minimal); !equalStrings(got, want) {
 		t.Errorf("DSCL route differs:\n%v\nvs\n%v", got, want)
 	}
 

@@ -98,12 +98,3 @@ func Out(p PlaceID, color string) Arc { return Arc{Kind: ArcOut, Place: p, Color
 // Marking assigns each place a multiset of token colors, represented
 // as color → count.
 type Marking []map[string]int
-
-// Tokens returns the number of tokens (of all colors) in a place.
-func (m Marking) Tokens(p PlaceID) int {
-	total := 0
-	for _, k := range m[p] {
-		total += k
-	}
-	return total
-}

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// Tokens returns the number of tokens (of all colors) in a place; the
+// tests read markings through it.
+func (m Marking) Tokens(p PlaceID) int {
+	total := 0
+	for _, k := range m[p] {
+		total += k
+	}
+	return total
+}
+
 // lineNet builds p0 --t0--> p1 --t1--> p2.
 func lineNet() (*Net, []PlaceID, []TransitionID) {
 	n := New()

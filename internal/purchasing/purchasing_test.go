@@ -241,7 +241,7 @@ func TestMinimizeIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.MinimizeWithGuards(res.Minimal, res.Guards)
+	res2, err := core.MinimizeOpt(context.Background(), res.Minimal, core.MinimizeOptions{Guards: res.Guards})
 	if err != nil {
 		t.Fatal(err)
 	}

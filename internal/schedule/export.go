@@ -33,7 +33,8 @@ type RecordJSON struct {
 	FinishAt  time.Time `json:"finish_at,omitempty"`
 }
 
-// MarshalJSON serializes the trace.
+// MarshalJSON serializes the trace as compact JSON; a caller writing
+// it for people (dscweaver -trace) indents it with json.MarshalIndent.
 func (t *Trace) MarshalJSON() ([]byte, error) {
 	out := TraceJSON{
 		Process:     t.Process,
@@ -50,37 +51,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 			StartAt: r.StartAt, FinishAt: r.FinishAt,
 		})
 	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// LoadTraceJSON parses a serialized trace back into a Trace usable
-// with Validate — replayed traces let CI compare schedules across
-// engine versions without re-executing.
-func LoadTraceJSON(data []byte) (*Trace, error) {
-	var in TraceJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("schedule: %w", err)
-	}
-	t := &Trace{
-		records:     map[core.ActivityID]*Record{},
-		Process:     in.Process,
-		Began:       in.Began,
-		Ended:       in.Ended,
-		MaxParallel: in.MaxParallel,
-	}
-	for _, r := range in.Records {
-		id := core.ActivityID(r.Activity)
-		if _, dup := t.records[id]; dup {
-			return nil, fmt.Errorf("schedule: duplicate record for %s", r.Activity)
-		}
-		t.records[id] = &Record{
-			Activity: id, Skipped: r.Skipped, Branch: r.Branch, Retries: r.Retries,
-			StartSeq: r.StartSeq, FinishSeq: r.FinishSeq,
-			StartAt: r.StartAt, FinishAt: r.FinishAt,
-		}
-		t.order = append(t.order, id)
-	}
-	return t, nil
+	return json.Marshal(out)
 }
 
 // NewTraceFromRecords assembles a Trace from externally produced

@@ -1,8 +1,10 @@
 package schedule
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,11 +13,54 @@ import (
 	"dscweaver/internal/purchasing"
 )
 
+// LoadTraceJSON parses a serialized trace back into a Trace usable
+// with Validate. It is the round-trip oracle of the trace format:
+// nothing in the pipeline reads a trace file back.
+func LoadTraceJSON(data []byte) (*Trace, error) {
+	var in TraceJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return nil, fmt.Errorf("schedule: %w", err)
+	}
+	t := &Trace{
+		records:     map[core.ActivityID]*Record{},
+		Process:     in.Process,
+		Began:       in.Began,
+		Ended:       in.Ended,
+		MaxParallel: in.MaxParallel,
+	}
+	for _, r := range in.Records {
+		id := core.ActivityID(r.Activity)
+		if _, dup := t.records[id]; dup {
+			return nil, fmt.Errorf("schedule: duplicate record for %s", r.Activity)
+		}
+		t.records[id] = &Record{
+			Activity: id, Skipped: r.Skipped, Branch: r.Branch, Retries: r.Retries,
+			StartSeq: r.StartSeq, FinishSeq: r.FinishSeq,
+			StartAt: r.StartAt, FinishAt: r.FinishAt,
+		}
+		t.order = append(t.order, id)
+	}
+	return t, nil
+}
+
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := runPurchasing(t, true)
 	data, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// MarshalJSON writes compact JSON, so encoding/json has nothing to
+	// compact again when a response embeds the trace.
+	raw, err := tr.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, raw); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, compact.Bytes()) {
+		t.Errorf("MarshalJSON is not compact: %d bytes, %d once compacted", len(raw), compact.Len())
 	}
 	if !strings.Contains(string(data), `"activity":"if_au"`) {
 		t.Errorf("serialized trace missing activity records:\n%.300s", data)

@@ -281,7 +281,7 @@ func TestShutdownAbortsStuckWeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	metas := st.List(0)
+	metas := st.ListRange(time.Time{}, time.Time{}, 0)
 	if len(metas) != 1 {
 		t.Fatalf("store lists %d runs, want the one aborted weave: %+v", len(metas), metas)
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,13 +13,13 @@ import (
 	"strings"
 	"testing"
 
-	"dscweaver/internal/core"
 	"dscweaver/internal/dscl"
 	"dscweaver/internal/obs"
 	"dscweaver/internal/pdg"
 	"dscweaver/internal/schedule"
 	"dscweaver/internal/server"
 	"dscweaver/internal/store"
+	"dscweaver/internal/weave"
 )
 
 // purchasingSource reads the paper's running-example DSCL document.
@@ -227,22 +228,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := doc.ConstraintSet()
+	woven, err := weave.Run(context.Background(), weave.Input{Parsed: doc.Parsed()}, weave.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Desugar(); err != nil {
-		t.Fatal(err)
-	}
-	guards, err := core.DeriveGuards(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asc, err := core.TranslateServices(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(asc, guards); err != nil {
+	if err := tr.Validate(woven.Translated, woven.Guards); err != nil {
 		t.Errorf("replayed trace violates the full constraint set: %v", err)
 	}
 	if len(tr.Executed()) != len(simT.Executed) {

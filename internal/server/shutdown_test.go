@@ -132,7 +132,7 @@ func TestShutdownDrainStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	metas := st.List(0)
+	metas := st.ListRange(time.Time{}, time.Time{}, 0)
 	if int64(len(metas)) < ok.Load() {
 		t.Errorf("store lists %d runs, want >= %d completed requests", len(metas), ok.Load())
 	}

@@ -4,11 +4,130 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"dscweaver/internal/obs"
 )
+
+// Conversation is the reconstructed interaction timeline of one
+// service, rebuilt purely from bus-layer lifecycle events (a JSONL
+// log read back with obs.ReadJSONL, or a MemSink). It is the oracle
+// the tests below check the bus's event log against. It groups the
+// paper's asynchronous conversation shape — invoke → fault* →
+// callback — per port: Invokes and Faults are keyed by the invoked
+// port, Callbacks by the reply tag the service emitted.
+type Conversation struct {
+	Service string
+	// Up reports whether the log contains the service's registration.
+	Up bool
+	// Invokes counts invocations per invoked port.
+	Invokes map[string]int
+	// Faults counts error callbacks per port (fault callbacks carry
+	// the port whose invocation failed).
+	Faults map[string]int
+	// Callbacks counts successful replies per emit tag.
+	Callbacks map[string]int
+	// Timeline is the service's bus events ordered by monotonic stamp,
+	// ties broken by log order.
+	Timeline []obs.Event
+}
+
+// TotalInvokes sums the per-port invocation counts.
+func (c *Conversation) TotalInvokes() int { return sum(c.Invokes) }
+
+// TotalFaults sums the per-port fault counts.
+func (c *Conversation) TotalFaults() int { return sum(c.Faults) }
+
+// TotalCallbacks sums the per-tag success-callback counts.
+func (c *Conversation) TotalCallbacks() int { return sum(c.Callbacks) }
+
+func sum(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// Check verifies the invoke → fault* → callback shape the bus
+// guarantees: a port can only fault on an invocation that happened,
+// and no fault or callback may precede the port's (or service's)
+// first invocation in the timeline.
+func (c *Conversation) Check() error {
+	for port, f := range c.Faults {
+		if inv := c.Invokes[port]; f > inv {
+			return fmt.Errorf("services: %s.%s: %d faults for %d invocations", c.Service, port, f, inv)
+		}
+	}
+	invoked := map[string]int{}
+	for _, e := range c.Timeline {
+		switch e.Kind {
+		case obs.EvInvoke:
+			invoked[e.Port]++
+		case obs.EvFault:
+			if invoked[e.Port] == 0 {
+				return fmt.Errorf("services: %s.%s: fault before any invocation", c.Service, e.Port)
+			}
+		case obs.EvCallback:
+			if len(invoked) == 0 {
+				return fmt.Errorf("services: %s: callback %s before any invocation", c.Service, e.Port)
+			}
+		}
+	}
+	return nil
+}
+
+// ConversationFromEvents reconstructs per-service conversations from a
+// lifecycle event stream. Events from other layers are ignored, so the
+// stream may be a merged process-wide log (engine + bus + minimizer).
+// Timelines are re-sorted by the events' monotonic stamps: merged logs
+// interleave concurrent emitters, and the stamp — taken before the
+// serializing writer lock — is the bus's causal order.
+func ConversationFromEvents(events []obs.Event) []*Conversation {
+	byService := map[string]*Conversation{}
+	order := []string{}
+	get := func(name string) *Conversation {
+		c, ok := byService[name]
+		if !ok {
+			c = &Conversation{
+				Service: name,
+				Invokes: map[string]int{}, Faults: map[string]int{}, Callbacks: map[string]int{},
+			}
+			byService[name] = c
+			order = append(order, name)
+		}
+		return c
+	}
+	for _, e := range events {
+		if e.Layer != obs.LayerBus || e.Service == "" {
+			continue
+		}
+		c := get(e.Service)
+		switch e.Kind {
+		case obs.EvServiceUp:
+			c.Up = true
+		case obs.EvInvoke:
+			c.Invokes[e.Port]++
+		case obs.EvFault:
+			c.Faults[e.Port]++
+		case obs.EvCallback:
+			c.Callbacks[e.Port]++
+		default:
+			continue
+		}
+		c.Timeline = append(c.Timeline, e)
+	}
+	out := make([]*Conversation, 0, len(order))
+	for _, name := range order {
+		c := byService[name]
+		sort.SliceStable(c.Timeline, func(i, j int) bool { return c.Timeline[i].Mono < c.Timeline[j].Mono })
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Service < out[j].Service })
+	return out
+}
 
 // busCounters reads the three bus counter families from a registry.
 func busCounters(reg *obs.Registry) (invocations, deliveries, faults int64) {

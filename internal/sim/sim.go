@@ -46,22 +46,8 @@ func Uniform(min, max time.Duration) LatencyModel {
 	}
 }
 
-// PerActivity overrides a base model for specific activities — e.g. a
-// slow remote invocation.
-func PerActivity(base LatencyModel, overrides map[core.ActivityID]time.Duration) LatencyModel {
-	return func(r *rand.Rand, id core.ActivityID) time.Duration {
-		if d, ok := overrides[id]; ok {
-			return d
-		}
-		return base(r, id)
-	}
-}
-
 // BranchModel samples a decision outcome.
 type BranchModel func(r *rand.Rand, dec *core.Activity) string
-
-// FirstBranch always takes the first declared branch.
-func FirstBranch(_ *rand.Rand, dec *core.Activity) string { return dec.BranchDomain()[0] }
 
 // UniformBranch samples branches uniformly.
 func UniformBranch(r *rand.Rand, dec *core.Activity) string {
@@ -217,18 +203,4 @@ func summarize(samples []time.Duration) Summary {
 	s.P50 = sorted[len(sorted)/2]
 	s.P95 = sorted[(len(sorted)*95)/100]
 	return s
-}
-
-// Compare estimates two constraint sets under the same study (same
-// seed → paired trials) and returns both summaries.
-func Compare(a, b *core.ConstraintSet, study Study) (Summary, Summary, error) {
-	sa, err := Estimate(a, study)
-	if err != nil {
-		return Summary{}, Summary{}, err
-	}
-	sb, err := Estimate(b, study)
-	if err != nil {
-		return Summary{}, Summary{}, err
-	}
-	return sa, sb, nil
 }

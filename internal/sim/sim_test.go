@@ -14,20 +14,14 @@ import (
 
 func chain(n int) *core.ConstraintSet {
 	p := core.NewProcess("chain")
-	var prev core.ActivityID
-	for i := 0; i < n; i++ {
-		id := core.ActivityID(string(rune('a' + i)))
-		p.MustAddActivity(&core.Activity{ID: id, Kind: core.KindOpaque})
-		if i > 0 {
-			// constraints appended below
-			_ = prev
-		}
-		prev = id
+	ids := make([]core.ActivityID, n)
+	for i := range ids {
+		ids[i] = core.ActivityID(string(rune('a' + i)))
+		p.MustAddActivity(&core.Activity{ID: ids[i], Kind: core.KindOpaque})
 	}
 	sc := core.NewConstraintSet(p)
-	acts := p.ActivityIDs()
-	for i := 0; i+1 < len(acts); i++ {
-		sc.Before(acts[i], acts[i+1], core.Data)
+	for i := 0; i+1 < n; i++ {
+		sc.Before(ids[i], ids[i+1], core.Data)
 	}
 	return sc
 }
@@ -161,7 +155,11 @@ func TestCompareMinimalVsConstructBaseline(t *testing.T) {
 	}
 	study := Study{Trials: 200, Seed: 7, Latency: Uniform(time.Millisecond, 4*time.Millisecond), Branch: constBranch("T")}
 	study.Guards = res.Guards
-	base, min, err := Compare(baseline, res.Minimal, study)
+	base, err := Estimate(baseline, study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, err := Estimate(res.Minimal, study)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +182,11 @@ func TestCompareStrictOnSerializedRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	study := Study{Trials: 100, Seed: 11, Latency: Fixed(time.Millisecond)}
-	base, min, err := Compare(baseline, minimal, study)
+	base, err := Estimate(baseline, study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, err := Estimate(minimal, study)
 	if err != nil {
 		t.Fatal(err)
 	}

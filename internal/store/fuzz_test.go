@@ -97,7 +97,7 @@ func FuzzSegmentIndex(f *testing.F) {
 			t.Fatalf("Open over fuzzed segment failed: %v", err)
 		}
 		defer st.Close()
-		for _, m := range st.List(0) {
+		for _, m := range st.ListRange(time.Time{}, time.Time{}, 0) {
 			evs, err := st.Events(m.ID)
 			if err != nil && !strings.Contains(err.Error(), "seg-") {
 				t.Fatalf("Events error without segment context: %v", err)

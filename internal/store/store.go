@@ -296,13 +296,6 @@ func (s *Store) Degraded() bool {
 	return s.degraded
 }
 
-// Err returns the first write fault (nil while healthy).
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstErr
-}
-
 // Reprobe attempts to heal a degraded store in place: the segment
 // chain is re-replayed from disk — the segment abandoned at degrade
 // time recovers to its longest valid line prefix exactly like a crash
@@ -523,11 +516,6 @@ func (s *Store) Get(id string) (RunMeta, bool) {
 		return RunMeta{}, false
 	}
 	return rs.meta, true
-}
-
-// List returns up to limit runs, newest first (limit <= 0 = all).
-func (s *Store) List(limit int) []RunMeta {
-	return s.list(limit, func(RunMeta) bool { return true })
 }
 
 // ListRange returns up to limit runs that began within [from, to],

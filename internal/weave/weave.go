@@ -178,17 +178,6 @@ type Result struct {
 	Stages []StageTiming
 }
 
-// StageDuration returns the recorded duration of one stage (0 when it
-// did not run).
-func (r *Result) StageDuration(stage string) time.Duration {
-	for _, s := range r.Stages {
-		if s.Stage == stage {
-			return s.Duration
-		}
-	}
-	return 0
-}
-
 // Pipeline is a configured, reusable weave pipeline; Run executes it
 // once. A Pipeline is safe for concurrent Runs (the options are read-
 // only and all run state is per-call).

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dscweaver/internal/core"
 	"dscweaver/internal/obs"
@@ -109,12 +110,23 @@ func TestPipelineFullFromSource(t *testing.T) {
 	if res.BPELDoc == nil || len(res.BPELXML) == 0 {
 		t.Error("BPEL stage produced no document")
 	}
-	if d := res.StageDuration(weave.StageMinimize); d <= 0 {
-		t.Errorf("StageDuration(minimize) = %v", d)
+	if d := stageDuration(res, weave.StageMinimize); d <= 0 {
+		t.Errorf("stageDuration(minimize) = %v", d)
 	}
-	if d := res.StageDuration("no-such-stage"); d != 0 {
-		t.Errorf("StageDuration(no-such-stage) = %v, want 0", d)
+	if d := stageDuration(res, "no-such-stage"); d != 0 {
+		t.Errorf("stageDuration(no-such-stage) = %v, want 0", d)
 	}
+}
+
+// stageDuration returns the recorded duration of one stage (0 when it
+// did not run).
+func stageDuration(r *weave.Result, stage string) time.Duration {
+	for _, s := range r.Stages {
+		if s.Stage == stage {
+			return s.Duration
+		}
+	}
+	return 0
 }
 
 // TestPipelineSkipsTogglesOff: with the toggles off the optional
@@ -127,7 +139,7 @@ func TestPipelineSkipsTogglesOff(t *testing.T) {
 	if res.Soundness != nil || res.BPELDoc != nil || res.BPELXML != nil {
 		t.Errorf("skipped stages left artifacts: soundness=%v bpel=%v", res.Soundness, res.BPELDoc)
 	}
-	if d := res.StageDuration(weave.StageValidate); d != 0 {
+	if d := stageDuration(res, weave.StageValidate); d != 0 {
 		t.Errorf("validate ran despite Validate=false: %v", d)
 	}
 	if len(res.Stages) != 4 {

@@ -91,12 +91,6 @@ func (w *Workload) addData(from, to core.ActivityID) {
 	}
 }
 
-// Layer returns the activity ids of one rank.
-func (w *Workload) Layer(l int) []core.ActivityID { return w.layers[l] }
-
-// Layers returns the number of ranks.
-func (w *Workload) Layers() int { return len(w.layers) }
-
 // WithShortcuts adds n cooperation dependencies between randomly
 // chosen already-connected (source rank < target rank − 1) pairs.
 // Each such edge parallels an existing multi-hop path with high
@@ -239,15 +233,6 @@ func (w *Workload) WithServices(n int) *Workload {
 		}
 	}
 	return w
-}
-
-// TranslatedConstraints merges and service-translates the catalog.
-func (w *Workload) TranslatedConstraints() (*core.ConstraintSet, error) {
-	sc, err := w.Constraints()
-	if err != nil {
-		return nil, err
-	}
-	return core.TranslateServices(sc)
 }
 
 // Fan generates the pathological best case for dependency-driven

@@ -1,10 +1,21 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 
 	"dscweaver/internal/core"
 )
+
+// sortedDeps renders each dependency and sorts the strings.
+func sortedDeps(s *core.DependencySet) []string {
+	var out []string
+	for _, d := range s.All() {
+		out = append(out, d.String())
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestLayeredDeterministic(t *testing.T) {
 	a := Layered(4, 3, 0.3, 7)
@@ -12,14 +23,14 @@ func TestLayeredDeterministic(t *testing.T) {
 	if a.Deps.Len() != b.Deps.Len() {
 		t.Errorf("same seed, different dep counts: %d vs %d", a.Deps.Len(), b.Deps.Len())
 	}
-	ka, kb := a.Deps.SortedKeys(), b.Deps.SortedKeys()
+	ka, kb := sortedDeps(a.Deps), sortedDeps(b.Deps)
 	for i := range ka {
 		if ka[i] != kb[i] {
 			t.Fatalf("same seed, different deps at %d: %s vs %s", i, ka[i], kb[i])
 		}
 	}
 	c := Layered(4, 3, 0.3, 8)
-	if cKeys := c.Deps.SortedKeys(); len(cKeys) == len(ka) {
+	if cKeys := sortedDeps(c.Deps); len(cKeys) == len(ka) {
 		same := true
 		for i := range ka {
 			if ka[i] != cKeys[i] {
@@ -48,8 +59,8 @@ func TestLayeredValidAndConnected(t *testing.T) {
 	for _, d := range w.Deps.All() {
 		incoming[d.To.Activity]++
 	}
-	for l := 1; l < w.Layers(); l++ {
-		for _, id := range w.Layer(l) {
+	for l := 1; l < len(w.layers); l++ {
+		for _, id := range w.layers[l] {
 			if incoming[id] == 0 {
 				t.Errorf("activity %s unreachable", id)
 			}
@@ -169,7 +180,7 @@ func TestWithServicesTranslates(t *testing.T) {
 	if !merged.HasServiceNodes() {
 		t.Fatal("merged set has no external nodes")
 	}
-	asc, err := w.TranslatedConstraints()
+	asc, err := core.TranslateServices(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
