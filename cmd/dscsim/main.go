@@ -86,12 +86,16 @@ func main() {
 		fail(err)
 	}
 	asc, res := wres.Translated, wres.Minimize
+	guards, err := core.DeriveGuards(asc)
+	if err != nil {
+		fail(err)
+	}
 
 	study := sim.Study{
 		Trials:  *trials,
 		Seed:    *seed,
 		Latency: sim.Uniform(*minLat, *maxLat),
-		Guards:  res.Guards,
+		Guards:  guards,
 	}
 	if *branch != "" {
 		b := *branch

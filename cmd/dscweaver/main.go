@@ -155,7 +155,11 @@ func main() {
 	}
 
 	if *explain != "" {
-		removals, err := core.ExplainRemovals(min)
+		guards, err := core.DeriveGuards(asc)
+		if err != nil {
+			fail(err)
+		}
+		removals, err := core.ExplainRemovals(min, guards)
 		if err != nil {
 			fail(err)
 		}

@@ -73,9 +73,13 @@ func (a *Adapter) recompute() error {
 	if err != nil {
 		return err
 	}
+	guards, err := DeriveGuards(full)
+	if err != nil {
+		return err
+	}
 	a.full = full
 	a.minimal = res.Minimal
-	a.guards = res.Guards
+	a.guards = guards
 	return nil
 }
 

@@ -138,12 +138,16 @@ type ConstraintSet struct {
 	Proc *Process
 
 	constraints []Constraint
-	byPair      map[PairKey]int
+	// byPair indexes constraints by PairKey for Add's folding. Only
+	// Add and remove read it, and they build it on first use (pairs),
+	// so a set that is only read — a Clone the minimizer walks, a
+	// minimal set served from the verdict cache — never pays for it.
+	byPair map[PairKey]int
 }
 
 // NewConstraintSet returns an empty set bound to the process.
 func NewConstraintSet(p *Process) *ConstraintSet {
-	return &ConstraintSet{Proc: p, byPair: map[PairKey]int{}}
+	return &ConstraintSet{Proc: p}
 }
 
 // newConstraintSetSize returns an empty set with room for n
@@ -161,7 +165,7 @@ func (s *ConstraintSet) Add(c Constraint) {
 		return // vacuous
 	}
 	key := c.PairKey()
-	if i, ok := s.byPair[key]; ok {
+	if i, ok := s.pairs()[key]; ok {
 		prev := &s.constraints[i]
 		prev.Cond = cond.Or(prev.Cond, c.Cond)
 		prev.Origins = mergeDims(prev.Origins, c.Origins)
@@ -170,6 +174,17 @@ func (s *ConstraintSet) Add(c Constraint) {
 	}
 	s.byPair[key] = len(s.constraints)
 	s.constraints = append(s.constraints, c)
+}
+
+// pairs returns the PairKey index, building it on first use.
+func (s *ConstraintSet) pairs() map[PairKey]int {
+	if s.byPair == nil {
+		s.byPair = make(map[PairKey]int, len(s.constraints))
+		for i, c := range s.constraints {
+			s.byPair[c.PairKey()] = i
+		}
+	}
+	return s.byPair
 }
 
 // Before is shorthand for adding an unconditional activity-level
@@ -249,11 +264,10 @@ func (s *ConstraintSet) HasServiceNodes() bool {
 
 // Clone returns a deep copy sharing the process reference.
 func (s *ConstraintSet) Clone() *ConstraintSet {
-	c := newConstraintSetSize(s.Proc, len(s.constraints))
-	for i, con := range s.constraints {
+	c := &ConstraintSet{Proc: s.Proc, constraints: make([]Constraint, 0, len(s.constraints))}
+	for _, con := range s.constraints {
 		con.Origins = append([]Dimension(nil), con.Origins...)
 		con.Labels = append([]string(nil), con.Labels...)
-		c.byPair[con.PairKey()] = i
 		c.constraints = append(c.constraints, con)
 	}
 	return c
@@ -261,10 +275,11 @@ func (s *ConstraintSet) Clone() *ConstraintSet {
 
 // remove deletes the constraint at index i, keeping order.
 func (s *ConstraintSet) remove(i int) {
-	delete(s.byPair, s.constraints[i].PairKey())
+	idx := s.pairs()
+	delete(idx, s.constraints[i].PairKey())
 	s.constraints = append(s.constraints[:i], s.constraints[i+1:]...)
 	for k := i; k < len(s.constraints); k++ {
-		s.byPair[s.constraints[k].PairKey()] = k
+		idx[s.constraints[k].PairKey()] = k
 	}
 }
 
@@ -276,35 +291,6 @@ func (s *ConstraintSet) String() string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n")
-}
-
-// Validate checks the constraint set's structural health: referenced
-// activities must be declared, the HappenBefore relation must be
-// acyclic over the point graph (no "infinite synchronization
-// sequence", §4.1), and guard derivation must succeed. It does not
-// require desugaring — HappenTogether constraints are checked for
-// internal endpoints only.
-func (s *ConstraintSet) Validate() error {
-	for _, c := range s.constraints {
-		for _, pt := range []Point{c.From, c.To} {
-			if pt.Node.IsService() {
-				if _, ok := s.Proc.Service(pt.Node.Service); !ok {
-					return fmt.Errorf("constraint %s references undeclared service %s", c, pt.Node.Service)
-				}
-				continue
-			}
-			if _, ok := s.Proc.Activity(pt.Node.Activity); !ok {
-				return fmt.Errorf("constraint %s references undeclared activity %s", c, pt.Node.Activity)
-			}
-		}
-	}
-	// buildPointGraph performs the cycle and guard checks over the
-	// HappenBefore relation (HappenTogether and Exclusive constraints
-	// contribute nodes but no ordering edges).
-	if _, err := buildPointGraph(s); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Desugar rewrites every HappenTogether constraint using a fresh

@@ -134,36 +134,6 @@ func TestDesugarRejectsServiceNodes(t *testing.T) {
 	}
 }
 
-func TestConstraintSetValidate(t *testing.T) {
-	p := testProcess(t)
-	good := NewConstraintSet(p)
-	good.Before("a", "b", Data)
-	good.Add(Constraint{Rel: HappenTogether, From: PointOf("a", Start), To: PointOf("d", Start), Cond: cond.True()})
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid set rejected: %v", err)
-	}
-
-	ghost := NewConstraintSet(p)
-	ghost.Before("a", "nope", Data)
-	if err := ghost.Validate(); err == nil || !strings.Contains(err.Error(), "undeclared activity") {
-		t.Errorf("err = %v, want undeclared activity", err)
-	}
-
-	ghostSvc := NewConstraintSet(p)
-	ghostSvc.Add(Constraint{Rel: HappenBefore, From: PointOf("a", Finish),
-		To: Point{Node: ServiceNode("Nope", "1"), State: Start}, Cond: cond.True()})
-	if err := ghostSvc.Validate(); err == nil || !strings.Contains(err.Error(), "undeclared service") {
-		t.Errorf("err = %v, want undeclared service", err)
-	}
-
-	cyc := NewConstraintSet(p)
-	cyc.Before("a", "b", Data)
-	cyc.Before("b", "a", Data)
-	if err := cyc.Validate(); err == nil || !strings.Contains(err.Error(), "cyclic") {
-		t.Errorf("err = %v, want cycle detection", err)
-	}
-}
-
 func TestStateAndPointStrings(t *testing.T) {
 	if Start.String() != "S" || Run.String() != "R" || Finish.String() != "F" {
 		t.Error("state strings wrong")

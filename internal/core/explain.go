@@ -45,14 +45,17 @@ func (r Removal) String() string {
 // ExplainRemovals justifies every removal of a minimization result:
 // for each removed constraint it finds paths through the minimal set
 // whose disjoined conditions imply the removed condition under the
-// endpoints' guard context. It returns one Removal per removed
+// endpoints' guard context. guards is the context the minimization
+// judged redundancy under — DeriveGuards of its input, or the guards
+// it was given — because the minimal set may have shed the control
+// edges they derive from. It returns one Removal per removed
 // constraint, in removal order.
-func ExplainRemovals(res *MinimizeResult) ([]Removal, error) {
+func ExplainRemovals(res *MinimizeResult, guards map[Node]cond.Expr) ([]Removal, error) {
 	pg, err := buildPointGraph(res.Minimal)
 	if err != nil {
 		return nil, err
 	}
-	for n, g := range res.Guards {
+	for n, g := range guards {
 		pg.guards[n] = g
 	}
 	doms := res.Minimal.Proc.Domains()

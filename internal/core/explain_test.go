@@ -17,7 +17,7 @@ func TestExplainSimpleShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removals, err := ExplainRemovals(res)
+	removals, err := ExplainRemovals(res, inputGuards(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestExplainGuardSubsumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removals, err := ExplainRemovals(res)
+	removals, err := ExplainRemovals(res, inputGuards(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExplainBranchFoldNeedsTwoPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removals, err := ExplainRemovals(res)
+	removals, err := ExplainRemovals(res, inputGuards(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestExplainVacuousCrossBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removals, err := ExplainRemovals(res)
+	removals, err := ExplainRemovals(res, inputGuards(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestExplainAllPurchasingRemovals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removals, err := ExplainRemovals(res)
+	removals, err := ExplainRemovals(res, inputGuards(t, procDeps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,4 +172,15 @@ func purchasingLikeSet(t *testing.T) *ConstraintSet {
 	s.Before("fallback", "reply", Data)
 	s.Before("dec", "reply", Cooperation) // T∨F fold
 	return s
+}
+
+// inputGuards derives the guards a minimization of sc judged
+// redundancy under.
+func inputGuards(t *testing.T, sc *ConstraintSet) map[Node]cond.Expr {
+	t.Helper()
+	guards, err := DeriveGuards(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return guards
 }

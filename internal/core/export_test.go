@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+
+	"dscweaver/internal/cond"
 )
 
 // PairSweepMismatches checks the local pair test's windowed sweep
@@ -55,4 +57,11 @@ func (vc *VerdictCache) Len() int {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	return len(vc.entries)
+}
+
+// Plant stores removed as the verdict-cache entry of minimizing sc
+// under guards and strict, so tests can hand MinimizeOpt an entry that
+// does not fit its input.
+func (vc *VerdictCache) Plant(sc *ConstraintSet, guards map[Node]cond.Expr, strict bool, removed []int) {
+	vc.store(verdictCacheKey(sc, guards, strict), removed)
 }

@@ -66,9 +66,9 @@ type MinimizeResult struct {
 	// so no verdict is ever re-evaluated. The field remains for readers
 	// that still report it.
 	Respeculated int
-	// VerdictCacheHit reports that the whole run was served by
-	// replaying a recorded removal sequence from
-	// MinimizeOptions.VerdictCache — no equivalence checks ran
+	// VerdictCacheHit reports that the whole run was served by a
+	// recorded removal sequence from MinimizeOptions.VerdictCache — no
+	// point graph was built and no equivalence checks ran
 	// (EquivalenceChecks is 0).
 	VerdictCacheHit bool
 	// ClosureCacheHits and ClosureCacheMisses count baseline-closure
@@ -81,13 +81,6 @@ type MinimizeResult struct {
 	// CondMemoHits counts semantic-equivalence checks answered by the
 	// canonical-DNF memo table instead of domain enumeration.
 	CondMemoHits int
-	// Guards records the execution guards the minimization judged
-	// redundancy under. Guards are a property of the process's control
-	// structure, and minimization may remove redundant control edges,
-	// so deriving guards from the minimal set is lossy: downstream
-	// consumers (the scheduler, the Petri validator, any further
-	// minimization) must use these guards, not DeriveGuards(Minimal).
-	Guards map[Node]cond.Expr
 }
 
 // Minimize computes a minimal synchronization constraint set
@@ -137,10 +130,11 @@ type MinimizeOptions struct {
 	Guards map[Node]cond.Expr
 	// VerdictCache, when non-nil, consults (and on a miss, fills) a
 	// cross-run content-addressed cache of removal sequences keyed on
-	// the constraint set, guards, domains and comparison mode. On a hit
-	// the recorded removals are replayed and every Definition 6
-	// equivalence check is skipped; see VerdictCacheHit. A long-lived
-	// server shares one instance across requests.
+	// the constraint set, supplied guards, domains and comparison mode.
+	// On a hit the recorded constraints are dropped from the input and
+	// neither the point graph nor any Definition 6 equivalence check is
+	// computed; see VerdictCacheHit. A long-lived server shares one
+	// instance across requests.
 	VerdictCache *VerdictCache
 	// CandidateHook, when non-nil, runs before every candidate
 	// evaluation. A returned error aborts the run with that error. The
@@ -194,21 +188,36 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 			return nil, fmt.Errorf("minimize: HappenTogether constraint %s: call Desugar first", c)
 		}
 	}
-	work := sc.Clone()
-	pg, err := buildPointGraph(work)
-	if err != nil {
-		return nil, err
+	res := &MinimizeResult{Workers: 1}
+
+	// A verdict-cache hit is decided from the input alone: the key
+	// needs no point graph, and a usable entry turns into the minimal
+	// set by dropping the recorded constraints.
+	var vcKey [32]byte
+	var removedIdx []int
+	var drop []bool
+	if opts.VerdictCache != nil {
+		vcKey = verdictCacheKey(sc, opts.Guards, opts.StrictAnnotations)
+		if idx, ok := opts.VerdictCache.lookup(vcKey); ok {
+			removedIdx, drop = idx, dropMask(sc, idx)
+		}
 	}
-	if opts.Guards != nil {
+	replayed := drop != nil
+
+	var pg *pointGraph
+	if !replayed {
+		var err error
+		if pg, err = buildPointGraph(sc); err != nil {
+			return nil, err
+		}
 		for n, g := range opts.Guards {
 			pg.guards[n] = g
 		}
+		pg.strict = opts.StrictAnnotations
+		pg.cache.disabled = opts.NoCache
+		pg.cacheTo.disabled = opts.NoCache
+		pg.memo.disabled = opts.NoCache
 	}
-	pg.strict = opts.StrictAnnotations
-	pg.cache.disabled = opts.NoCache
-	pg.cacheTo.disabled = opts.NoCache
-	pg.memo.disabled = opts.NoCache
-	res := &MinimizeResult{Guards: pg.guards, Workers: 1}
 	emit := func(ev obs.Event) {
 		if opts.Events != nil {
 			ev.Layer = obs.LayerMinimize
@@ -218,22 +227,25 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 	began := time.Now()
 	emit(obs.Event{Kind: obs.EvMinimizeBegin, Detail: sc.Proc.Name, Value: float64(sc.Len())})
 
-	// Collect the candidates up front in canonical (insertion) order.
-	// The paper's algorithm is order-dependent in general (minimal sets
-	// are not unique); insertion order makes runs deterministic. Points
-	// are fixed for the run and no two constraints share an edge, so no
-	// candidate's edge can disappear before its turn.
-	cands := make([]candidate, 0, sc.Len())
+	// Every HappenBefore constraint is a candidate, in canonical
+	// (insertion) order. The paper's algorithm is order-dependent in
+	// general (minimal sets are not unique); insertion order makes
+	// runs deterministic. Points are fixed for the run and no two
+	// constraints share an edge, so no candidate's edge can disappear
+	// before its turn.
+	var cands []candidate
+	if pg != nil {
+		cands = make([]candidate, 0, sc.Len())
+	}
+	nCands := 0
 	for i, c := range sc.constraints {
 		if c.Rel != HappenBefore {
 			continue
 		}
-		u := pg.pointID(c.From)
-		v := pg.pointID(c.To)
-		if u < 0 || v < 0 || !pg.g.HasEdge(u, v) {
-			continue // folded away during desugaring
+		nCands++
+		if pg != nil {
+			cands = append(cands, candidate{idx: i, u: pg.pointID(c.From), v: pg.pointID(c.To)})
 		}
-		cands = append(cands, candidate{idx: i, u: u, v: v})
 	}
 
 	// end emits minimize_end carrying the decision record: the whole
@@ -242,7 +254,7 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		if opts.Events == nil {
 			return
 		}
-		d := &obs.Decision{Candidates: len(cands), Checks: res.EquivalenceChecks,
+		d := &obs.Decision{Candidates: nCands, Checks: res.EquivalenceChecks,
 			Pairs: res.PairComparisons, Removed: make([]string, len(res.Removed))}
 		for i, c := range res.Removed {
 			d.Removed[i] = c.String()
@@ -263,15 +275,9 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 			Removed: len(res.Removed), Elapsed: time.Since(began)}
 	}
 
-	var vcKey [32]byte
-	replayed := false
 	if opts.VerdictCache != nil {
-		vcKey = verdictCacheKey(sc, pg.guards, pg.doms, opts.StrictAnnotations)
 		if err := ctx.Err(); err != nil {
 			return nil, cancelErr(err)
-		}
-		if removedIdx, ok := opts.VerdictCache.lookup(vcKey); ok {
-			replayed = pg.replayRemovals(cands, removedIdx, res)
 		}
 		res.VerdictCacheHit = replayed
 		if r := opts.Metrics; r != nil {
@@ -283,8 +289,13 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		}
 	}
 
-	if !replayed {
-		removedIdx, err := pg.runSequential(ctx, cands, opts.CandidateHook, res)
+	if replayed {
+		for _, i := range removedIdx {
+			res.Removed = append(res.Removed, sc.constraints[i])
+		}
+	} else {
+		var err error
+		removedIdx, err = pg.runSequential(ctx, cands, opts.CandidateHook, res)
 		if err != nil {
 			if ErrCanceled(err) {
 				return nil, cancelErr(err)
@@ -297,7 +308,19 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		res.ClosureCacheHits = pg.cache.hits + pg.cacheTo.hits
 		res.ClosureCacheMisses = pg.cache.misses + pg.cacheTo.misses
 		res.CondMemoHits = pg.memo.hits
+		drop = dropMask(sc, removedIdx)
 	}
+
+	// The input's constraints have distinct pairs and none is vacuous
+	// (Add folds and drops those), so the survivors are the minimal
+	// set as they stand, without Add's pair index.
+	minimal := &ConstraintSet{Proc: sc.Proc, constraints: make([]Constraint, 0, sc.Len()-len(res.Removed))}
+	for i, c := range sc.constraints {
+		if !drop[i] {
+			minimal.constraints = append(minimal.constraints, c)
+		}
+	}
+	res.Minimal = minimal
 
 	end(nil)
 	if r := opts.Metrics; r != nil {
@@ -310,22 +333,23 @@ func MinimizeOpt(ctx context.Context, sc *ConstraintSet, opts MinimizeOptions) (
 		r.Counter("minimize_memo_hits_total").Add(int64(res.CondMemoHits))
 		r.Histogram("minimize_run_seconds", obs.DurationBuckets).ObserveDuration(time.Since(began))
 	}
-
-	// Rebuild the minimal set from the surviving edges.
-	minimal := newConstraintSetSize(sc.Proc, work.Len()-len(res.Removed))
-	for _, c := range work.constraints {
-		switch c.Rel {
-		case HappenBefore:
-			u, v := pg.pointID(c.From), pg.pointID(c.To)
-			if pg.g.HasEdge(u, v) {
-				minimal.Add(c)
-			}
-		default:
-			minimal.Add(c)
-		}
-	}
-	res.Minimal = minimal
 	return res, nil
+}
+
+// dropMask turns a removal sequence into a mask over sc's constraints.
+// Every index must be in range, distinct, and name a HappenBefore
+// constraint; it returns nil on any mismatch, which for a verdict-cache
+// entry (a hash collision or a cross-version entry) sends the caller
+// to the full run.
+func dropMask(sc *ConstraintSet, removedIdx []int) []bool {
+	drop := make([]bool, len(sc.constraints))
+	for _, i := range removedIdx {
+		if i < 0 || i >= len(drop) || drop[i] || sc.constraints[i].Rel != HappenBefore {
+			return nil
+		}
+		drop[i] = true
+	}
+	return drop
 }
 
 // candidate is one HappenBefore constraint in the canonical
@@ -368,34 +392,6 @@ func (pg *pointGraph) runSequential(ctx context.Context, cands []candidate, hook
 		}
 	}
 	return removedIdx, nil
-}
-
-// replayRemovals applies a verdict-cache removal sequence to the fresh
-// point graph. It validates the whole sequence before touching the
-// graph — every index must name a distinct live candidate edge — and
-// reports false on any mismatch (a hash collision or a cross-version
-// entry), in which case the caller falls back to the full run against
-// an unmodified graph.
-func (pg *pointGraph) replayRemovals(cands []candidate, removedIdx []int, res *MinimizeResult) bool {
-	byIdx := make(map[int]candidate, len(cands))
-	for _, cand := range cands {
-		byIdx[cand.idx] = cand
-	}
-	seen := make(map[int]bool, len(removedIdx))
-	picked := make([]candidate, 0, len(removedIdx))
-	for _, idx := range removedIdx {
-		cand, ok := byIdx[idx]
-		if !ok || seen[idx] || !pg.g.HasEdge(cand.u, cand.v) {
-			return false
-		}
-		seen[idx] = true
-		picked = append(picked, cand)
-	}
-	for _, cand := range picked {
-		pg.removeConstraintEdge(cand.u, cand.v)
-		res.Removed = append(res.Removed, pg.sc.constraints[cand.idx])
-	}
-	return true
 }
 
 // ancestorsOf returns all points that reach x by a nonempty path.
@@ -449,7 +445,7 @@ func MinimizeUnconditional(sc *ConstraintSet) (*MinimizeResult, error) {
 			removedSet[e] = true
 		}
 	}
-	res := &MinimizeResult{Minimal: NewConstraintSet(sc.Proc), Guards: pg.guards, Workers: 1}
+	res := &MinimizeResult{Minimal: NewConstraintSet(sc.Proc), Workers: 1}
 	for _, c := range sc.constraints {
 		if c.Rel == HappenBefore {
 			e := [2]int{pg.pointID(c.From), pg.pointID(c.To)}

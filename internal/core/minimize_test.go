@@ -317,7 +317,11 @@ func TestQuickMinimizeEquivalentAndMinimal(t *testing.T) {
 		// No further removal possible — judged under the original
 		// guards, since the minimal set may have shed control edges
 		// (guards do not survive DeriveGuards on a minimized set).
-		res2, err := MinimizeOpt(context.Background(), res.Minimal, MinimizeOptions{Guards: res.Guards})
+		guards, err := DeriveGuards(s)
+		if err != nil {
+			return false
+		}
+		res2, err := MinimizeOpt(context.Background(), res.Minimal, MinimizeOptions{Guards: guards})
 		if err != nil {
 			return false
 		}

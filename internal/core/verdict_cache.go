@@ -2,7 +2,8 @@ package core
 
 import (
 	"crypto/sha256"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"dscweaver/internal/cond"
@@ -14,21 +15,23 @@ const DefaultVerdictCacheEntries = 256
 
 // VerdictCache is a cross-run, content-addressed cache of minimization
 // outcomes. The key is a canonical hash of everything a run's verdicts
-// depend on — the desugared constraint set in insertion order, the
-// guard context, the branch domains and the comparison mode — and the
-// value is the deterministic removal sequence as indices into the
-// constraint list. Two requests that weave the same process therefore
-// share one Definition 6 run: the second replays the recorded removals
-// and skips every equivalence check. Safe for concurrent use; a
-// long-lived server shares one instance across requests.
+// depend on — the desugared constraint set in insertion order with
+// each constraint's Control-origin bit (from which the guards derive),
+// any supplied guards, the branch domains and the comparison mode —
+// and the value is the deterministic removal sequence as indices into
+// the constraint list. Two requests that weave the same process
+// therefore share one Definition 6 run: the second builds no point
+// graph, runs no equivalence check, and drops the recorded
+// constraints. Safe for concurrent use; a long-lived server shares one
+// instance across requests.
 //
 // Keying on content rather than identity means the cache survives
 // re-parsing: any route to the same constraint set — the same DSCL
 // source, a structurally identical JSON request — lands on the same
 // entry. The engine knob NoCache is deliberately excluded from the
 // key: it never changes the removal sequence, only how fast it is
-// computed, so both configurations share entries. StrictAnnotations changes the equivalence relation and is
-// part of the key.
+// computed, so both configurations share entries. StrictAnnotations
+// changes the equivalence relation and is part of the key.
 type VerdictCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -78,27 +81,29 @@ func (vc *VerdictCache) store(key [32]byte, removed []int) {
 }
 
 // verdictCacheKey derives the canonical content hash of one
-// minimization problem. Nodes are encoded field-by-field (activity,
+// minimization problem without building its point graph. The derived
+// guards are a function of the constraint set (deriveGuardsFrom reads
+// each HappenBefore constraint's endpoints, condition and Control
+// origin, and the branch domains), so the key hashes those inputs
+// instead of the guards themselves: every constraint carries its
+// Control-origin bit. Supplied guards override derived ones per node
+// and are hashed as given. Nodes are encoded field-by-field (activity,
 // service, port, each NUL-terminated) rather than via Node.String(),
 // whose "Service.port" rendering could collide with an activity id
 // containing a dot; conditions and guards use cond.Expr.AppendKey, the
-// canonical DNF encoding. The guard map and domain map are serialized
-// in sorted order so the hash is independent of map iteration. A
-// version prefix keeps entries from ever being replayed across an
-// encoding change.
-func verdictCacheKey(sc *ConstraintSet, guards map[Node]cond.Expr, doms cond.Domains, strict bool) [32]byte {
+// canonical DNF encoding. The guard map and the decisions are
+// serialized in sorted order so the hash is independent of map
+// iteration and declaration order. A version prefix keeps entries from ever being replayed
+// across an encoding change.
+func verdictCacheKey(sc *ConstraintSet, guards map[Node]cond.Expr, strict bool) [32]byte {
 	h := sha256.New()
 	buf := make([]byte, 0, 256)
-	buf = append(buf, "dscweaver/minimize/v1\x00"...)
-	if strict {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, "dscweaver/minimize/v2\x00"...)
+	buf = append(buf, boolByte(strict))
 	h.Write(buf)
 	for _, c := range sc.constraints {
 		buf = buf[:0]
-		buf = append(buf, byte(c.Rel))
+		buf = append(buf, byte(c.Rel), boolByte(c.HasOrigin(Control)))
 		buf = appendPointKey(buf, c.From)
 		buf = appendPointKey(buf, c.To)
 		buf = c.Cond.AppendKey(buf)
@@ -119,16 +124,13 @@ func verdictCacheKey(sc *ConstraintSet, guards map[Node]cond.Expr, doms cond.Dom
 		h.Write(buf)
 	}
 	h.Write([]byte{0xfd})
-	decisions := make([]string, 0, len(doms))
-	for d := range doms {
-		decisions = append(decisions, d)
-	}
-	sort.Strings(decisions)
-	for _, d := range decisions {
+	decisions := sc.Proc.Decisions()
+	slices.SortFunc(decisions, func(a, b *Activity) int { return strings.Compare(string(a.ID), string(b.ID)) })
+	for _, a := range decisions {
 		buf = buf[:0]
-		buf = append(buf, d...)
+		buf = append(buf, a.ID...)
 		buf = append(buf, 0)
-		for _, val := range doms[d] {
+		for _, val := range a.BranchDomain() {
 			buf = append(buf, val...)
 			buf = append(buf, 0)
 		}
@@ -138,6 +140,13 @@ func verdictCacheKey(sc *ConstraintSet, guards map[Node]cond.Expr, doms cond.Dom
 	var key [32]byte
 	h.Sum(key[:0])
 	return key
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func appendNodeKey(buf []byte, n Node) []byte {

@@ -8,6 +8,7 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dscweaver/internal/cond"
@@ -193,6 +194,123 @@ func TestVerdictCacheDecisionRecord(t *testing.T) {
 			if hit.decision.Checks != 0 || hit.decision.Pairs != 0 {
 				t.Errorf("hit checks/pairs = %d/%d, want 0/0", hit.decision.Checks, hit.decision.Pairs)
 			}
+		})
+	}
+}
+
+// guardedFixture is a0 → dec, dec →[dec=T] a2 and a0 → a2. When the
+// dec → a2 edge is a control dependency, a2 runs only under dec=T and
+// the unconditional a0 → a2 is redundant; as a data edge it guards
+// nothing and a0 → a2 stays.
+func guardedFixture(controlOrigin core.Dimension) *core.ConstraintSet {
+	p := core.NewProcess("guarded")
+	p.MustAddActivity(&core.Activity{ID: "a0", Kind: core.KindOpaque})
+	p.MustAddActivity(&core.Activity{ID: "dec", Kind: core.KindDecision})
+	p.MustAddActivity(&core.Activity{ID: "a2", Kind: core.KindOpaque})
+	s := core.NewConstraintSet(p)
+	s.Before("a0", "dec", core.Data)
+	s.Add(core.Constraint{Rel: core.HappenBefore, From: core.PointOf("dec", core.Finish), To: core.PointOf("a2", core.Start),
+		Cond: cond.Lit("dec", "T"), Origins: []core.Dimension{controlOrigin}})
+	s.Before("a0", "a2", core.Data)
+	return s
+}
+
+// TestVerdictCacheKeyHashesControlOrigin: the key stands in for the
+// derived guards by hashing what they derive from, so two sets that
+// differ only in one constraint's Control origin — and hence in their
+// guards and their minimal sets — must not share an entry. A key that
+// dropped the guards without hashing the origin would serve the second
+// set the first one's removals.
+func TestVerdictCacheKeyHashesControlOrigin(t *testing.T) {
+	control, data := guardedFixture(core.Control), guardedFixture(core.Data)
+	vc := core.NewVerdictCache(0)
+	reg := obs.NewRegistry()
+	for _, sc := range []*core.ConstraintSet{control, data} {
+		want, err := core.Minimize(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{VerdictCache: vc, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.VerdictCacheHit {
+			t.Errorf("%s: served by an entry of a set with other guards", sc)
+		}
+		if got.Minimal.String() != want.Minimal.String() {
+			t.Errorf("minimal set differs from an uncached run:\nwant:\n%s\ngot:\n%s", want.Minimal, got.Minimal)
+		}
+	}
+	requireVerdictCounters(t, reg, 0, 2)
+	a, err := core.Minimize(control)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.Minimize(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Removed) != 1 || len(b.Removed) != 0 {
+		t.Fatalf("fixture removes %d and %d constraints, want 1 and 0 — the origin no longer matters", len(a.Removed), len(b.Removed))
+	}
+}
+
+// TestVerdictCacheCorruptEntryFallsBack: an entry whose indices do not
+// fit the input — out of range, repeated, or naming a constraint that
+// is not HappenBefore — is not replayed. The run falls back to a full
+// minimization, counts a miss, and overwrites the entry, so the next
+// run is a hit with the same answer.
+func TestVerdictCacheCorruptEntryFallsBack(t *testing.T) {
+	_, asc, _, err := purchasing.Pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.NewConstraintSet(asc.Proc)
+	for i := 0; i < asc.Len(); i++ {
+		sc.Add(asc.At(i))
+	}
+	sc.Add(core.Constraint{Rel: core.Exclusive, From: core.PointOf(purchasing.InvPurchasePo, core.Run),
+		To: core.PointOf(purchasing.InvProductionPo, core.Run), Cond: cond.True()})
+	exclusive := sc.Len() - 1
+	want, err := core.Minimize(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb := -1 // a HappenBefore constraint the minimization keeps
+	for i := 0; i < sc.Len() && hb < 0; i++ {
+		if c := sc.At(i); c.Rel == core.HappenBefore && !strings.Contains(removedString(want), c.String()+"\n") {
+			hb = i
+		}
+	}
+	if hb < 0 {
+		t.Fatal("fixture keeps no HappenBefore constraint")
+	}
+	for _, tc := range []struct {
+		name    string
+		removed []int
+	}{
+		{"out of range", []int{sc.Len()}},
+		{"negative", []int{-1}},
+		{"repeated", []int{hb, hb}},
+		{"not HappenBefore", []int{exclusive}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vc := core.NewVerdictCache(0)
+			vc.Plant(sc, nil, false, tc.removed)
+			reg := obs.NewRegistry()
+			for run, hit := range []bool{false, true} {
+				got, err := core.MinimizeOpt(context.Background(), sc, core.MinimizeOptions{VerdictCache: vc, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.VerdictCacheHit != hit {
+					t.Errorf("run %d: verdict cache hit = %v, want %v", run, got.VerdictCacheHit, hit)
+				}
+				if got.Minimal.String() != want.Minimal.String() || removedString(got) != removedString(want) {
+					t.Errorf("run %d: result differs from an uncached run:\nwant:\n%s\ngot:\n%s", run, want.Minimal, got.Minimal)
+				}
+			}
+			requireVerdictCounters(t, reg, 1, 1)
 		})
 	}
 }

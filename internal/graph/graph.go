@@ -44,9 +44,6 @@ func (g *Digraph) AddNode() int {
 	return id
 }
 
-// Len returns the number of nodes.
-func (g *Digraph) Len() int { return g.n }
-
 // AddEdge inserts the edge u→v if absent. It reports whether the edge
 // was newly added. Self-loops are rejected with a panic: the dependency
 // sets this package serves are irreflexive by construction, so a
@@ -111,18 +108,6 @@ func (g *Digraph) Edges() [][2]int {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := New(g.n)
-	for i := 0; i < g.n; i++ {
-		c.AddNode()
-	}
-	for e := range g.edges {
-		c.AddEdge(e[0], e[1])
-	}
-	return c
 }
 
 // ErrCycle is wrapped by TopoSort when the graph is cyclic.
@@ -317,17 +302,6 @@ func (g *Digraph) Reachable(src, dst int) bool {
 		}
 	}
 	return false
-}
-
-// Sources returns all nodes with no predecessors, ascending.
-func (g *Digraph) Sources() []int {
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if len(g.pred[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // LongestPathLengths returns, for a DAG, the length (in edges) of the

@@ -120,7 +120,10 @@ func TestEveryBackEndAcceptsTheMinimalSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guards := res.Guards
+	guards, err := core.DeriveGuards(asc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Petri validation.
 	rep, err := petri.Validate(context.Background(), res.Minimal, guards)
@@ -216,7 +219,10 @@ func TestObservabilityRoundTripPurchasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guards := res.Guards
+	guards, err := core.DeriveGuards(asc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	reg := obs.NewRegistry()
 	path := filepath.Join(t.TempDir(), "events.jsonl")

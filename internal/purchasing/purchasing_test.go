@@ -213,11 +213,15 @@ func TestExplainAllThirteenRemovals(t *testing.T) {
 	// Every one of the 13 constraints removed from the ASC has a
 	// witness: covering paths, or vacuousness. The headline case —
 	// if_au → replyClient_oi — needs both branch paths.
-	_, _, res, err := Pipeline()
+	_, asc, res, err := Pipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	removals, err := core.ExplainRemovals(res)
+	guards, err := core.DeriveGuards(asc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removals, err := core.ExplainRemovals(res, guards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +241,15 @@ func TestExplainAllThirteenRemovals(t *testing.T) {
 }
 
 func TestMinimizeIdempotent(t *testing.T) {
-	_, _, res, err := Pipeline()
+	_, asc, res, err := Pipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.MinimizeOpt(context.Background(), res.Minimal, core.MinimizeOptions{Guards: res.Guards})
+	guards, err := core.DeriveGuards(asc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := core.MinimizeOpt(context.Background(), res.Minimal, core.MinimizeOptions{Guards: guards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,12 @@ func TestQuickEngineAgreesWithPetriValidator(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		guards, err := core.DeriveGuards(sc)
+		if err != nil {
+			return false
+		}
 
-		rep, err := petri.Validate(context.Background(), res.Minimal, res.Guards)
+		rep, err := petri.Validate(context.Background(), res.Minimal, guards)
 		if err != nil || !rep.Sound {
 			t.Logf("seed %d: petri validator rejects minimal set: %v %+v", seed, err, rep)
 			return false
@@ -51,7 +55,7 @@ func TestQuickEngineAgreesWithPetriValidator(t *testing.T) {
 		}
 		for trial := 0; trial < 3; trial++ {
 			eng, err := New(res.Minimal, NoopExecutors(sc.Proc, 0, branch), Options{
-				Guards:  res.Guards,
+				Guards:  guards,
 				Timeout: 10 * time.Second,
 			})
 			if err != nil {
@@ -62,7 +66,7 @@ func TestQuickEngineAgreesWithPetriValidator(t *testing.T) {
 				t.Logf("seed %d trial %d: engine failed: %v\n%s", seed, trial, err, tr)
 				return false
 			}
-			if err := tr.Validate(sc, res.Guards); err != nil {
+			if err := tr.Validate(sc, guards); err != nil {
 				t.Logf("seed %d trial %d: trace invalid: %v", seed, trial, err)
 				return false
 			}

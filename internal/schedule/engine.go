@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,7 +142,7 @@ type Engine struct {
 	opts   Options
 	m      *engineMetrics // nil when Options.Metrics is nil
 	sink   obs.Sink       // nil when Options.Events is nil
-	rnd    *retryRand     // jitter source, seeded by Options.RetrySeed
+	rnd    retryRand      // jitter source, seeded by Options.RetrySeed
 
 	// static wiring
 	inEdges  map[core.ActivityID][]edgeRef // constraints targeting the activity
@@ -202,7 +203,11 @@ type edgeRef struct {
 }
 
 // New validates the constraint set (activity-level nodes only,
-// desugared, acyclic) and prepares an engine.
+// desugared, acyclic) and prepares an engine. Supplied guards are
+// trusted: the set's order is then checked over flat point arrays
+// (pointOrdered) instead of by deriving guards it would discard, and
+// only a rejected set pays for core.DeriveGuards, whose error New
+// returns.
 func New(sc *core.ConstraintSet, execs map[core.ActivityID]Executor, opts Options) (*Engine, error) {
 	if sc.HasServiceNodes() {
 		return nil, fmt.Errorf("schedule: constraint set mentions external nodes; translate first")
@@ -214,14 +219,14 @@ func New(sc *core.ConstraintSet, execs map[core.ActivityID]Executor, opts Option
 		}
 	}
 	guards := opts.Guards
-	if guards == nil {
-		g, err := core.DeriveGuards(sc) // also rejects cyclic sets
+	if guards == nil || !pointOrdered(sc) {
+		g, err := core.DeriveGuards(sc) // rejects cyclic sets
 		if err != nil {
 			return nil, err
 		}
-		guards = g
-	} else if _, err := core.DeriveGuards(sc); err != nil {
-		return nil, err // cycle check even with supplied guards
+		if guards == nil {
+			guards = g
+		}
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
@@ -229,7 +234,7 @@ func New(sc *core.ConstraintSet, execs map[core.ActivityID]Executor, opts Option
 	e := &Engine{
 		sc: sc, proc: sc.Proc, execs: execs, guards: guards, opts: opts,
 		m: newEngineMetrics(opts.Metrics), sink: opts.Events,
-		rnd:     newRetryRand(opts.RetrySeed),
+		rnd:     retryRand{seed: opts.RetrySeed},
 		inEdges: map[core.ActivityID][]edgeRef{},
 		mutexes: map[core.ActivityID][]int{},
 	}
@@ -254,6 +259,92 @@ func (e *Engine) guardOf(id core.ActivityID) cond.Expr {
 		return g
 	}
 	return cond.True()
+}
+
+// pointOrdered reports whether sc passes the order checks
+// core.DeriveGuards makes, without building a point graph: the
+// HappenBefore constraints plus each activity's S→R→F edges must form
+// a DAG over life-cycle points with no self-loop and no edge twice,
+// and the Control-origin constraints must be acyclic over activities.
+// Order is checked per point, not per activity: S(a)→F(b) beside
+// S(b)→F(a) is a valid order. A false answer only sends New to
+// DeriveGuards, which decides and words the rejection.
+func pointOrdered(sc *core.ConstraintSet) bool {
+	acts := sc.Proc.Activities()
+	ids := make(map[core.ActivityID]int, len(acts))
+	node := func(id core.ActivityID) int {
+		i, ok := ids[id]
+		if !ok {
+			i = len(ids)
+			ids[id] = i
+		}
+		return i
+	}
+	for _, a := range acts {
+		node(a.ID)
+	}
+	point := func(p core.Point) int { return 3*node(p.Node.Activity) + int(p.State) }
+	edges := make([]uint64, 0, sc.Len()+2*len(acts))
+	var control []uint64
+	for i := 0; i < sc.Len(); i++ {
+		c := sc.At(i)
+		if c.Rel != core.HappenBefore {
+			continue
+		}
+		if c.From.State < core.Start || c.From.State > core.Finish || c.To.State < core.Start || c.To.State > core.Finish {
+			return false
+		}
+		edges = append(edges, packEdge(point(c.From), point(c.To)))
+		if c.HasOrigin(core.Control) {
+			control = append(control, packEdge(node(c.From.Node.Activity), node(c.To.Node.Activity)))
+		}
+	}
+	for a := 0; a < len(ids); a++ {
+		edges = append(edges, packEdge(3*a, 3*a+1), packEdge(3*a+1, 3*a+2))
+	}
+	slices.Sort(edges)
+	for i := 1; i < len(edges); i++ {
+		if edges[i] == edges[i-1] {
+			return false
+		}
+	}
+	slices.Sort(control)
+	return acyclic(3*len(ids), edges) && acyclic(len(ids), control)
+}
+
+func packEdge(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// acyclic runs Kahn's algorithm over n vertices and sorted packed u→v
+// edges; a self-loop counts as a cycle.
+func acyclic(n int, edges []uint64) bool {
+	if len(edges) == 0 {
+		return true
+	}
+	indeg := make([]int32, n)
+	start := make([]int32, n+1) // edges[start[u]:start[u+1]] leave u
+	for _, e := range edges {
+		indeg[uint32(e)]++
+		start[e>>32+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	queue := make([]int32, 0, n)
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			queue = append(queue, int32(v))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, e := range edges[start[u]:start[u+1]] {
+			v := uint32(e)
+			if indeg[v]--; indeg[v] == 0 {
+				queue = append(queue, int32(v))
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 // board is the shared event state; all fields except cancel are

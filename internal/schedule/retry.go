@@ -99,17 +99,13 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 }
 
 // retryRand is a locked, seeded random source for jitter draws; one
-// per engine so replayed chaos runs see a stable stream.
+// per engine so replayed chaos runs see a stable stream. The source is
+// created on the first draw, so an engine that never jitters never
+// seeds one; a given seed draws the same sequence either way.
 type retryRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newRetryRand(seed int64) *retryRand {
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	return &retryRand{rng: rand.New(rand.NewSource(seed))}
+	mu   sync.Mutex
+	seed int64 // 0 = seeded from the clock at the first draw
+	rng  *rand.Rand
 }
 
 // jitter draws uniformly from [0, d].
@@ -119,5 +115,12 @@ func (r *retryRand) jitter(d time.Duration) time.Duration {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.rng == nil {
+		seed := r.seed
+		if seed == 0 {
+			seed = time.Now().UnixNano()
+		}
+		r.rng = rand.New(rand.NewSource(seed))
+	}
 	return time.Duration(r.rng.Int63n(int64(d) + 1))
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -128,6 +129,29 @@ func TestRetryTransientExponentialJitteredBounded(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "retry budget") {
 		t.Errorf("err = %v, want a retry-budget diagnostic", err)
+	}
+}
+
+// TestRetrySeedDrawsSameJitterSequence: an engine seeds no jitter
+// source until its first draw, and a given RetrySeed still draws the
+// sequence math/rand gives for that seed, engine after engine.
+func TestRetrySeedDrawsSameJitterSequence(t *testing.T) {
+	for engine := 0; engine < 2; engine++ {
+		e, err := New(singleSet(), nil, Options{RetrySeed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.rnd.rng != nil {
+			t.Fatal("New seeded a jitter source before any draw")
+		}
+		ref := rand.New(rand.NewSource(42))
+		for i := 1; i <= 16; i++ {
+			d := time.Duration(i) * time.Millisecond
+			want := time.Duration(ref.Int63n(int64(d) + 1))
+			if got := e.rnd.jitter(d); got != want {
+				t.Fatalf("engine %d draw %d: jitter(%v) = %v, want %v", engine, i, d, got, want)
+			}
+		}
 	}
 }
 

@@ -154,7 +154,9 @@ func TestCompareMinimalVsConstructBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	study := Study{Trials: 200, Seed: 7, Latency: Uniform(time.Millisecond, 4*time.Millisecond), Branch: constBranch("T")}
-	study.Guards = res.Guards
+	if study.Guards, err = core.DeriveGuards(baseline); err != nil {
+		t.Fatal(err)
+	}
 	base, err := Estimate(baseline, study)
 	if err != nil {
 		t.Fatal(err)

@@ -35,13 +35,15 @@ import (
 // record is one line of a segment: a run beginning, one of its
 // lifecycle events, or its terminal status. Ev is kept as raw JSON so
 // replaying a run's event log returns the exact bytes that were
-// appended, not a decode/re-encode round trip.
+// appended, not a decode/re-encode round trip. Ev stays the last
+// field: Appender.Emit writes an event record's head and payload
+// around it (eventPrefix).
 type record struct {
 	T    string          `json:"t"` // "begin", "event" or "finish"
 	Run  string          `json:"run"`
 	Seq  int64           `json:"seq,omitempty"`  // begin: numeric id suffix
 	Kind string          `json:"kind,omitempty"` // begin: "weave", "simulate", "enact" or "enact_join"
-	Wall time.Time       `json:"wall,omitempty"` // begin: start time
+	Wall time.Time       `json:"wall,omitzero"`  // begin: start time
 	Proc string          `json:"proc,omitempty"` // finish: process name
 	OK   bool            `json:"ok,omitempty"`   // finish: terminal status
 	Err  string          `json:"err,omitempty"`  // finish: terminal error
@@ -378,7 +380,7 @@ func (s *Store) updateGauges() {
 // Begin registers a run and appends its begin record. The returned
 // appender is never nil; in degraded mode it is a no-op shell.
 func (s *Store) Begin(id string, seq int64, kind string, began time.Time) *Appender {
-	a := &Appender{s: s, id: id}
+	a := &Appender{s: s, id: id, evPrefix: eventPrefix(id)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.degraded {
@@ -403,21 +405,39 @@ func (s *Store) Begin(id string, seq int64, kind string, began time.Time) *Appen
 type Appender struct {
 	s  *Store
 	id string
+	// evPrefix is an event record's line up to its payload:
+	// {"t":"event","run":<id>,"ev":
+	evPrefix []byte
 }
 
-// Emit appends one event record. Failures degrade the store silently
-// (observability and history must not fail the request path).
+// eventPrefix renders the fixed head of run id's event records, the
+// bytes json.Marshal of record{T: recEvent, Run: id, Ev: …} puts
+// before the payload. Ev is the record's last field, so the head is
+// the record without it, less its closing brace.
+func eventPrefix(id string) []byte {
+	head, _ := json.Marshal(record{T: recEvent, Run: id}) // plain fields always marshal
+	return append(head[:len(head)-1], `,"ev":`...)
+}
+
+// Emit appends one event record. The line is encoded once, outside the
+// store lock: the marshalled event is already compact, so it goes in
+// verbatim between the record's head and its closing brace, byte for
+// byte what json.Marshal of the record would give. Failures degrade
+// the store silently (observability and history must not fail the
+// request path).
 func (a *Appender) Emit(e obs.Event) {
 	raw, err := json.Marshal(e)
 	if err != nil {
 		return
 	}
+	line := make([]byte, 0, len(a.evPrefix)+len(raw)+2)
+	line = append(append(append(line, a.evPrefix...), raw...), '}', '\n')
 	a.s.mu.Lock()
 	defer a.s.mu.Unlock()
 	if a.s.degraded {
 		return
 	}
-	if a.s.appendLocked(record{T: recEvent, Run: a.id, Ev: raw}, false) {
+	if a.s.appendLineLocked(record{T: recEvent, Run: a.id}, line, false) {
 		a.s.runs[a.id].meta.Events++
 	}
 }
@@ -442,13 +462,24 @@ func (a *Appender) Finish(proc string, runErr error) {
 	rs.meta.Done, rs.meta.OK, rs.meta.Err, rs.meta.Proc = true, rec.OK, rec.Err, proc
 }
 
-// appendLocked marshals and appends one record to the active segment,
-// rotating first when the append would overflow it, flushing (and
-// fsyncing, when configured) on terminal records. It creates the
-// run's catalog entry on first sight and extends its newest location.
+// appendLocked marshals one record and appends it with
+// appendLineLocked. Callers hold s.mu.
+func (s *Store) appendLocked(rec record, flush bool) bool {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return false
+	}
+	return s.appendLineLocked(rec, append(line, '\n'), flush)
+}
+
+// appendLineLocked appends one encoded record line to the active
+// segment, rotating first when the append would overflow it, flushing
+// (and fsyncing, when configured) on terminal records; rec carries the
+// line's catalog fields (its Ev is not read). It creates the run's
+// catalog entry on first sight and extends its newest location.
 // Returns false when the append was lost to a write fault (the store
 // is then degraded). Callers hold s.mu.
-func (s *Store) appendLocked(rec record, flush bool) bool {
+func (s *Store) appendLineLocked(rec record, line []byte, flush bool) bool {
 	if s.active == nil {
 		s.degrade(fmt.Errorf("store: no active segment"))
 		return false
@@ -461,11 +492,6 @@ func (s *Store) appendLocked(rec record, flush bool) bool {
 	if _, ok := s.runs[rec.Run]; !ok && rec.T != recBegin {
 		return false
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return false
-	}
-	line = append(line, '\n')
 	if s.active.size > 0 && s.active.size+int64(len(line)) > s.opts.SegmentBytes {
 		if err := s.sealActiveLocked(); err != nil {
 			s.degrade(err)
