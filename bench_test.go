@@ -818,8 +818,10 @@ func BenchmarkWeavePipelineStages(b *testing.B) {
 
 // BenchmarkServerWeave measures dscweaverd's weave request throughput
 // through the full HTTP stack (decode → pipeline → Petri verdict →
-// encode). scripts/bench.sh turns the ns/op into req/sec for
-// BENCH_server.json.
+// encode). Two untimed requests first compile the source into the
+// compile cache, so every timed request is a cache hit plus the
+// verdict, whatever the iteration count. scripts/bench.sh turns the
+// ns/op into req/sec for BENCH_server.json.
 func BenchmarkServerWeave(b *testing.B) {
 	src := mustRead(b, "internal/dscl/testdata/purchasing.dscl")
 	s, err := server.New(server.Config{})
@@ -834,8 +836,7 @@ func BenchmarkServerWeave(b *testing.B) {
 		b.Fatal(err)
 	}
 	client := ts.Client()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	post := func() {
 		resp, err := client.Post(ts.URL+"/v1/weave", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
@@ -846,5 +847,66 @@ func BenchmarkServerWeave(b *testing.B) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+	}
+	post()
+	post()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// BenchmarkServerWeaveCache measures one weave request through the full
+// HTTP stack with validation off, so what it times is the compile
+// cache: the hit row re-sends one purchasing source the cache already
+// holds, the miss row sends a source made unique by a trailing comment,
+// so every request parses, merges, desugars, translates and minimizes.
+// CI gates the hit row's allocs/op.
+func BenchmarkServerWeaveCache(b *testing.B) {
+	src := mustRead(b, "internal/dscl/testdata/purchasing.dscl")
+	noValidate := false
+	for _, tc := range []struct {
+		name   string
+		source func(i int) string
+	}{
+		{"hit", func(int) string { return src }},
+		{"miss", func(i int) string { return fmt.Sprintf("%s\n// request %d\n", src, i) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := server.New(server.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			defer s.Shutdown()
+			client := ts.Client()
+			post := func(i int) {
+				body, err := json.Marshal(server.WeaveRequest{Source: tc.source(i), Validate: &noValidate})
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp, err := client.Post(ts.URL+"/v1/weave", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.StatusCode != 200 {
+					raw, _ := io.ReadAll(resp.Body)
+					b.Fatalf("weave: %d %s", resp.StatusCode, raw)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			// Two sightings admit the hit row's source.
+			post(-2)
+			post(-1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(i)
+			}
+			b.StopTimer()
+			hits := s.Registry().Counter("compile_cache_total", "result", "hit").Value()
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
 	}
 }

@@ -35,8 +35,6 @@
 //	-store-fsync     fsync the store on every run finish
 //	-concurrency N   weave worker pool size (default GOMAXPROCS)
 //	-queue-wait D    max wait for a pool slot before shedding (default 2s)
-//	-verdict-cache N cross-run minimize verdict cache entries
-//	                 (0 = 256 default, negative disables)
 //	-fabric-token T  shared bearer secret for the inter-node enactment
 //	                 surface (/v1/transport/invoke, /v1/enact/join);
 //	                 every member of a multi-process enactment must
@@ -72,7 +70,6 @@ func main() {
 	storeFsync := flag.Bool("store-fsync", false, "fsync the run store on every run finish")
 	concurrency := flag.Int("concurrency", 0, "weave worker pool size (0 = GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", 0, "max wait for a pool slot before shedding with 429 (0 = 2s default)")
-	verdictCache := flag.Int("verdict-cache", 0, "cross-run minimize verdict cache size in entries (0 = 256 default, negative disables)")
 	fabricToken := flag.String("fabric-token", "", "shared bearer secret for the inter-node enactment surface")
 	chaosNet := flag.String("chaos-net", "", "seeded network-fault plan for outgoing enactment frames, e.g. '*>*:partition=1500ms;lose=2'")
 	chaosNetSeed := flag.Int64("chaos-net-seed", 1, "seed for -chaos-net")
@@ -105,9 +102,6 @@ func main() {
 	}
 	if *queueWait != 0 {
 		cfg.QueueWait = *queueWait
-	}
-	if *verdictCache != 0 {
-		cfg.VerdictCacheSize = *verdictCache
 	}
 	if *fabricToken != "" {
 		cfg.FabricToken = *fabricToken

@@ -102,9 +102,9 @@ func isBaseURL(u string) bool {
 }
 
 // EnactJoinRequest is what the coordinator ships each peer: the same
-// weave inputs (the peer re-weaves deterministically) plus the
-// explicit, already-normalized partition and the host→URL ownership
-// map for routing notes.
+// weave inputs (the peer re-weaves deterministically, or resumes from
+// its compile cache) plus the explicit, already-normalized partition
+// and the host→URL ownership map for routing notes.
 type EnactJoinRequest struct {
 	SimulateRequest
 	// RunID correlates every transport frame of this enactment.
@@ -440,13 +440,13 @@ func (s *Server) openFabric(runID, node string, routes map[string]string, timeou
 	}, nil
 }
 
-// decodeNote rebuilds a Note from the transport's decoded-JSON
-// payload.
+// decodeNote decodes a Note from the transport's raw JSON payload, in
+// one pass.
 func decodeNote(v any) (enact.Note, error) {
 	var n enact.Note
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return n, fmt.Errorf("note payload: %w", err)
+	raw, ok := v.(json.RawMessage)
+	if !ok {
+		return n, fmt.Errorf("note payload: %T, want raw JSON", v)
 	}
 	if err := json.Unmarshal(raw, &n); err != nil {
 		return n, fmt.Errorf("note payload: %w", err)
@@ -530,28 +530,52 @@ func (s *Server) enactOptions(q *SimulateRequest, out *weave.Result, plan *decen
 
 // planEnactment weaves the request and computes the normalized
 // executable plan: pinned placement, exclusive co-location, host cap.
-func (s *Server) planEnactment(ctx context.Context, q *SimulateRequest, nodes int, sink obs.Sink) (*weave.Result, *decentral.Plan, error) {
-	out, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
+// It also returns the static message savings. A compiled source serves
+// the placement and savings its entry memoized; only the fold to this
+// request's node cap runs per request.
+func (s *Server) planEnactment(ctx context.Context, q *SimulateRequest, nodes int, sink obs.Sink) (*weave.Result, *decentral.Plan, int, error) {
+	out, entry, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	minimal := out.Minimize.Minimal
-	plan, err := decentral.Place(minimal, decentral.Pin(out.Parsed.Proc))
+	var plan *decentral.Plan
+	var savings int
+	if entry != nil {
+		plan, savings, err = entry.placement(out)
+	} else {
+		plan, savings, err = placeMinimal(out)
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
+	}
+	if plan, err = decentral.Fold(out.Minimize.Minimal, plan, nodes); err != nil {
+		return nil, nil, 0, err
+	}
+	return out, plan, savings, nil
+}
+
+// placeMinimal places a woven minimal set: pinned placement with
+// exclusive co-location, before any host cap. savings is the static
+// headline under the same (unfolded) pinning: how many cross-host
+// messages minimization saves (0 when the comparison fails).
+func placeMinimal(out *weave.Result) (plan *decentral.Plan, savings int, err error) {
+	minimal := out.Minimize.Minimal
+	pin := decentral.Pin(out.Parsed.Proc)
+	if plan, err = decentral.Place(minimal, pin); err != nil {
+		return nil, 0, err
 	}
 	if plan, err = decentral.CoLocate(minimal, plan); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	if plan, err = decentral.Fold(minimal, plan, nodes); err != nil {
-		return nil, nil, err
+	if cmp, cerr := decentral.Compare(out.Translated, minimal, pin); cerr == nil {
+		savings = cmp.MessageSavings()
 	}
-	return out, plan, nil
+	return plan, savings, nil
 }
 
 // runEnactment coordinates one enactment end to end.
 func (s *Server) runEnactment(ctx context.Context, q *EnactRequest, rn *run, sink obs.Sink, r *http.Request) (*EnactResponse, error) {
-	out, plan, err := s.planEnactment(ctx, &q.SimulateRequest, q.Nodes, sink)
+	out, plan, savings, err := s.planEnactment(ctx, &q.SimulateRequest, q.Nodes, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -564,11 +588,7 @@ func (s *Server) runEnactment(ctx context.Context, q *EnactRequest, rn *run, sin
 		Hosts:               plan.Hosts,
 		Partition:           partitionJSON(plan.Partition),
 		PredictedCrossEdges: plan.CrossEdges,
-	}
-	// The static headline under the same (unfolded) pinning: how many
-	// cross-host messages minimization saves.
-	if cmp, cerr := decentral.Compare(out.Translated, out.Minimize.Minimal, decentral.Pin(proc)); cerr == nil {
-		resp.MessageSavings = cmp.MessageSavings()
+		MessageSavings:      savings,
 	}
 
 	if len(q.Peers) == 0 {
@@ -772,12 +792,12 @@ func (s *Server) postEnactJoin(ctx context.Context, baseURL string, q *EnactJoin
 }
 
 // runEnactJoin executes one shipped partition slice. The peer
-// re-weaves the same request (deterministic — same minimal set, same
-// guards) and runs exactly the coordinator's partition over the HTTP
-// fabric. Errors answer non-200; the coordinator folds them into its
-// in-band Error.
+// re-weaves the same request, or resumes it from its compile cache
+// (deterministic — same minimal set, same guards), and runs exactly
+// the coordinator's partition over the HTTP fabric. Errors answer
+// non-200; the coordinator folds them into its in-band Error.
 func (s *Server) runEnactJoin(ctx context.Context, q *EnactJoinRequest, rn *run, sink obs.Sink, _ *http.Request) (*EnactJoinResponse, error) {
-	out, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
+	out, _, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func FuzzWeaveRequestDecoder(f *testing.F) {
 		// The full pipeline runs behind the handler (validate + BPEL
 		// stages included); a weird but parseable process may
 		// legitimately error — only panics and hangs are failures.
-		out, err := s.runWeave(context.Background(), q, obs.NopSink{}, true)
+		out, _, err := s.runWeave(context.Background(), q, obs.NopSink{}, true)
 		if err != nil {
 			return
 		}

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -260,8 +261,7 @@ func TestLoadConfigHardeningKnobs(t *testing.T) {
 		"read_timeout": "9s",
 		"write_timeout": "11s",
 		"idle_timeout": "45s",
-		"max_header_bytes": 1234,
-		"verdict_cache_size": 17
+		"max_header_bytes": 1234
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestLoadConfigHardeningKnobs(t *testing.T) {
 	}
 	if cfg.QueueWait != 3*time.Second || cfg.ReadTimeout != 9*time.Second ||
 		cfg.WriteTimeout != 11*time.Second || cfg.IdleTimeout != 45*time.Second ||
-		cfg.MaxHeaderBytes != 1234 || cfg.VerdictCacheSize != 17 {
+		cfg.MaxHeaderBytes != 1234 {
 		t.Errorf("LoadConfig = %+v, want the hardening knobs parsed", cfg)
 	}
 }
@@ -281,11 +281,13 @@ func TestLoadConfigHardeningKnobs(t *testing.T) {
 // validate_parallel went with the parallel soundness explorer; the
 // events_path and log_* keys went with the rotating event log, whose
 // job the run store (store_dir) does; weave_parallelism went with the
-// minimizer worker pool.
+// minimizer worker pool; verdict_cache_size went with the server's
+// verdict cache, whose job the compile cache does.
 func TestLoadConfigRejectsRemovedKeys(t *testing.T) {
 	for _, tc := range []struct{ key, body string }{
 		{"validate_parallel", `{"validate_parallel": 2}`},
 		{"weave_parallelism", `{"weave_parallelism": 2}`},
+		{"verdict_cache_size", `{"verdict_cache_size": 17}`},
 		{"events_path", `{"events_path": "/tmp/events.jsonl"}`},
 		{"log_max_bytes", `{"log_max_bytes": 4096}`},
 		{"log_max_age", `{"log_max_age": "1h"}`},
@@ -302,10 +304,12 @@ func TestLoadConfigRejectsRemovedKeys(t *testing.T) {
 	}
 }
 
-// TestWeaveVerdictCacheAcrossRequests: the server shares one verdict
-// cache across requests — the second weave of the same source replays
-// the recorded removal sequence (identical response, verdict_cache_hit
-// set, the obs counters moving).
+// TestWeaveVerdictCacheAcrossRequests: the server shares one compile
+// cache across requests. The first weave of a source only remembers
+// its sighting, the second compiles it into the cache, and the third
+// replays the compiled minimal set: an identical response with
+// verdict_cache_hit set and no equivalence checks, counted in
+// compile_cache_total.
 func TestWeaveVerdictCacheAcrossRequests(t *testing.T) {
 	s, err := server.New(server.Config{})
 	if err != nil {
@@ -316,56 +320,66 @@ func TestWeaveVerdictCacheAcrossRequests(t *testing.T) {
 	defer s.Shutdown()
 
 	src := purchasingSource(t)
-	var cold, warm server.WeaveResponse
-	if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &cold); code != http.StatusOK {
-		t.Fatalf("cold weave: %d %s", code, raw)
+	var resps [3]server.WeaveResponse
+	for i := range resps {
+		if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &resps[i]); code != http.StatusOK {
+			t.Fatalf("weave %d: %d %s", i, code, raw)
+		}
 	}
-	if cold.VerdictCacheHit {
-		t.Error("first weave of the source reported verdict_cache_hit")
+	for i, wv := range resps[:2] {
+		if wv.VerdictCacheHit || wv.EquivalenceChecks == 0 {
+			t.Errorf("weave %d: verdict_cache_hit=%v with %d equivalence checks, want a compiled miss",
+				i, wv.VerdictCacheHit, wv.EquivalenceChecks)
+		}
 	}
-	if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &warm); code != http.StatusOK {
-		t.Fatalf("warm weave: %d %s", code, raw)
-	}
+	warm := resps[2]
 	if !warm.VerdictCacheHit {
-		t.Error("repeat weave of the same source missed the verdict cache")
+		t.Error("third weave of the same source missed the compile cache")
 	}
 	if warm.EquivalenceChecks != 0 {
 		t.Errorf("replayed weave reports %d equivalence checks, want 0", warm.EquivalenceChecks)
 	}
-	if warm.MinimalConstraints != cold.MinimalConstraints || warm.Removed != cold.Removed ||
-		strings.Join(warm.Minimal, "\n") != strings.Join(cold.Minimal, "\n") {
-		t.Errorf("replayed weave differs from the cold one:\ncold: %+v\nwarm: %+v", cold, warm)
+	cold := resps[1]
+	cold.RunID, cold.VerdictCacheHit, cold.EquivalenceChecks = warm.RunID, true, 0
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("replayed weave differs from the compiled one:\ncold: %+v\nwarm: %+v", resps[1], warm)
 	}
-	if got := s.Registry().Counter("minimize_verdict_cache_hits_total").Value(); got != 1 {
-		t.Errorf("minimize_verdict_cache_hits_total = %d, want 1", got)
-	}
-	if got := s.Registry().Counter("minimize_verdict_cache_misses_total").Value(); got != 1 {
-		t.Errorf("minimize_verdict_cache_misses_total = %d, want 1", got)
+	for result, want := range map[string]int64{"hit": 1, "miss": 2, "admit": 1, "evict": 0} {
+		if got := s.Registry().Counter("compile_cache_total", "result", result).Value(); got != want {
+			t.Errorf("compile_cache_total{result=%q} = %d, want %d", result, got, want)
+		}
 	}
 }
 
-// TestWeaveVerdictCacheDisabled: a negative verdict_cache_size turns
-// the shared cache off — repeat weaves re-run Def. 6 work.
-func TestWeaveVerdictCacheDisabled(t *testing.T) {
-	s, err := server.New(server.Config{VerdictCacheSize: -1})
+// TestWeaveNaiveMinimizerBypassesCompileCache: the naive-minimizer test
+// seam skips the compile cache, so every weave of a source decides its
+// candidates again.
+func TestWeaveNaiveMinimizerBypassesCompileCache(t *testing.T) {
+	s, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	server.UseNaiveMinimizer(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Shutdown()
 
 	src := purchasingSource(t)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		var wv server.WeaveResponse
 		if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &wv); code != http.StatusOK {
 			t.Fatalf("weave %d: %d %s", i, code, raw)
 		}
 		if wv.VerdictCacheHit {
-			t.Errorf("weave %d hit a disabled verdict cache", i)
+			t.Errorf("weave %d hit the compile cache under the naive minimizer", i)
 		}
 		if wv.EquivalenceChecks == 0 {
-			t.Errorf("weave %d ran no equivalence checks with the cache disabled", i)
+			t.Errorf("weave %d ran no equivalence checks under the naive minimizer", i)
+		}
+	}
+	for _, result := range []string{"hit", "miss", "admit"} {
+		if got := s.Registry().Counter("compile_cache_total", "result", result).Value(); got != 0 {
+			t.Errorf("compile_cache_total{result=%q} = %d, want 0", result, got)
 		}
 	}
 }

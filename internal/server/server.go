@@ -68,12 +68,6 @@ type Config struct {
 	// (weave, simulate, enact, enact_join) — the worker pool (default
 	// GOMAXPROCS).
 	WeaveConcurrency int
-	// VerdictCacheSize caps the server-wide cross-run minimize verdict
-	// cache: repeated weaves of an already-decided constraint set replay
-	// the recorded removal sequence instead of re-running Definition 6.
-	// 0 takes the core default (256 entries); negative disables the
-	// cache.
-	VerdictCacheSize int
 	// QueueWait bounds how long an admitted request may sit waiting for
 	// a weave pool slot before the server sheds it with 429 +
 	// Retry-After (default 2s; always capped by the request timeout).
@@ -175,7 +169,6 @@ type fileConfig struct {
 	RequestTimeout   string               `json:"request_timeout"`
 	ShutdownGrace    string               `json:"shutdown_grace"`
 	WeaveConcurrency int                  `json:"weave_concurrency"`
-	VerdictCacheSize int                  `json:"verdict_cache_size"`
 	QueueWait        string               `json:"queue_wait"`
 	ReadTimeout      string               `json:"read_timeout"`
 	WriteTimeout     string               `json:"write_timeout"`
@@ -208,7 +201,6 @@ func LoadConfig(path string) (Config, error) {
 		Addr:              fc.Addr,
 		MaxBodyBytes:      fc.MaxBodyBytes,
 		WeaveConcurrency:  fc.WeaveConcurrency,
-		VerdictCacheSize:  fc.VerdictCacheSize,
 		MaxHeaderBytes:    fc.MaxHeaderBytes,
 		RunHistory:        fc.RunHistory,
 		StoreDir:          fc.StoreDir,
@@ -244,14 +236,14 @@ func LoadConfig(path string) (Config, error) {
 
 // Server is one dscweaverd instance.
 type Server struct {
-	cfg    Config
-	reg    *obs.Registry
-	runs   *runStore
-	store  *store.Store       // nil unless StoreDir configured
-	vcache *core.VerdictCache // shared cross-run minimize verdict cache (nil when disabled)
-	// naiveMinimize runs every weave on the paper-naive minimizer with
-	// no verdict cache. Only tests set it (export_test.go), to get a
-	// weave slow enough to cancel into.
+	cfg      Config
+	reg      *obs.Registry
+	runs     *runStore
+	store    *store.Store  // nil unless StoreDir configured
+	compiled *compileCache // repeated sources' compiled prefixes
+	// naiveMinimize runs every weave on the paper-naive minimizer,
+	// bypassing the compile cache. Only tests set it (export_test.go),
+	// to get a weave slow enough to cancel into.
 	naiveMinimize bool
 
 	weaveSem chan struct{}  // bounded weave worker pool
@@ -337,14 +329,12 @@ func New(cfg Config) (*Server, error) {
 		reg:             reg,
 		runs:            newRunStore(cfg.RunHistory, st),
 		store:           st,
+		compiled:        newCompileCache(reg),
 		weaveSem:        make(chan struct{}, cfg.WeaveConcurrency),
 		enactTransports: map[string]*services.HTTPTransport{},
 		enactDone:       map[string]time.Time{},
 		enactTTL:        enactDoneTTL,
 		enactParked:     map[string]*parkedRun{},
-	}
-	if cfg.VerdictCacheSize >= 0 {
-		s.vcache = core.NewVerdictCache(cfg.VerdictCacheSize)
 	}
 	s.abortCtx, s.abortAll = context.WithCancel(context.Background())
 	requests := func(route string, code int) *obs.Counter {

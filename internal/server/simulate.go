@@ -312,7 +312,7 @@ func (q *SimulateRequest) timeout() time.Duration {
 // against the simulated services. The engine error is reported
 // in-band, beside the partial trace.
 func (s *Server) runSimulation(ctx context.Context, q *SimulateRequest, rn *run, sink obs.Sink, _ *http.Request) (*SimulateResponse, error) {
-	out, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
+	out, _, err := s.runWeave(ctx, &q.WeaveRequest, sink, false)
 	if err != nil {
 		return nil, err
 	}

@@ -167,19 +167,22 @@ func TestServerStoreBeyondRingAndRestart(t *testing.T) {
 // the answer, not with the candidates. A 16x16 process decides over a
 // thousand candidates, yet its run holds a few pipeline events and one
 // minimize_end whose decision record lists the removed constraints in
-// the order the minimizer removed them. With the verdict cache off, a
-// second weave of the same process decides every candidate again and
-// must store the identical decision record, pair count included.
+// the order the minimizer removed them. The second weave of the same
+// process compiles it into the compile cache: it decides every
+// candidate again and must store the identical decision record, pair
+// count included. The third resumes from the cache: its log holds the
+// weave's begin and end, the minimize layer's begin and end with the
+// same removals (no checks, no pairs) and the validate stage.
 func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 	w := workload.Layered(16, 16, 0.3, 1).WithShortcuts(16).WithDecisions(1)
 	src := dscl.PrintDocument(&dscl.Document{Proc: w.Proc, Deps: w.Deps, Extra: core.NewConstraintSet(w.Proc)})
 	dir := t.TempDir()
-	s, err := server.New(server.Config{StoreDir: dir, VerdictCacheSize: -1})
+	s, err := server.New(server.Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	var wv, again server.WeaveResponse
+	var wv, again, hit server.WeaveResponse
 	code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &wv)
 	if code != http.StatusOK {
 		t.Fatalf("weave: %d %s", code, raw)
@@ -192,7 +195,13 @@ func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 		t.Fatalf("second weave: %d %s", code, raw)
 	}
 	if again.VerdictCacheHit {
-		t.Fatal("second weave replayed a verdict with the verdict cache off")
+		t.Fatal("second weave replayed a minimal set the cache did not hold yet")
+	}
+	if code, raw := postJSON(t, ts.URL+"/v1/weave", server.WeaveRequest{Source: src}, &hit); code != http.StatusOK {
+		t.Fatalf("third weave: %d %s", code, raw)
+	}
+	if !hit.VerdictCacheHit {
+		t.Fatal("third weave missed the compile cache")
 	}
 	if err := s.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -241,6 +250,26 @@ func TestServerStoredWeaveLogStaysSmall(t *testing.T) {
 	}
 	if _, _, second := storedDecision(again.RunID); !reflect.DeepEqual(second, decision) {
 		t.Errorf("second weave stored decision %+v, first %+v", second, decision)
+	}
+	hitLog, _, replayed := storedDecision(hit.RunID)
+	wantReplay := obs.Decision{Candidates: decision.Candidates, Removed: decision.Removed}
+	if !reflect.DeepEqual(*replayed, wantReplay) {
+		t.Errorf("cache hit stored decision %+v, want %+v", *replayed, wantReplay)
+	}
+	hitEvents, err := obs.ReadJSONL(hitLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, e := range hitEvents {
+		if e.Layer == obs.LayerWeave || e.Layer == obs.LayerMinimize {
+			kinds = append(kinds, e.Kind+" "+e.Detail)
+		}
+	}
+	wantKinds := []string{"weave_begin ", "minimize_begin " + w.Proc.Name, "minimize_end " + w.Proc.Name,
+		"stage_begin validate", "stage_end validate", "weave_end " + w.Proc.Name}
+	if !slices.Equal(kinds, wantKinds) {
+		t.Errorf("cache hit logged %q, want %q", kinds, wantKinds)
 	}
 
 	ref, err := weave.Run(context.Background(), weave.Input{Source: src}, weave.Options{Frontend: front.DSCL})

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dscweaver/internal/enact"
+	"dscweaver/internal/schedule"
 	"dscweaver/internal/services"
 )
 
@@ -347,5 +350,51 @@ func TestShutdownNotHeldByParkedFrame(t *testing.T) {
 	}
 	if n := parkedEntries(s); n != 0 {
 		t.Errorf("%d parked entries left after the drain", n)
+	}
+}
+
+// TestFabricMalformedNoteIsPermanent: the fabric's receiver decodes a
+// note straight from the frame's raw payload. A well-formed note is
+// delivered once with every field intact, a Lamport stamp beyond
+// float64's exact range included. A payload that is no note fails the
+// call as a permanent fault and delivers nothing.
+func TestFabricMalformedNoteIsPermanent(t *testing.T) {
+	tr := services.NewHTTPTransport(services.HTTPConfig{Run: "r1", Node: "self"})
+	defer tr.Close()
+	var got []enact.Note
+	if err := (&httpFabric{t: tr}).Register("h", func(n enact.Note) { got = append(got, n) }); err != nil {
+		t.Fatal(err)
+	}
+	want := enact.Note{Host: "h", Note: schedule.Note{Activity: "a", Kind: schedule.NoteStart,
+		Stamp: 1<<60 + 1, Seq: 3, At: time.Unix(5, 0).UTC()}}
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := int64(0)
+	deliver := func(payload string) services.DeliverResult {
+		t.Helper()
+		seq++
+		res, err := tr.Deliver(services.Frame{V: 1, Run: "r1", Seq: seq, From: "peer",
+			Service: "node:h", Port: "note", Payload: json.RawMessage(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := deliver(string(raw)); len(res.Callbacks) != 0 {
+		t.Fatalf("well-formed note answered %+v", res.Callbacks)
+	}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("delivered %+v, want %+v", got, want)
+	}
+	for _, payload := range []string{``, `[1, 2]`, `{"activity": 7}`, `{"activity": "a"}`, `{"kind": 1}`} {
+		res := deliver(payload)
+		if len(res.Callbacks) != 1 || !res.Callbacks[0].Permanent || !strings.Contains(res.Callbacks[0].Err, "note payload") {
+			t.Errorf("payload %q answered %+v, want one permanent note-payload fault", payload, res.Callbacks)
+		}
+	}
+	if len(got) != 1 {
+		t.Errorf("malformed notes delivered %d notes", len(got)-1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"dscweaver/internal/obs"
 	"dscweaver/internal/weave"
@@ -56,9 +57,10 @@ type WeaveResponse struct {
 	MinimalConstraints    int `json:"minimal_constraints"`
 	Removed               int `json:"removed"`
 	EquivalenceChecks     int `json:"equivalence_checks"`
-	// VerdictCacheHit reports that the minimize stage replayed a removal
-	// sequence recorded by an earlier request for the same desugared
-	// constraint set instead of re-deciding the candidates.
+	// VerdictCacheHit reports that the weave resumed from the compile
+	// cache: an earlier request compiled the same source, so this one
+	// replayed its minimal set and decided no candidate
+	// (EquivalenceChecks is 0).
 	VerdictCacheHit bool `json:"verdict_cache_hit,omitempty"`
 
 	// Minimal renders the minimal constraint set, one constraint per
@@ -88,16 +90,10 @@ type WeaveResponse struct {
 func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) weave.Options {
 	fe, _ := front.ByLang(q.Lang) // lang was validated at decode time
 	opts := weave.Options{
-		Frontend:     fe,
-		VerdictCache: s.vcache,
-		Metrics:      s.reg,
-		Events:       sink,
-	}
-	if s.naiveMinimize {
-		// The naive engine end to end: replaying a recorded verdict
-		// sequence would skip the minimizer entirely.
-		opts.NoCache = true
-		opts.VerdictCache = nil
+		Frontend: fe,
+		Metrics:  s.reg,
+		Events:   sink,
+		NoCache:  s.naiveMinimize,
 	}
 	if withOutputs {
 		opts.Validate = q.wantValidate()
@@ -113,13 +109,49 @@ func (s *Server) weaveOptions(q *WeaveRequest, sink obs.Sink, withOutputs bool) 
 // connection, the request timeout or the drain-deadline abort cancels
 // the minimizer's candidate loop and the Petri exploration mid-flight
 // instead of letting an admitted weave run to completion.
-func (s *Server) runWeave(ctx context.Context, q *WeaveRequest, sink obs.Sink, withOutputs bool) (*weave.Result, error) {
-	return weave.Run(ctx, weave.Input{Source: q.Source}, s.weaveOptions(q, sink, withOutputs))
+//
+// A source the compile cache holds resumes from its compiled prefix,
+// so only validate and bpel run, on the request's own copy of the
+// prefix; the entry comes back for the enactment paths' memoized
+// placement. A missed source is compiled in full. On its second
+// sighting it is compiled from a clone of the source, so that the
+// entry owns its strings, and stored. The naive minimizer bypasses the
+// cache, so that every weave decides every candidate.
+func (s *Server) runWeave(ctx context.Context, q *WeaveRequest, sink obs.Sink, withOutputs bool) (*weave.Result, *compiledEntry, error) {
+	opts := s.weaveOptions(q, sink, withOutputs)
+	if s.naiveMinimize {
+		res, err := weave.Run(ctx, weave.Input{Source: q.Source}, opts)
+		return res, nil, err
+	}
+	lang := langKey(q.Lang)
+	if e := s.compiled.get(lang, q.Source); e != nil {
+		res, err := weave.Run(ctx, weave.Input{Compiled: e.prefix}, opts)
+		return res, e, err
+	}
+	if !s.compiled.sighted(lang, q.Source) {
+		res, err := weave.Run(ctx, weave.Input{Source: q.Source}, opts)
+		return res, nil, err
+	}
+	src := strings.Clone(q.Source)
+	res, err := weave.Run(ctx, weave.Input{Source: src}, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, s.compiled.put(lang, src, res), nil
+}
+
+// langKey names a request's front end in the compile cache's key, with
+// the default spelled out, so "" and "dscl" share entries.
+func langKey(lang string) string {
+	if lang == "seqlang" {
+		return "seqlang"
+	}
+	return "dscl"
 }
 
 // weaveRoute is POST /v1/weave: the full pipeline, rendered.
 func (s *Server) weaveRoute(ctx context.Context, q *WeaveRequest, rn *run, sink obs.Sink, _ *http.Request) (*WeaveResponse, error) {
-	out, err := s.runWeave(ctx, q, sink, true)
+	out, _, err := s.runWeave(ctx, q, sink, true)
 	if err != nil {
 		return nil, err
 	}

@@ -187,7 +187,10 @@ func NewHTTPTransport(cfg HTTPConfig) *HTTPTransport {
 }
 
 // RegisterLocal hosts a handler on this node, reachable both from
-// peers (via Deliver) and from this node's own Call.
+// peers (via Deliver) and from this node's own Call. The handler's
+// Call.Payload is the frame's payload as it arrived, a json.RawMessage
+// (nil when the frame carries none), so the handler decodes it once,
+// into its own type.
 func (t *HTTPTransport) RegisterLocal(name string, h Handler) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -415,11 +418,9 @@ func (t *HTTPTransport) runLocal(ls *localService, f Frame) DeliverResult {
 	if ls.h == nil {
 		return DeliverResult{}
 	}
-	var payload any
+	var payload any // nil, not a nil json.RawMessage, for an empty payload
 	if len(f.Payload) > 0 {
-		if err := json.Unmarshal(f.Payload, &payload); err != nil {
-			payload = f.Payload
-		}
+		payload = f.Payload
 	}
 	emits, err := ls.h(&Call{Port: f.Port, Payload: payload, State: ls.state, Seq: ls.seq})
 	if err != nil {

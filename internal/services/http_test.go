@@ -156,9 +156,10 @@ func TestHTTPCallSynchronous(t *testing.T) {
 	if err := local.Call("note", "p", map[string]any{"k": "v"}); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := got.(map[string]any)
-	if !ok || m["k"] != "v" {
-		t.Fatalf("remote saw %#v, want decoded map", got)
+	raw, ok := got.(json.RawMessage)
+	var m map[string]any
+	if !ok || json.Unmarshal(raw, &m) != nil || m["k"] != "v" {
+		t.Fatalf("remote saw %#v, want the raw JSON of the sent map", got)
 	}
 	if err := local.Call("bad", "p", nil); err == nil {
 		t.Fatal("Call to a failing handler returned nil")

@@ -19,6 +19,10 @@
 // per stage, weave_end) into the run's sink alongside the minimizer's
 // own minimize_begin/minimize_end events, the latter carrying its
 // decision record.
+//
+// A run's parse-to-minimize prefix can be kept (Compile) and resumed
+// by later runs of the same source (Input.Compiled), which then run
+// only the stages after minimize.
 package weave
 
 import (
@@ -90,7 +94,8 @@ type Options struct {
 	// desugared constraint set skip Definition 6 entirely: the minimize
 	// stage replays the recorded removal sequence on a content hash
 	// match (core.VerdictCache is safe for concurrent pipelines, so one
-	// cache is typically shared server-wide).
+	// cache may be shared across them). dscweaverd resumes repeated
+	// sources from a Compiled prefix instead and leaves this nil.
 	VerdictCache *core.VerdictCache
 
 	// Validate enables the Petri-net soundness stage; MaxStates bounds
@@ -132,11 +137,53 @@ type Options struct {
 }
 
 // Input selects the pipeline entry point: Source text (parsed by
-// Options.Frontend) or a pre-parsed document. Exactly one must be
-// set; Parsed wins when both are.
+// Options.Frontend), a pre-parsed document, or the compiled prefix of
+// an earlier run. Exactly one must be set; Compiled wins over Parsed,
+// and Parsed over Source.
 type Input struct {
-	Source string
-	Parsed *Parsed
+	Source   string
+	Parsed   *Parsed
+	Compiled *Compiled
+}
+
+// Compiled is the reusable prefix of a completed run: its parse,
+// merge, desugar, translate and minimize outputs, kept so that later
+// runs of the same source skip those stages. A run resumed from it
+// logs the minimize layer's begin and end records with the recorded
+// decision, then runs the place, validate and bpel stages its options
+// ask for. Its minimize outcome reads as a replay, as a verdict-cache
+// hit does: VerdictCacheHit set, no equivalence checks or pair
+// comparisons. A Compiled is never written after Compile returns, so
+// any number of runs may resume from it at once.
+type Compiled struct {
+	res      Result
+	decision obs.Decision
+}
+
+// Compile keeps the prefix of res, a completed run. The Compiled
+// shares res's process and constraint sets, which no stage writes.
+func Compile(res *Result) *Compiled {
+	min := *res.Minimize
+	min.EquivalenceChecks, min.PairComparisons = 0, 0
+	min.ClosureCacheHits, min.ClosureCacheMisses, min.CondMemoHits = 0, 0, 0
+	min.VerdictCacheHit = true
+	c := &Compiled{res: Result{
+		Parsed:     res.Parsed,
+		Merged:     res.Merged,
+		Guards:     res.Guards,
+		Translated: res.Translated,
+		Minimize:   &min,
+	}}
+	for i := 0; i < res.Translated.Len(); i++ {
+		if res.Translated.At(i).Rel == core.HappenBefore {
+			c.decision.Candidates++
+		}
+	}
+	c.decision.Removed = make([]string, len(min.Removed))
+	for i, r := range min.Removed {
+		c.decision.Removed[i] = r.String()
+	}
+	return c
 }
 
 // StageTiming is one stage's measured wall-clock duration, in
@@ -216,6 +263,10 @@ func (p *Pipeline) Run(ctx context.Context, in Input) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Parsed: in.Parsed}
+	if in.Compiled != nil {
+		prefix := in.Compiled.res
+		res = &prefix
+	}
 	emit := func(ev obs.Event) {
 		if p.opts.Events != nil {
 			ev.Layer = obs.LayerWeave
@@ -226,6 +277,9 @@ func (p *Pipeline) Run(ctx context.Context, in Input) (*Result, error) {
 	emit(obs.Event{Kind: obs.EvWeaveBegin, Value: float64(len(stages))})
 	if p.opts.Metrics != nil {
 		p.opts.Metrics.Counter("weave_runs_total").Inc()
+	}
+	if in.Compiled != nil {
+		p.replayMinimize(in.Compiled)
 	}
 	finish := func(err error) {
 		ev := obs.Event{Kind: obs.EvWeaveEnd, DurNS: int64(time.Since(began))}
@@ -281,6 +335,9 @@ func (p *Pipeline) Run(ctx context.Context, in Input) (*Result, error) {
 
 // stages assembles the stage list for one input shape.
 func (p *Pipeline) stages(in Input) ([]stage, error) {
+	if in.Compiled != nil {
+		return p.outputStages(nil), nil
+	}
 	var out []stage
 	if in.Parsed == nil {
 		if p.opts.Frontend == nil {
@@ -299,6 +356,11 @@ func (p *Pipeline) stages(in Input) ([]stage, error) {
 		stage{StageTranslate, p.translate},
 		stage{StageMinimize, p.minimize},
 	)
+	return p.outputStages(out), nil
+}
+
+// outputStages appends the stages that follow minimize.
+func (p *Pipeline) outputStages(out []stage) []stage {
 	if p.opts.Decentral {
 		out = append(out, stage{StagePlace, p.place})
 	}
@@ -308,7 +370,21 @@ func (p *Pipeline) stages(in Input) ([]stage, error) {
 	if p.opts.BPEL {
 		out = append(out, stage{StageBPEL, p.bpel})
 	}
-	return out, nil
+	return out
+}
+
+// replayMinimize logs a compiled prefix's minimize outcome as the
+// minimizer logs a verdict-cache hit: minimize_begin, then minimize_end
+// with the recorded decision.
+func (p *Pipeline) replayMinimize(c *Compiled) {
+	if p.opts.Events == nil {
+		return
+	}
+	name := c.res.Parsed.Proc.Name
+	p.opts.Events.Emit(obs.Stamp(obs.Event{Layer: obs.LayerMinimize, Kind: obs.EvMinimizeBegin,
+		Detail: name, Value: float64(c.res.Translated.Len())}))
+	p.opts.Events.Emit(obs.Stamp(obs.Event{Layer: obs.LayerMinimize, Kind: obs.EvMinimizeEnd,
+		Detail: name, Value: float64(len(c.decision.Removed)), Decision: &c.decision}))
 }
 
 func (p *Pipeline) parse(source string) func(ctx context.Context, res *Result) error {

@@ -7,6 +7,7 @@
 package weave_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -375,5 +376,79 @@ func TestSeqlangFrontend(t *testing.T) {
 	}
 	if fe, err := front.ByLang(""); err != nil || fe == nil {
 		t.Errorf("ByLang(\"\") = (%v, %v), want the DSCL default", fe, err)
+	}
+}
+
+// TestPipelineResumesFromCompiled: a run resumed from a compiled
+// prefix answers what the full run answered — the same minimal set,
+// verdict and BPEL bytes — with the minimize outcome read as a replay.
+// It logs the minimize layer's begin and end with the full run's
+// removals, runs only the stages after minimize, and leaves the
+// prefix as it was for the next run.
+func TestPipelineResumesFromCompiled(t *testing.T) {
+	opts := weave.Options{Frontend: front.DSCL, Validate: true, BPEL: true, StructuredBPEL: true}
+	full, err := weave.Run(context.Background(), weave.Input{Source: purchasingSource(t)}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := weave.Compile(full)
+	for run := 0; run < 2; run++ {
+		sink := &recordSink{}
+		ropts := opts
+		ropts.Events = sink
+		res, err := weave.Run(context.Background(), weave.Input{Compiled: compiled}, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Minimize.Minimal != full.Minimize.Minimal || res.Guards == nil || res.Translated != full.Translated {
+			t.Fatal("resumed run does not share the compiled sets")
+		}
+		min := res.Minimize
+		if !min.VerdictCacheHit || min.EquivalenceChecks != 0 || min.PairComparisons != 0 {
+			t.Errorf("run %d: minimize outcome %+v, want a replay", run, min)
+		}
+		if full.Minimize.VerdictCacheHit || full.Minimize.EquivalenceChecks == 0 {
+			t.Error("Compile changed the full run's minimize outcome")
+		}
+		if res.Soundness.Sound != full.Soundness.Sound || res.Soundness.StateSpace.States != full.Soundness.StateSpace.States ||
+			!bytes.Equal(res.BPELXML, full.BPELXML) {
+			t.Errorf("run %d: verdict or BPEL differs from the full run", run)
+		}
+		var stages []string
+		for _, st := range res.Stages {
+			stages = append(stages, st.Stage)
+		}
+		if want := []string{weave.StageValidate, weave.StageBPEL}; fmt.Sprint(stages) != fmt.Sprint(want) {
+			t.Errorf("run %d: stages %v, want %v", run, stages, want)
+		}
+		wantWeave := []string{obs.EvWeaveBegin, obs.EvStageBegin, obs.EvStageEnd, obs.EvStageBegin, obs.EvStageEnd, obs.EvWeaveEnd}
+		if got := sink.kinds(obs.LayerWeave); fmt.Sprint(got) != fmt.Sprint(wantWeave) {
+			t.Errorf("run %d: weave events %v, want %v", run, got, wantWeave)
+		}
+		if got := sink.kinds(obs.LayerMinimize); fmt.Sprint(got) != fmt.Sprint([]string{obs.EvMinimizeBegin, obs.EvMinimizeEnd}) {
+			t.Errorf("run %d: minimize events %v, want begin/end", run, got)
+		}
+		var decision *obs.Decision
+		for _, e := range sink.events {
+			if e.Kind == obs.EvMinimizeEnd {
+				decision = e.Decision
+			}
+		}
+		if decision == nil || decision.Checks != 0 || decision.Pairs != 0 || len(decision.Removed) != len(full.Minimize.Removed) {
+			t.Fatalf("run %d: decision %+v, want the full run's %d removals with no checks", run, decision, len(full.Minimize.Removed))
+		}
+		for i, c := range full.Minimize.Removed {
+			if decision.Removed[i] != c.String() {
+				t.Errorf("run %d: removal %d is %s, want %s", run, i, decision.Removed[i], c)
+			}
+		}
+	}
+	// A resume that asks for no outputs runs no stage at all.
+	res, err := weave.Run(context.Background(), weave.Input{Compiled: compiled}, weave.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stages) != 0 || res.Soundness != nil || res.BPELXML != nil {
+		t.Errorf("bare resume ran %v and kept outputs of an earlier run", res.Stages)
 	}
 }

@@ -7,8 +7,9 @@
 # observability-overhead and no-fault retry-overhead benchmarks and
 # writes BENCH_schedule.json with each one's off/on mean ns/op and
 # median per-pair overhead percentage. Finally runs the dscweaverd
-# weave-throughput benchmark and writes
-# BENCH_server.json with its req/sec, the weave pipeline stage
+# weave-throughput benchmark and its compile-cache hit and miss rows
+# and writes BENCH_server.json with their req/sec, bytes/op and
+# allocs/op, the weave pipeline stage
 # benchmark into BENCH_weave.json with the per-stage ns/op breakdown,
 # and the soundness-kernel comparison into BENCH_soundness.json with
 # one record per kernel/net pair. Each weave record also carries
@@ -122,21 +123,23 @@ server_raw="$(mktemp)"
 trap 'rm -f "$raw" "$sched_raw" "$server_raw"' EXIT
 server_benchtime="${SERVER_BENCHTIME:-10x}"
 
-go test -run '^$' -bench '^BenchmarkServerWeave$' -benchtime "$server_benchtime" -timeout 0 . | tee "$server_raw"
+go test -run '^$' -bench '^BenchmarkServerWeave(Cache)?$' -benchtime "$server_benchtime" -benchmem -timeout 0 . | tee "$server_raw"
 
 awk "${stamp[@]}" '
-/^BenchmarkServerWeave(-[0-9]+)?[ \t]/ {
+/^BenchmarkServerWeave(Cache\/(hit|miss))?(-[0-9]+)?[ \t]/ {
     name = $1
     gomaxprocs = 1
     if (match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
-    ns = 0
+    ns = 0; bytes = 0; allocs = 0
     for (i = 3; i < NF; i += 2) {
         if ($(i+1) == "ns/op") ns = $i
+        if ($(i+1) == "B/op") bytes = $i
+        if ($(i+1) == "allocs/op") allocs = $i
     }
     if (ns == 0) next
-    recs[++count] = sprintf("  {\"name\": \"%s\", \"ns_per_op\": %.0f, \"req_per_sec\": %.1f, \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\"}",
-                            name, ns, 1e9 / ns, nproc, gomaxprocs, gover, commit)
+    recs[++count] = sprintf("  {\"name\": \"%s\", \"ns_per_op\": %.0f, \"req_per_sec\": %.1f, \"bytes_per_op\": %d, \"allocs_per_op\": %d, \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"commit\": \"%s\"}",
+                            name, ns, 1e9 / ns, bytes, allocs, nproc, gomaxprocs, gover, commit)
 }
 END {
     if (count == 0) { print "missing server benchmark rows" > "/dev/stderr"; exit 1 }
