@@ -1,33 +1,25 @@
 package dscweaver_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // apiAllowlist names the exported functions and methods under internal/
 // that may stand without a caller in production code, each with its
-// reason. A bare name ("String") covers that method on every type; a
-// qualified one ("leak.Check", or "pkg.Type.Method") covers one
-// declaration. An entry that names no declaration fails the test too.
+// reason: "leak.Check" names a function, "pkg.Type.Method" a method.
+// An entry that names no declaration fails the test too.
 var apiAllowlist = map[string]string{
-	// Methods the standard library calls through an interface.
-	"String":      "fmt.Stringer, called by fmt",
-	"Error":       "error, called by fmt and errors",
-	"Unwrap":      "errors.Unwrap chain, called by errors.Is and errors.As",
-	"MarshalJSON": "json.Marshaler, called by encoding/json",
-	"RoundTrip":   "http.RoundTripper, called by net/http",
-	"Write":       "io.Writer, called through the interface",
-	"WriteHeader": "http.ResponseWriter, called by net/http",
-	"Len":         "sort.Interface, called by sort",
-
 	// Test helpers shared across packages: a _test.go file cannot be
 	// imported by another package's tests.
 	"leak.Check":                "goroutine-leak check at test teardown for the chaos, schedule, server and services tests",
@@ -36,11 +28,34 @@ var apiAllowlist = map[string]string{
 	"core.TransitiveClosure":    "Definition 3's annotated closure; purchasing's TestConditionAnnotatedClosureOfRecClientPo and TestClosureAnnotationsAfterMinimize check the paper's annotations through it",
 	"pdg.SequencingConstraints": "Figure 2's construct baseline; sim's TestCompareMinimalVsConstructBaseline estimates it against the minimal set",
 	"workload.Fan":              "one source, n workers, one sink; sim's TestEstimateFanIsMax and schedule's TestSchedulerRealizesAntichainWidth run it",
-
-	// Left for the benchmark change that reworks perfbench's use of the
-	// note transport (ROADMAP item 3).
-	"services.HTTPTransport.Retries": "retried-send count the transport tests assert on; transport_retries_total carries it in production",
 }
+
+// stdlibCalls declares the interfaces through which the standard
+// library calls methods that production code need not name. Each of
+// their methods counts as called from live code, so a method is live
+// when its receiver type implements one of these interfaces.
+const stdlibCalls = `package stdlib
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+)
+
+type (
+	stringer       fmt.Stringer                  // fmt
+	failure        error                         // fmt and errors
+	unwrapper      interface{ Unwrap() error }   // errors.Is and errors.As
+	multiUnwrapper interface{ Unwrap() []error } // errors.Is and errors.As
+	marshaler      json.Marshaler                // encoding/json
+	roundTripper   http.RoundTripper             // net/http
+	responseWriter http.ResponseWriter           // net/http
+	writer         io.Writer                     // io, bufio and fmt
+	sorter         sort.Interface                // sort
+)
+`
 
 // TestInternalAPIHasProductionCallers fails on an exported function or
 // method under internal/ that no non-test file of internal/, cmd/,
@@ -48,92 +63,82 @@ var apiAllowlist = map[string]string{
 // runs: an API only tests call is deleted, or moved into the test files
 // of its package when a test needs it as a helper or an oracle.
 //
-// The match is by name, from the syntax alone: a package-level function
-// is used when its package names it or another package selects it
-// through an import; a method is used when any selector in production
-// code has its name. The check can miss a dead method whose name another
-// type shares, but it never flags a declaration that live code names.
+// The match is by object, from the type-checked source (go/types, with
+// the standard library imported from source): a reference is an
+// identifier that resolves to the declaration itself, so a method is
+// used only when a selector of its own receiver type names it, and two
+// types' methods that share a name are told apart. A call through an
+// interface method reaches every method of that name whose receiver
+// type implements the interface, and so does a call the standard
+// library makes through one of the interfaces in stdlibCalls.
 func TestInternalAPIHasProductionCallers(t *testing.T) {
 	type decl struct {
-		key, name string // key is "pkg.Name" or "pkg.Recv.Name"
-		use       string // what a reference to it looks like
-		method    bool
-		pos       token.Position
+		key string      // "pkg.Name" or "pkg.Recv.Name"
+		fn  *types.Func // the declared object
+		pos token.Position
 	}
 	var (
-		fset  = token.NewFileSet()
+		l     = newAPILoader()
 		decls []decl
-		// refs maps a use ("fn:importpath.Name" or "sel:Name") to the
-		// declarations that make it; -1 stands for code that is always
-		// live (package-level vars and types, unexported functions, and
-		// everything outside internal/).
-		refs = map[string][]int{}
+		// refs maps a function or concrete method to the declarations
+		// that refer to it, and ifaces does the same for the interface
+		// methods production code calls; -1 stands for code that is
+		// always live (package-level vars and types, unexported
+		// functions, everything outside internal/ and the standard
+		// library).
+		refs   = map[*types.Func][]int{}
+		ifaces = map[*types.Func][]int{}
 	)
+	f, err := parser.ParseFile(l.fset, "stdlib_calls.go", stdlibCalls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, err := l.check("stdlib", []*ast.File{f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range std.pkg.Scope().Names() {
+		in := std.pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		for i := 0; i < in.NumMethods(); i++ {
+			ifaces[in.Method(i)] = []int{-1}
+		}
+	}
 	for _, root := range []string{"internal", "cmd", "examples", "perfbench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
+			if err != nil || !d.IsDir() {
 				return err
 			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
+			p, err := l.load(path)
+			if p == nil {
 				return err
 			}
-			pkg := "dscweaver/" + filepath.ToSlash(filepath.Dir(path))
-			imports := map[string]string{}
-			for _, im := range f.Imports {
-				p, _ := strconv.Unquote(im.Path.Value)
-				name := p[strings.LastIndex(p, "/")+1:]
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = p
-			}
-			for _, dl := range f.Decls {
-				from := -1
-				var nodes []ast.Node
-				if fd, ok := dl.(*ast.FuncDecl); !ok {
-					nodes = append(nodes, dl)
-				} else {
-					if root == "internal" && fd.Name.IsExported() {
+			for _, f := range p.files {
+				for _, dl := range f.Decls {
+					from := -1
+					if fd, ok := dl.(*ast.FuncDecl); ok && root == "internal" && fd.Name.IsExported() {
 						from = len(decls)
-						short := pkg[strings.LastIndex(pkg, "/")+1:]
-						d := decl{key: short + "." + fd.Name.Name, name: fd.Name.Name, use: "fn:" + pkg + "." + fd.Name.Name, pos: fset.Position(fd.Pos())}
-						if fd.Recv != nil {
-							d.key, d.use, d.method = short+"."+recvName(fd)+"."+fd.Name.Name, "sel:"+fd.Name.Name, true
+						fn := p.info.Defs[fd.Name].(*types.Func)
+						key := p.pkg.Name() + "." + fd.Name.Name
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							key = p.pkg.Name() + "." + recvName(recv.Type()) + "." + fd.Name.Name
 						}
-						decls = append(decls, d)
+						decls = append(decls, decl{key: key, fn: fn, pos: l.fset.Position(fd.Pos())})
 					}
-					// Everything but the declared name itself.
-					nodes = append(nodes, fd.Type)
-					if fd.Recv != nil {
-						nodes = append(nodes, fd.Recv)
-					}
-					if fd.Body != nil {
-						nodes = append(nodes, fd.Body)
-					}
-				}
-				for _, n := range nodes {
-					ast.Inspect(n, func(n ast.Node) bool {
-						switch n := n.(type) {
-						case *ast.SelectorExpr:
-							refs["sel:"+n.Sel.Name] = append(refs["sel:"+n.Sel.Name], from)
-							if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-								u := "fn:" + imports[x.Name] + "." + n.Sel.Name
-								refs[u] = append(refs[u], from)
-								return false
+					ast.Inspect(dl, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						if fn, ok := p.info.Uses[id].(*types.Func); ok {
+							fn = fn.Origin()
+							if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+								ifaces[fn] = append(ifaces[fn], from)
+							} else {
+								refs[fn] = append(refs[fn], from)
 							}
-						case *ast.Ident:
-							u := "fn:" + pkg + "." + n.Name
-							refs[u] = append(refs[u], from)
 						}
 						return true
 					})
@@ -145,28 +150,40 @@ func TestInternalAPIHasProductionCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A method is also reached by every call of an interface method of
+	// its name that its receiver type (or a pointer to it) implements.
+	for _, d := range decls {
+		recv := d.fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			continue
+		}
+		named := recv.Type()
+		if ptr, ok := named.(*types.Pointer); ok {
+			named = ptr.Elem()
+		}
+		for im, from := range ifaces {
+			if im.Name() != d.fn.Name() {
+				continue
+			}
+			in := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(named, in) || types.Implements(types.NewPointer(named), in) {
+				refs[d.fn] = append(refs[d.fn], from...)
+			}
+		}
+	}
 
 	// A declaration is dead when every reference to it comes from itself
 	// or from dead declarations; iterate until no more die, so a helper
 	// only a dead function calls is found in the same run.
-	allowed := func(d decl) string {
-		if _, ok := apiAllowlist[d.key]; ok {
-			return d.key
-		}
-		if _, ok := apiAllowlist[d.name]; ok && d.method {
-			return d.name
-		}
-		return ""
-	}
 	dead := make([]bool, len(decls))
 	for changed := true; changed; {
 		changed = false
 		for i, d := range decls {
-			if dead[i] || allowed(d) != "" {
+			if _, ok := apiAllowlist[d.key]; dead[i] || ok {
 				continue
 			}
 			live := false
-			for _, from := range refs[d.use] {
+			for _, from := range refs[d.fn] {
 				if from == -1 || (from != i && !dead[from]) {
 					live = true
 					break
@@ -180,9 +197,7 @@ func TestInternalAPIHasProductionCallers(t *testing.T) {
 	var report []string
 	needed := map[string]bool{}
 	for i, d := range decls {
-		if a := allowed(d); a != "" {
-			needed[a] = true
-		}
+		needed[d.key] = true
 		if dead[i] {
 			report = append(report, d.pos.String()+": "+d.key)
 		}
@@ -201,25 +216,102 @@ func TestInternalAPIHasProductionCallers(t *testing.T) {
 	}
 }
 
-// recvName is the receiver's type name without pointer or type
-// parameters.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
+// recvName is a receiver type's name without pointer or type
+// arguments.
+func recvName(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	x := fd.Recv.List[0].Type
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return "?"
+}
+
+// apiPackage is one type-checked package: its non-test files, with the
+// objects their identifiers resolve to.
+type apiPackage struct {
+	dir   string
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// apiLoader type-checks this module's packages (perfbench's module
+// included) from their directories, each once, and imports the
+// standard library from source, so every reference to a declaration
+// resolves to the one object the declaring package made.
+type apiLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*apiPackage // by directory; nil while being checked
+}
+
+func newAPILoader() *apiLoader {
+	fset := token.NewFileSet()
+	return &apiLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*apiPackage{}}
+}
+
+// Import resolves an import path: the module's own packages load from
+// their directory ("dscweaver/perfbench" is perfbench/).
+func (l *apiLoader) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, "dscweaver/")
+	if !ok {
+		return l.std.Import(path)
+	}
+	p, err := l.load(filepath.FromSlash(dir))
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("%s: no Go files", path)
+	}
+	return p.pkg, nil
+}
+
+// load type-checks the package in dir; a directory without non-test Go
+// files gives nil.
+func (l *apiLoader) load(dir string) (*apiPackage, error) {
+	if p, ok := l.pkgs[dir]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("%s: import cycle", dir)
 		}
+		return p, nil
 	}
+	bp, err := build.ImportDir(dir, 0)
+	if _, none := err.(*build.NoGoError); none {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[dir] = nil
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	p, err := l.check("dscweaver/"+filepath.ToSlash(dir), files)
+	if err != nil {
+		return nil, err
+	}
+	p.dir = dir
+	l.pkgs[dir] = p
+	return p, nil
+}
+
+// check type-checks one package's files, recording the object each
+// identifier defines or uses.
+func (l *apiLoader) check(path string, files []*ast.File) (*apiPackage, error) {
+	p := &apiPackage{files: files, info: &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}}
+	conf := types.Config{Importer: l}
+	var err error
+	p.pkg, err = conf.Check(path, l.fset, files, p.info)
+	return p, err
 }

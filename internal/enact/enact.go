@@ -199,8 +199,12 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 	part := plan.Partition
 	// Outgoing cross edges per activity, and the decision set for
-	// outcome broadcasts.
+	// outcome broadcasts. inbound counts the notes each host can
+	// receive: one per cross edge into it (an edge carries exactly one
+	// start, finish or skip note) and one outcome per decision placed
+	// elsewhere.
 	edges := map[core.ActivityID][]crossEdge{}
+	inbound := map[string]int{}
 	for i := 0; i < opts.Set.Len(); i++ {
 		c := opts.Set.At(i)
 		if c.Rel != core.HappenBefore {
@@ -212,11 +216,18 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		}
 		edges[c.From.Node.Activity] = append(edges[c.From.Node.Activity],
 			crossEdge{fromState: c.From.State, toHost: th})
+		inbound[th]++
 	}
 	isDecision := map[core.ActivityID]bool{}
 	for _, a := range opts.Set.Proc.Activities() {
-		if a.Kind == core.KindDecision {
-			isDecision[a.ID] = true
+		if a.Kind != core.KindDecision {
+			continue
+		}
+		isDecision[a.ID] = true
+		for _, h := range plan.Hosts {
+			if h != part[a.ID] {
+				inbound[h]++
+			}
 		}
 	}
 
@@ -247,7 +258,11 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	nodes := make([]*node, 0, len(hosts))
 	for _, h := range hosts {
 		h := h
-		remote := make(chan schedule.Note, 1024)
+		// The engine drains remote on its own goroutine and the receiver
+		// gives up at done, so the capacity only spares senders a wait:
+		// every note the plan routes here fits, and a surplus one (a
+		// retransmit) waits for the drainer.
+		remote := make(chan schedule.Note, inbound[h]+1)
 		if err := fab.Register(h, func(n Note) {
 			select {
 			case remote <- n.Note:

@@ -360,6 +360,20 @@ func (s *Server) handleTransportInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// peerIdleConns is how many idle keep-alive connections the pooled
+// peer transport keeps per peer. http.DefaultTransport keeps 2, so
+// concurrent notes to one peer would each dial a connection and close
+// it again, leaving a TIME_WAIT socket per note.
+const peerIdleConns = 64
+
+// newPeerTransport clones http.DefaultTransport with room for the
+// concurrent notes of several enactments per peer.
+func newPeerTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = peerIdleConns
+	return t
+}
+
 // fabricRetry tunes note sends: many attempts with short backoff to
 // ride out network faults and a peer that refuses a frame after its
 // park bound, but the total budget stays below the engine timeout so
@@ -416,15 +430,15 @@ func (f *httpFabric) Close() {}
 // routes the run's frames to it. The caller defers closeFabric, which
 // retires the run (leaving a tombstone) and closes the transport.
 func (s *Server) openFabric(runID, node string, routes map[string]string, timeout time.Duration, sink obs.Sink) (fabric *httpFabric, closeFabric func(), err error) {
-	var client *http.Client // nil = the default client
+	var rt http.RoundTripper = s.peers
 	if s.cfg.FabricWrap != nil {
-		client = &http.Client{Transport: s.cfg.FabricWrap(node, http.DefaultTransport)}
+		rt = s.cfg.FabricWrap(node, s.peers)
 	}
 	t := services.NewHTTPTransport(services.HTTPConfig{
 		Run:     runID,
 		Node:    node,
 		Routes:  routes,
-		Client:  client,
+		Client:  &http.Client{Transport: rt},
 		Token:   s.cfg.FabricToken,
 		Retry:   fabricRetry(timeout),
 		Metrics: s.reg,
@@ -758,7 +772,9 @@ func partitionJSON(part decentral.Partition) map[string]string {
 	return out
 }
 
-// postEnactJoin ships one peer its slice and waits for its notes.
+// postEnactJoin ships one peer its slice and waits for its notes. It
+// shares the pooled peer transport but not FabricWrap: a join is not
+// safe to retry, so it stays off the chaos seam.
 func (s *Server) postEnactJoin(ctx context.Context, baseURL string, q *EnactJoinRequest) (*EnactJoinResponse, error) {
 	body, err := json.Marshal(q)
 	if err != nil {
@@ -772,7 +788,7 @@ func (s *Server) postEnactJoin(ctx context.Context, baseURL string, q *EnactJoin
 	if s.cfg.FabricToken != "" {
 		req.Header.Set("Authorization", "Bearer "+s.cfg.FabricToken)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := (&http.Client{Transport: s.peers}).Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,18 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"dscweaver/internal/chaos/leak"
 	"dscweaver/internal/core"
 	"dscweaver/internal/dscl"
 	"dscweaver/internal/obs"
@@ -330,4 +335,97 @@ func TestEnactTwoProcessesNoWarmupRetries(t *testing.T) {
 		t.Errorf("no frame parked over %d enactments: the registration race was never run into", enacts)
 	}
 	t.Logf("%d enactments, %v frames parked", enacts, parkedTotal)
+}
+
+// TestEnactReusesPeerConnections: daemons enacting over loopback send
+// their notes and joins over pooled keep-alive connections. Forty
+// two-process enactments, two at a time with the coordinator
+// alternating, leave each daemon having accepted a small constant
+// number of connections; a transport that keeps 2 idle connections per
+// peer dials about 4 per enactment. Once both daemons shut down, no
+// pooled connection, nor the server side of one, is left running.
+func TestEnactReusesPeerConnections(t *testing.T) {
+	const enacts, concurrent, maxAccepted = 40, 2, 20
+	type daemon struct {
+		ts       *httptest.Server
+		srv      *server.Server
+		accepted atomic.Int64
+	}
+	start := func() *daemon {
+		s, err := server.New(server.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &daemon{srv: s, ts: httptest.NewUnstartedServer(s.Handler())}
+		d.ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				d.accepted.Add(1)
+			}
+		}
+		d.ts.Start()
+		t.Cleanup(d.ts.Close)
+		return d
+	}
+	daemons := [2]*daemon{start(), start()}
+	// After the listeners start, so its cleanup runs before they close:
+	// only Shutdown may end the pooled connections.
+	leak.Check(t)
+
+	w := workload.Layered(8, 4, 0.3, 1).WithShortcuts(4).WithServices(3)
+	source := dscl.PrintDocument(&dscl.Document{Proc: w.Proc, Deps: w.Deps, Extra: core.NewConstraintSet(w.Proc)})
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: concurrent}}
+	enact := func(i int) error {
+		coord, peer := daemons[i%2], daemons[1-i%2]
+		body, err := json.Marshal(server.EnactRequest{
+			SimulateRequest: server.SimulateRequest{WeaveRequest: server.WeaveRequest{Source: source}},
+			Peers:           []string{peer.ts.URL},
+			SelfURL:         coord.ts.URL,
+		})
+		if err != nil {
+			return err
+		}
+		resp, err := client.Post(coord.ts.URL+"/v1/enact", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var er server.EnactResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			return fmt.Errorf("status %s: %w", resp.Status, err)
+		}
+		if er.Error != "" || !er.Valid || er.EdgeMessages != er.PredictedCrossEdges {
+			return fmt.Errorf("valid=%v error=%q edge messages %d of %d", er.Valid, er.Error, er.EdgeMessages, er.PredictedCrossEdges)
+		}
+		return nil
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for g := 0; g < concurrent; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if err := enact(i); err != nil {
+					t.Errorf("enact %d: %v", i, err)
+				}
+			}
+		}()
+	}
+	for i := 0; i < enacts; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	client.CloseIdleConnections()
+
+	for i, d := range daemons {
+		if err := d.srv.Shutdown(); err != nil {
+			t.Errorf("daemon %d: shutdown: %v", i, err)
+		}
+		n := d.accepted.Load()
+		t.Logf("daemon %d accepted %d connections over %d enactments", i, n, enacts)
+		if n > maxAccepted {
+			t.Errorf("daemon %d accepted %d connections over %d enactments, want at most %d", i, n, enacts, maxAccepted)
+		}
+	}
 }

@@ -108,10 +108,10 @@ type Config struct {
 	// sends it on every outgoing frame and join. Every member of a
 	// multi-process enactment must agree on the token.
 	FabricToken string
-	// FabricWrap, when set, wraps the HTTP round tripper used for
-	// outgoing enactment frames, keyed by this process's node name —
+	// FabricWrap, when set, wraps the server's pooled peer transport
+	// for outgoing enactment frames, keyed by this process's node name —
 	// the chaos seam for network-fault injection on the live fabric
-	// (see chaos.Net.RoundTripper). Nil uses the default transport.
+	// (see chaos.Net.RoundTripper). Joins do not go through it.
 	FabricWrap func(node string, inner http.RoundTripper) http.RoundTripper
 	// Buckets overrides histogram bucket bounds per metric family
 	// name, applied to the registry before any instrument registers.
@@ -270,6 +270,9 @@ type Server struct {
 	// here, one rendezvous per run id: registration, or a join that
 	// fails before registering, wakes them (see handleTransportInvoke).
 	enactParked map[string]*parkedRun
+	// peers is the one pooled HTTP transport every outgoing enactment
+	// frame and join shares; Shutdown closes its idle connections.
+	peers *http.Transport
 
 	// abortCtx is canceled when Shutdown's drain deadline passes: every
 	// in-flight weave context is derived from the request context AND
@@ -335,6 +338,7 @@ func New(cfg Config) (*Server, error) {
 		enactDone:       map[string]time.Time{},
 		enactTTL:        enactDoneTTL,
 		enactParked:     map[string]*parkedRun{},
+		peers:           newPeerTransport(),
 	}
 	s.abortCtx, s.abortAll = context.WithCancel(context.Background())
 	requests := func(route string, code int) *obs.Counter {
@@ -837,9 +841,10 @@ const abortWait = time.Second
 // run to completion bounded by ShutdownGrace. When the grace expires
 // with requests still live, their pipeline contexts are canceled —
 // aborting the minimizer and Petri kernels mid-flight — and the drain
-// waits one short beat more. The run store closes last, so every
-// admitted run — aborted ones included — has written its finish
-// record and the store's active segment is sealed cleanly.
+// waits one short beat more. Once the drain ends, the pooled peer
+// transport closes its idle connections. The run store closes last,
+// so every admitted run — aborted ones included — has written its
+// finish record and the store's active segment is sealed cleanly.
 func (s *Server) Shutdown() error {
 	// The write lock waits out any admit between its closed-check and
 	// wg.Add; once released, every later admit rejects before Adding,
@@ -873,6 +878,7 @@ func (s *Server) Shutdown() error {
 		<-s.maintDone
 		s.maintStop = nil
 	}
+	s.peers.CloseIdleConnections()
 	if s.store != nil {
 		err = errors.Join(err, s.store.Close())
 	}

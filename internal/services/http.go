@@ -162,8 +162,6 @@ type HTTPTransport struct {
 
 	seenMu sync.Mutex
 	seen   map[string]DeliverResult // from\x00seq → replayed result
-
-	retries atomic.Int64
 }
 
 // NewHTTPTransport builds a transport. Register local services with
@@ -245,9 +243,6 @@ func (t *HTTPTransport) counter(name, service, port string) *obs.Counter {
 	return t.cfg.Metrics.Counter(name, "service", service, "port", port)
 }
 
-// Retries reports how many send attempts were retried.
-func (t *HTTPTransport) Retries() int64 { return t.retries.Load() }
-
 // Call sends one frame synchronously and returns its error — the
 // enactment fabric's primitive for cross-node notes, where the caller
 // needs completion, not a callback. Retries cover transient faults and
@@ -310,7 +305,6 @@ func (t *HTTPTransport) post(url string, f Frame) (DeliverResult, error) {
 				return DeliverResult{}, fmt.Errorf("%w: %v elapsed budget after %d attempts: %v",
 					ErrBudgetExhausted, t.retry.MaxElapsed, attempt, lastErr)
 			}
-			t.retries.Add(1)
 			if c := t.counter("transport_retries_total", f.Service, f.Port); c != nil {
 				c.Inc()
 			}

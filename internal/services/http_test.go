@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dscweaver/internal/obs"
 )
 
 // serveTransport mounts a transport's Deliver behind an httptest
@@ -105,14 +107,15 @@ func TestHTTPRetryThroughWarmup(t *testing.T) {
 	}))
 	defer gate.Close()
 
+	reg := obs.NewRegistry()
 	local := NewHTTPTransport(HTTPConfig{
-		Run: "r1", Node: "a", Routes: map[string]string{"late": gate.URL}, Retry: fastRetry(),
+		Run: "r1", Node: "a", Routes: map[string]string{"late": gate.URL}, Retry: fastRetry(), Metrics: reg,
 	})
 	if err := local.Call("late", "p", nil); err != nil {
 		t.Fatalf("call failed after warm-up: %v", err)
 	}
-	if local.Retries() < 2 {
-		t.Fatalf("Retries() = %d, want >= 2", local.Retries())
+	if n := reg.Counter("transport_retries_total", "service", "late", "port", "p").Value(); n < 2 {
+		t.Fatalf("transport_retries_total = %d, want >= 2", n)
 	}
 	local.Close()
 	remote.Close()
@@ -246,8 +249,9 @@ func TestHTTPFlappingLinkTransientToPermanent(t *testing.T) {
 		http.Error(w, "malformed frame", http.StatusBadRequest)
 	}))
 	defer srv.Close()
+	reg := obs.NewRegistry()
 	local := NewHTTPTransport(HTTPConfig{
-		Run: "r1", Node: "a", Routes: map[string]string{"svc": srv.URL}, Retry: fastRetry(),
+		Run: "r1", Node: "a", Routes: map[string]string{"svc": srv.URL}, Retry: fastRetry(), Metrics: reg,
 	})
 	err := local.Call("svc", "p", nil)
 	if !errors.Is(err, ErrPermanent) {
@@ -259,8 +263,8 @@ func TestHTTPFlappingLinkTransientToPermanent(t *testing.T) {
 	if hits.Load() != 3 {
 		t.Fatalf("server saw %d attempts, want exactly 3 (2 transient + 1 permanent)", hits.Load())
 	}
-	if local.Retries() != 2 {
-		t.Fatalf("Retries() = %d, want 2", local.Retries())
+	if n := reg.Counter("transport_retries_total", "service", "svc", "port", "p").Value(); n != 2 {
+		t.Fatalf("transport_retries_total = %d, want 2", n)
 	}
 	local.Close()
 }

@@ -420,18 +420,18 @@ func eventPrefix(id string) []byte {
 }
 
 // Emit appends one event record. The line is encoded once, outside the
-// store lock: the marshalled event is already compact, so it goes in
-// verbatim between the record's head and its closing brace, byte for
-// byte what json.Marshal of the record would give. Failures degrade
-// the store silently (observability and history must not fail the
-// request path).
+// store lock, into one buffer: the record's head, the event as
+// encodeEvent writes it (compact, so it goes in verbatim) and the
+// record's closing brace, byte for byte what json.Marshal of the record
+// would give. Failures degrade the store silently (observability and
+// history must not fail the request path).
 func (a *Appender) Emit(e obs.Event) {
-	raw, err := json.Marshal(e)
+	line := make([]byte, 0, len(a.evPrefix)+eventSize(&e)+2)
+	line, err := encodeEvent(append(line, a.evPrefix...), e)
 	if err != nil {
 		return
 	}
-	line := make([]byte, 0, len(a.evPrefix)+len(raw)+2)
-	line = append(append(append(line, a.evPrefix...), raw...), '}', '\n')
+	line = append(line, '}', '\n')
 	a.s.mu.Lock()
 	defer a.s.mu.Unlock()
 	if a.s.degraded {
